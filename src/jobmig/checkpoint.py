@@ -404,6 +404,24 @@ def encode_bundle(records: Sequence[CheckpointRecord]) -> bytes:
     return b"".join(encode(r) for r in records)
 
 
+def split_bundle(data: bytes) -> tuple[bytes, bytes]:
+    """Split ``data`` into its leading records and the bytes after them by header
+    length fields alone; a torn record stays in the first part for ``decode_bundle``."""
+    off = 0
+    try:
+        while data.startswith(MAGIC, off):
+            (jid_len,) = struct.unpack_from(">H", data, off + 5)
+            pos = off + 7 + jid_len + 20
+            (count,) = struct.unpack_from(">I", data, pos - 4)
+            for _ in range(count):
+                (vlen,) = struct.unpack_from(">I", data, pos + 3)
+                pos += 7 + vlen
+            off = pos + 4
+    except struct.error:
+        return data, b""
+    return data[:off], data[off:]
+
+
 _SAFE_NAME = re.compile(r"[A-Za-z0-9._-]{1,80}")
 
 

@@ -86,7 +86,6 @@ class SubordinateAgent:
 
     job_id: str
     location: str
-    carried_iterations: int = 0
 
 
 @dataclass
@@ -349,7 +348,6 @@ class SupervisoryAgent:
         entry.current_provider = to_provider
         entry.excluded.add(source)
         entry.subordinate.location = to_provider
-        entry.subordinate.carried_iterations = outcome.iterations_before
         self.hub.track(job_id, to_provider)
         record = MigrationRecord(job_id=job_id, from_provider=source, to_provider=to_provider,
                                  iterations_before=outcome.iterations_before,

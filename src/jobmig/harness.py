@@ -33,7 +33,6 @@ from .broker import (
     load_providers,
     template_from_dict,
 )
-from .checkpoint import CheckpointError
 from .control import (
     DecisionLog,
     JobStatus,
@@ -304,29 +303,21 @@ class SimTransport:
     def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationOutcome:
         env = self.env
         source = env.nodes[source_id]
-        target = env.nodes[target_id]
-        source.request_quiesce(job_id)
-        bundle, info = source.prepare_transfer(job_id)
-        overhead = env.config.overhead_ms(info["n"])
-        env.clock.advance(overhead)
-        try:
+        overhead = env.config.overhead_ms(source.job(job_id).task.total_iterations)
+
+        def send(payload: bytes) -> dict:
+            env.clock.advance(overhead)
             if self.fault_hook is not None:
                 self.fault_hook(source_id, job_id, target_id)
-            target.resume_from_bundle(bundle)
-        except (SimFault, CheckpointError, NodeError) as exc:
-            source.abort_transfer(job_id)
-            raise TransferFailed(str(exc)) from exc
-        entry = env.supervisory.jobs.get(job_id)
-        if entry is not None:
-            target.configure_resumed_job(job_id, sla=entry.sla,
-                                         checkpoint_interval=env.checkpoint_interval)
-        source.finish_transfer(job_id)
+            return env.nodes[target_id].resume_from_bundle(payload)
+
+        info, _ = source.hand_off(job_id, send)
         return MigrationOutcome(iterations_before=info["iterations_before"],
                                 time_on_source_ms=info["time_on_source_ms"],
                                 overhead_ms=overhead)
 
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None:
-        self.env.nodes[provider_id].set_sla(job_id, sla)
+        self.env.nodes[provider_id].job(job_id).sla = sla
 
 
 class SimEnvironment:
@@ -735,18 +726,6 @@ class WallEnvironment:
                                        start_on=start_on,
                                        checkpoint_interval=self.checkpoint_interval,
                                        reply_to=self.listener.address)
-
-    def migrate_async(self, job_id: str, target_id: str) -> threading.Thread:
-        """Fire a migration without waiting for its acknowledgment (used by
-        crash-safety drills where the source may die mid-protocol)."""
-        def runner():
-            try:
-                self.supervisory.migrate(job_id, target_id)
-            except Exception:
-                pass
-        t = threading.Thread(target=runner, daemon=True)
-        t.start()
-        return t
 
     def pump_until_complete(self, job_id: str, timeout: float = 60.0,
                             auto_migrate: bool = True) -> dict:

@@ -1,14 +1,18 @@
 """Resource-provider node: wire protocol, execution loop, and TCP daemon.
 
 A node accepts jobs, runs their step/checkpoint/sample loop, services
-migration transfers, and can announce withdrawal of its services. The same
-runtime drives both modes: in sim mode a shared virtual clock advances by
-the modeled per-iteration cost, in wall mode a real daemon executes jobs in
-threads and talks length-prefixed frames over TCP.
+migration transfers, and can withdraw its services. The same runtime drives
+both modes: in sim mode a shared virtual clock advances by the modeled
+per-iteration cost, in wall mode a real daemon executes jobs in threads and
+talks length-prefixed frames over TCP. Both modes migrate through
+``NodeRuntime.hand_off``. A withdrawal parks every running job at its next
+yield point, where it waits for its migration, or for ``PARK_GRACE_S``
+seconds before it resumes on this node.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
-length covers the type byte plus the payload. Control payloads are JSON;
-CHECKPOINT_TRANSFER carries a raw checkpoint record bundle.
+length covers the type byte plus the payload. Control payloads are JSON.
+CHECKPOINT_TRANSFER carries a checkpoint record bundle, then a JSON trailer
+of the job's settings (``job_settings``); a bare bundle means the defaults.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ MSG_NAMES = {
 }
 
 MAX_PAYLOAD = 16 * 1024 * 1024
+
+# seconds a job parked by a withdrawal waits for its migration, then resumes
+PARK_GRACE_S = 5.0
 
 
 class NodeError(Exception):
@@ -174,6 +181,21 @@ def parse_json(payload: bytes) -> dict:
     return obj
 
 
+def job_settings(obj: dict) -> dict:
+    """SLA, checkpoint interval and reply address of a job spec, as JobExecution kwargs."""
+    sla = None
+    if obj.get("sla") is not None:
+        try:
+            sla = ServiceLevelAgreement.from_dict(obj["sla"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedPayload(f"bad sla: {exc}") from exc
+    interval = obj.get("checkpoint_interval", 16)
+    reply_to = obj.get("reply_to")
+    if type(interval) is not int or not isinstance(reply_to, (str, type(None))):
+        raise MalformedPayload("checkpoint_interval must be an integer, reply_to a string")
+    return {"sla": sla, "checkpoint_interval": interval, "reply_to": reply_to}
+
+
 # -- clocks -------------------------------------------------------------------
 
 class WallClock:
@@ -219,9 +241,9 @@ ST_FAILED = "failed"
 class JobExecution:
     job_id: str
     task: workload.SortTask
-    sla: ServiceLevelAgreement | None
-    checkpoint_interval: int
-    reply_to: str | None
+    sla: ServiceLevelAgreement | None = None
+    checkpoint_interval: int = 16
+    reply_to: str | None = None
     status: str = ST_RUNNING
     seq_next: int = 0
     records_written: int = 0
@@ -232,8 +254,9 @@ class JobExecution:
     checkpoint_us: int = 0
     next_sample_ms: Any = None
     quiesce_requested: bool = False
-    # wall-mode coordination between the exec thread and the migrate handler
-    quiesced_evt: threading.Event = field(default_factory=threading.Event)
+    # held by each iteration and by a whole hand-off: both see a yield point
+    lock: threading.RLock = field(default_factory=threading.RLock)
+    # set when a parked job may go on: tombstoned, or resumed on this node
     proceed_evt: threading.Event = field(default_factory=threading.Event)
 
 
@@ -282,55 +305,35 @@ class NodeRuntime:
                    reply_to: str | None = None) -> dict:
         if not job_id:
             raise MalformedPayload("job_id must be non-empty")
-        if checkpoint_interval < 1:
-            raise MalformedPayload("checkpoint_interval must be >= 1")
         task = workload.create_task(job_id, task_kind, params)
-        with self._lock:
-            if job_id in self.jobs:
-                raise DuplicateJob(f"job {job_id!r} already known to {self.provider_id!r}")
-            entry = JobExecution(job_id=job_id, task=task, sla=sla,
-                                 checkpoint_interval=checkpoint_interval, reply_to=reply_to)
-            self.jobs[job_id] = entry
-        self._init_execution(entry)
+        self._admit(JobExecution(job_id=job_id, task=task, sla=sla,
+                                 checkpoint_interval=checkpoint_interval, reply_to=reply_to))
         return {"ok": True, "job_id": job_id, "provider_id": self.provider_id}
 
     def resume_from_bundle(self, data: bytes) -> dict:
-        """Accept a CHECKPOINT_TRANSFER bundle: full record plus optional
-        incrementals. The node is left unchanged on any decode failure."""
+        """Accept a CHECKPOINT_TRANSFER payload: a full record, optional incrementals
+        and settings trailer. The node is left unchanged on any decode failure."""
         t0 = time.perf_counter_ns()
-        records = ckpt.decode_bundle(data)
+        bundle, trailer = ckpt.split_bundle(data)
+        records = ckpt.decode_bundle(bundle)
+        settings = job_settings(parse_json(trailer)) if trailer else {}
         if records[0].kind != ckpt.KIND_FULL:
             raise ckpt.LineageBroken("transfer bundle must start with a full record")
         state = ckpt.compose(records[0], records[1:])
         task = workload.from_state(state)
-        with self._lock:
-            if state.job_id in self.jobs:
-                raise DuplicateJob(f"job {state.job_id!r} already active on {self.provider_id!r}")
-            entry = JobExecution(job_id=state.job_id, task=task, sla=None,
-                                 checkpoint_interval=16, reply_to=None,
-                                 seq_next=records[-1].seq + 1)
-            self.jobs[state.job_id] = entry
-        self._init_execution(entry)
+        self._admit(JobExecution(job_id=state.job_id, task=task,
+                                 seq_next=records[-1].seq + 1, **settings))
         restore_ms = (time.perf_counter_ns() - t0) / 1e6
         return {"ok": True, "job_id": state.job_id, "provider_id": self.provider_id,
                 "resumed_at_iteration": task.iterations_done, "restore_ms": restore_ms}
 
-    def configure_resumed_job(self, job_id: str, sla: ServiceLevelAgreement | None = None,
-                              checkpoint_interval: int | None = None,
-                              reply_to: str | None = None) -> None:
-        entry = self.job(job_id)
-        if sla is not None:
-            entry.sla = sla
-            entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
-        if checkpoint_interval is not None:
-            entry.checkpoint_interval = checkpoint_interval
-        if reply_to is not None:
-            entry.reply_to = reply_to
-
-    def set_sla(self, job_id: str, sla: ServiceLevelAgreement) -> None:
-        self.job(job_id).sla = sla
-
-    def _init_execution(self, entry: JobExecution) -> None:
+    def _admit(self, entry: JobExecution) -> None:
+        if entry.checkpoint_interval < 1:
+            raise MalformedPayload("checkpoint_interval must be >= 1")
+        with self._lock:
+            if entry.job_id in self.jobs:
+                raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
+            self.jobs[entry.job_id] = entry
         # initial full snapshot persists before any step runs
         self._capture(entry)
         if entry.sla is not None:
@@ -349,11 +352,10 @@ class NodeRuntime:
 
     # -- checkpoint cadence ----------------------------------------------------
 
-    def _capture(self, entry: JobExecution, force_incremental: bool = False) -> ckpt.CheckpointRecord:
+    def _capture(self, entry: JobExecution) -> ckpt.CheckpointRecord:
         t0 = time.perf_counter_ns()
         state = entry.task.state
-        if entry.records_written == 0 or (
-                not force_incremental and entry.records_written % self.full_every == 0):
+        if entry.records_written % self.full_every == 0:
             record = ckpt.capture_full(state, entry.seq_next)
             entry.lineage = [record]
         else:
@@ -370,56 +372,68 @@ class NodeRuntime:
     # -- the execution loop ----------------------------------------------------
 
     def run_iteration(self, job_id: str) -> list[tuple[str, Any]]:
-        """One yield-point-to-yield-point unit of work; returns outbound messages."""
+        """One yield-point-to-yield-point unit of work; returns outbound messages.
+        A quiesce request parks the job at its next yield point and takes the
+        final capture there, ahead of the hand-off that will need it."""
         entry = self.job(job_id)
-        if entry.status in (ST_TOMBSTONED, ST_DONE, ST_FAILED):
-            raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
-        if entry.quiesce_requested:
+        with entry.lock:
+            if entry.status in (ST_TOMBSTONED, ST_DONE, ST_FAILED):
+                raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
+            if entry.quiesce_requested:
+                self._park(entry)
+                return []
+            if entry.task.done:  # a transferred state may already be complete
+                return [self._complete(entry)]
+
+            msgs: list[tuple[str, Any]] = []
+            if self.mode == "sim":
+                entry.task.step()
+                cost = self.cost_ms / self.speed_factor
+                self.clock.advance(cost)
+                entry.exec_ms = entry.exec_ms + cost
+            else:
+                t0 = time.perf_counter_ns()
+                entry.task.step()
+                entry.exec_ms = entry.exec_ms + (time.perf_counter_ns() - t0) / 1e6
+            iterations = entry.task.iterations_done
+            if self.on_step is not None:
+                self.on_step(self.provider_id, job_id, iterations - 1)
+
+            entry.since_checkpoint += 1
+            if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
+                self._capture(entry)
+
+            if not self._withdrawn and (
+                    (self.withdraw_at is not None and iterations >= self.withdraw_at)
+                    or (self.withdraw_at_ms is not None
+                        and self.clock.now_ms() >= self.withdraw_at_ms)):
+                msgs.extend(self.withdraw())
+
+            if entry.sla is not None and not entry.task.done:
+                now = self.clock.now_ms()
+                if now >= entry.next_sample_ms:
+                    s = take_sample(self.provider_id, job_id, self, now)
+                    report = self.analyzer.observe(s, entry.sla)
+                    if report.kind is not ReportKind.NONE:
+                        msgs.append(("monitor_report", report))
+                    if self.tune_enabled:
+                        action = self.tuner.local_tune(job_id, self.analyzer.window(job_id))
+                        if action.kind == "set_checkpoint_interval":
+                            entry.checkpoint_interval = action.interval
+                    entry.next_sample_ms = now + entry.sla.sample_period_ms
+
+            if entry.task.done:
+                msgs.append(self._complete(entry))
+            elif entry.quiesce_requested:  # withdrawn during this iteration
+                self._park(entry)
+            return msgs
+
+    def _park(self, entry: JobExecution) -> None:
+        if entry.status == ST_RUNNING:
             entry.status = ST_QUIESCED
-            entry.quiesced_evt.set()
-            return []
-        if entry.task.done:  # a transferred state may already be complete
-            return [self._complete(entry)]
-
-        msgs: list[tuple[str, Any]] = []
-        if self.mode == "sim":
-            entry.task.step()
-            cost = self.cost_ms / self.speed_factor
-            self.clock.advance(cost)
-            entry.exec_ms = entry.exec_ms + cost
-        else:
-            t0 = time.perf_counter_ns()
-            entry.task.step()
-            entry.exec_ms = entry.exec_ms + (time.perf_counter_ns() - t0) / 1e6
-        iterations = entry.task.iterations_done
-        if self.on_step is not None:
-            self.on_step(self.provider_id, job_id, iterations - 1)
-
-        entry.since_checkpoint += 1
-        if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
-            self._capture(entry)
-
-        if not self._withdrawn and (
-                (self.withdraw_at is not None and iterations >= self.withdraw_at)
-                or (self.withdraw_at_ms is not None and self.clock.now_ms() >= self.withdraw_at_ms)):
-            msgs.extend(self.withdraw())
-
-        if entry.sla is not None and not entry.task.done:
-            now = self.clock.now_ms()
-            if now >= entry.next_sample_ms:
-                s = take_sample(self.provider_id, job_id, self, now)
-                report = self.analyzer.observe(s, entry.sla)
-                if report.kind is not ReportKind.NONE:
-                    msgs.append(("monitor_report", report))
-                if self.tune_enabled:
-                    action = self.tuner.local_tune(job_id, self.analyzer.window(job_id))
-                    if action.kind == "set_checkpoint_interval":
-                        entry.checkpoint_interval = action.interval
-                entry.next_sample_ms = now + entry.sla.sample_period_ms
-
-        if entry.task.done:
-            msgs.append(self._complete(entry))
-        return msgs
+            entry.proceed_evt.clear()
+            if entry.since_checkpoint:
+                self._capture(entry)
 
     def _complete(self, entry: JobExecution) -> tuple[str, Any]:
         entry.status = ST_DONE
@@ -431,41 +445,58 @@ class NodeRuntime:
 
     # -- migration, source side ---------------------------------------------
 
-    def request_quiesce(self, job_id: str) -> None:
+    def hand_off(self, job_id: str, send: Callable[[bytes], dict]) -> tuple[dict, dict]:
+        """The source side of a migration: park the job, prepare the payload and
+        ``send`` it (``send`` returns the target's ACK or raises). An ACK tombstones
+        the local copy; any failure resumes the job here and raises TransferFailed."""
         entry = self.job(job_id)
-        if entry.status not in (ST_RUNNING, ST_QUIESCED):
-            raise InvalidJobState(f"job {job_id!r} is {entry.status}, cannot quiesce")
-        entry.quiesce_requested = True
-        if self.mode == "sim":
-            # the sim strand only calls between iterations, i.e. at a yield point
-            entry.status = ST_QUIESCED
-            entry.quiesced_evt.set()
+        with entry.lock:
+            try:
+                self.request_quiesce(job_id)
+                payload, info = self.prepare_transfer(job_id)
+                t0 = time.perf_counter_ns()
+                ack = send(payload)
+                info["transfer_ms"] = (time.perf_counter_ns() - t0) / 1e6
+            except Exception as exc:
+                self.abort_transfer(job_id)
+                raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
+            self.finish_transfer(job_id)
+        return info, ack
+
+    def request_quiesce(self, job_id: str) -> None:
+        """Park the job at its next yield point; returns once it is parked."""
+        self.job(job_id).quiesce_requested = True
+        self.run_iteration(job_id)  # with the request set, this parks the job
 
     def prepare_transfer(self, job_id: str) -> tuple[bytes, dict]:
-        """Final incremental capture, compose, and encode the outgoing state."""
+        """Compose the parked job's lineage, check it against the live state,
+        and encode the outgoing full record followed by the settings trailer."""
         entry = self.job(job_id)
         if entry.status != ST_QUIESCED:
             raise InvalidJobState(f"job {job_id!r} must be quiesced before transfer")
-        final = self._capture(entry, force_incremental=True)
         composed = ckpt.compose(entry.lineage[0], entry.lineage[1:])
         if composed.fields != entry.task.state.fields:
             raise ckpt.CheckpointError(f"composed state diverges from live state for {job_id!r}")
         outgoing = ckpt.capture_full(composed, entry.seq_next)
         entry.seq_next += 1
         self.store.append(outgoing)
+        trailer = json_payload({"sla": entry.sla and entry.sla.to_dict(), "reply_to": entry.reply_to,
+                                "checkpoint_interval": entry.checkpoint_interval})
         info = {"iterations_before": entry.task.iterations_done,
-                "time_on_source_ms": entry.exec_ms,
-                "n": entry.task.total_iterations}
-        return ckpt.encode(outgoing), info
+                "time_on_source_ms": entry.exec_ms}
+        return ckpt.encode(outgoing) + trailer, info
 
-    def abort_transfer(self, job_id: str) -> None:
-        """Failed transfer: the job resumes on this node untouched."""
+    def abort_transfer(self, job_id: str) -> bool:
+        """The job resumes on this node untouched: its transfer failed, or no
+        migration came for it. Returns whether it was parked."""
         entry = self.job(job_id)
-        entry.quiesce_requested = False
-        entry.quiesced_evt.clear()
-        if entry.status == ST_QUIESCED:
-            entry.status = ST_RUNNING
-        entry.proceed_evt.set()
+        with entry.lock:
+            entry.quiesce_requested = False
+            parked = entry.status == ST_QUIESCED
+            if parked:
+                entry.status = ST_RUNNING
+            entry.proceed_evt.set()
+            return parked
 
     def finish_transfer(self, job_id: str) -> None:
         """Target acknowledged: retire the local copy for good."""
@@ -477,11 +508,14 @@ class NodeRuntime:
     # -- withdrawal -----------------------------------------------------------
 
     def withdraw(self) -> list[tuple[str, Any]]:
-        """Announce withdrawal once; current jobs keep running until migrated."""
+        """Announce withdrawal once, and park every running job at its next
+        yield point to wait for its migration."""
         with self._lock:
             if self._withdrawn:
                 return []
             self._withdrawn = True
+            for entry in self.jobs.values():
+                entry.quiesce_requested = True
         return [("withdraw_notice", {"provider_id": self.provider_id,
                                      "at_ms": self.clock.now_ms()})]
 
@@ -493,12 +527,9 @@ class NodeDaemon:
     one execution thread per job."""
 
     def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0",
-                 supervisor: str | None = None, default_sla: ServiceLevelAgreement | None = None,
-                 default_interval: int = 16, quiet: bool = True):
+                 supervisor: str | None = None, quiet: bool = True):
         self.runtime = runtime
         self.supervisor = supervisor
-        self.default_sla = default_sla
-        self.default_interval = default_interval
         self.quiet = quiet
         host, port = parse_hostport(listen)
         try:
@@ -581,30 +612,19 @@ class NodeDaemon:
     def _handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == MSG_JOB_SUBMIT:
             obj = parse_json(payload)
-            sla = None
-            if obj.get("sla") is not None:
-                try:
-                    sla = ServiceLevelAgreement.from_dict(obj["sla"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise MalformedPayload(f"bad sla: {exc}") from exc
             try:
                 job_id = obj["job_id"]
                 task_kind = obj["task_kind"]
-                params = obj.get("params", {})
             except KeyError as exc:
                 raise MalformedPayload(f"missing field {exc}") from exc
-            interval = int(obj.get("checkpoint_interval", self.default_interval))
-            ack = self.runtime.submit_job(job_id, task_kind, params, sla=sla or self.default_sla,
-                                          checkpoint_interval=interval,
-                                          reply_to=obj.get("reply_to"))
+            ack = self.runtime.submit_job(job_id, task_kind, obj.get("params", {}),
+                                          **job_settings(obj))
             self._start_exec(job_id)
             return MSG_ACK, json_payload(ack)
 
         if msg_type == MSG_CHECKPOINT_TRANSFER:
             ack = self.runtime.resume_from_bundle(payload)
             job_id = ack["job_id"]
-            self.runtime.configure_resumed_job(job_id, sla=self.default_sla,
-                                               checkpoint_interval=self.default_interval)
             self._start_exec(job_id)
             self.log(f"EVENT resumed job={job_id} iteration={ack['resumed_at_iteration']}")
             return MSG_ACK, json_payload(ack)
@@ -634,17 +654,11 @@ class NodeDaemon:
         rt = self.runtime
         entry = rt.job(job_id)
         while not self._stop.is_set():
-            if entry.quiesce_requested:
-                entry.status = ST_QUIESCED
-                entry.quiesced_evt.set()
-                entry.proceed_evt.wait()
-                entry.proceed_evt.clear()
-                if entry.status == ST_TOMBSTONED:
-                    return
-                continue
             try:
                 msgs = rt.run_iteration(job_id)
             except Exception as exc:
+                if entry.status == ST_TOMBSTONED:
+                    return  # migrated away while this thread waited for its turn
                 entry.status = ST_FAILED
                 self.log(f"EVENT job_failed job={job_id} error={type(exc).__name__}")
                 self._send_upstream(MSG_RESULT_RETURN, {
@@ -652,7 +666,10 @@ class NodeDaemon:
                     "failed": True, "error": type(exc).__name__}, entry.reply_to)
                 return
             self._dispatch(entry, msgs)
-            if entry.status == ST_DONE:
+            if entry.status == ST_QUIESCED and not entry.proceed_evt.wait(PARK_GRACE_S) \
+                    and rt.abort_transfer(job_id):
+                self.log(f"EVENT park_expired job={job_id} iteration={entry.task.iterations_done}")
+            if entry.status in (ST_DONE, ST_TOMBSTONED):
                 return
 
     def _dispatch(self, entry: JobExecution, msgs: list[tuple[str, Any]]) -> None:
@@ -684,39 +701,24 @@ class NodeDaemon:
     # -- migration, source side -------------------------------------------------
 
     def _migrate_out(self, job_id: str, target_addr: str) -> dict:
-        entry = self.runtime.job(job_id)
         if target_addr == self.address:
             raise InvalidJobState("migration target equals the source node")
-        self.runtime.request_quiesce(job_id)
-        deadline = time.monotonic() + 10
-        while not entry.quiesced_evt.wait(0.01):
-            if entry.status in (ST_DONE, ST_FAILED):
-                entry.quiesce_requested = False
-                raise TransferFailed(f"job {job_id!r} finished before it could quiesce")
-            if time.monotonic() > deadline:
-                entry.quiesce_requested = False
-                raise TransferFailed(f"job {job_id!r} did not quiesce in time")
-        bundle, info = self.runtime.prepare_transfer(job_id)
-        t0 = time.perf_counter_ns()
-        try:
-            reply_type, reply = request(target_addr, MSG_CHECKPOINT_TRANSFER, bundle, timeout=15)
-        except (OSError, NodeError) as exc:
-            self.runtime.abort_transfer(job_id)
-            raise TransferFailed(f"transfer to {target_addr} failed: {exc}") from exc
-        if reply_type != MSG_ACK:
-            detail = parse_json(reply).get("error", "unknown") if reply else "unknown"
-            self.runtime.abort_transfer(job_id)
-            raise TransferFailed(f"target rejected the transfer: {detail}")
-        transfer_ms = (time.perf_counter_ns() - t0) / 1e6
-        target_ack = parse_json(reply)
-        self.runtime.finish_transfer(job_id)
+
+        def send(payload: bytes) -> dict:
+            reply_type, reply = request(target_addr, MSG_CHECKPOINT_TRANSFER, payload, timeout=15)
+            if reply_type != MSG_ACK:
+                raise TransferFailed(f"target rejected the transfer: "
+                                     f"{parse_json(reply).get('error', 'unknown')}")
+            return parse_json(reply)
+
+        info, target_ack = self.runtime.hand_off(job_id, send)
         self.log(f"EVENT transfer_ack job={job_id} iterations={info['iterations_before']}")
         return {"ok": True, "job_id": job_id,
                 "iterations_before": info["iterations_before"],
                 "time_on_source_ms": float(info["time_on_source_ms"]),
-                "overhead_ms": transfer_ms,
+                "overhead_ms": info["transfer_ms"],
                 "restore_ms": target_ack.get("restore_ms", 0.0),
-                "transfer_ms": transfer_ms}
+                "transfer_ms": info["transfer_ms"]}
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -731,9 +733,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--supervisor", default=None, help="supervisory endpoint host:port")
     parser.add_argument("--data-dir", default=None, help="checkpoint store directory")
     parser.add_argument("--withdraw-at", type=int, default=None,
-                        help="announce withdrawal once a job reaches this iteration count")
+                        help="withdraw once a job reaches this iteration count: announce it "
+                             "and park running jobs until they migrate")
     parser.add_argument("--withdraw-at-ms", type=float, default=None,
-                        help="announce withdrawal once the node clock reaches this time")
+                        help="withdraw once the node clock reaches this time")
     parser.add_argument("--cpu-mhz", type=int, default=1000)
     parser.add_argument("--memory-mb", type=int, default=256)
     parser.add_argument("--arch", action="append", default=None, help="architecture tag (repeatable)")

@@ -69,6 +69,7 @@ def test_c2_accounting_identity_on_generated_runs(baseline_outcomes):
                 row.time_source_ms + row.time_target_ms + row.overhead_ms, f"N={n}"
 
 
+@pytest.mark.slow
 def test_c3_semantic_transparency_sim_and_wall(tmp_path_factory):
     with criterion("C3", "semantic-transparency-digests"):
         rng = random.Random(1234)
@@ -89,11 +90,12 @@ def test_c3_semantic_transparency_sim_and_wall(tmp_path_factory):
             outcome = harness.run_scenario2(n, seed, migrate_at=n // 2, mode="wall",
                                             workdir=wall_root / f"{n}-{seed}",
                                             include_scenario1=False)
-            return (n, seed), outcome.digest
+            return (n, seed), outcome.digest, outcome.row.iterations_before
 
         with ThreadPoolExecutor(max_workers=4) as pool:
-            for key, digest in pool.map(wall_case, cases):
+            for key, digest, iterations_before in pool.map(wall_case, cases):
                 assert digest == references[key], f"wall N={key[0]} seed={key[1]}"
+                assert iterations_before == key[0] // 2, f"wall N={key[0]} seed={key[1]}"
 
 
 def test_c4_checkpoint_equivalence_suite():
@@ -212,6 +214,7 @@ def test_c7_detection_latency():
                 f"latency bound exceeded for window_k={window_k}: {emitted}"
 
 
+@pytest.mark.slow
 def test_c8_crash_safety_after_transfer_ack(tmp_path_factory):
     with criterion("C8", "crash-safety-kill-source-after-ack"):
         root = tmp_path_factory.mktemp("c8")

@@ -230,6 +230,11 @@ class TestCodec:
             records.append(cp.capture_incremental(task.state, prev, seq))
             prev = task.state.copy()
         assert cp.decode_bundle(cp.encode_bundle(records)) == records
+        bundle = cp.encode_bundle(records)
+        assert cp.split_bundle(bundle + b'{"k": 1}') == (bundle, b'{"k": 1}')
+        assert cp.split_bundle(bundle) == (bundle, b"")
+        # a torn last record stays with the records, where decoding rejects it
+        assert cp.split_bundle(bundle[:-3]) == (bundle[:-3], b"")
 
     def test_empty_bundle(self):
         with pytest.raises(cp.Truncated):

@@ -255,7 +255,7 @@ class TestWallMode:
                                         workdir=tmp_path, include_scenario1=False)
         assert outcome.digest == harness.reference_digest(200, 13)
         outcome.row.check_identity()
-        assert outcome.row.iterations_before >= 80
+        assert outcome.row.iterations_before == 80
         assert outcome.detail.get("transfer_ms") is not None
 
     def test_wall_scenario1_digest(self, tmp_path):

@@ -10,7 +10,7 @@ from jobmig import node as nd
 from jobmig import workload
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import DEFAULT_TEST_SLA
+from conftest import DEFAULT_TEST_SLA, wait_until
 
 
 class TestFraming:
@@ -287,6 +287,80 @@ class TestDaemon:
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
         assert int(body["digest"], 16) == _reference_digest(60, 9)
+
+    def test_migrated_job_keeps_its_settings(self, daemon, tmp_path, listener):
+        source = sim_runtime(tmp_path / "src")
+        source.submit_job("ks", "sort", {"n": 60, "seed": 9}, sla=DEFAULT_TEST_SLA,
+                          checkpoint_interval=8, reply_to=listener.address)
+        for _ in range(20):
+            source.run_iteration("ks")
+
+        def send(payload):
+            msg_type, reply = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, payload)
+            assert msg_type == nd.MSG_ACK
+            return nd.parse_json(reply)
+
+        info, ack = source.hand_off("ks", send)
+        assert info["iterations_before"] == ack["resumed_at_iteration"] == 20
+        assert source.job("ks").status == nd.ST_TOMBSTONED
+        entry = daemon.runtime.job("ks")
+        assert (entry.sla, entry.checkpoint_interval, entry.reply_to) == \
+            (DEFAULT_TEST_SLA, 8, listener.address)
+        assert entry.next_sample_ms is not None  # sampled against its SLA
+        # the daemon has no supervisor: the result can only come back through reply_to
+        kind, body = listener.events.get(timeout=10)
+        assert kind == nd.MSG_RESULT_RETURN
+        assert int(body["digest"], 16) == _reference_digest(60, 9)
+        iterations = [dict((d.field_id, d.new_value) for d in r.deltas)[workload.FIELD_ITER]
+                      for r in daemon.runtime.store.load("ks")]
+        assert iterations == [20, 28, 36, 44, 52]
+
+    def test_bare_bundle_resumes_with_default_settings(self, daemon, listener):
+        task = workload.init_sort(30, 4, job_id="bare")
+        for _ in range(10):
+            task.step()
+        daemon.supervisor = listener.address
+        msg_type, _ = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
+                                   cp.encode(cp.capture_full(task.state, 0)))
+        assert msg_type == nd.MSG_ACK
+        entry = daemon.runtime.job("bare")
+        assert (entry.sla, entry.checkpoint_interval, entry.reply_to) == (None, 16, None)
+        kind, body = listener.events.get(timeout=10)
+        assert kind == nd.MSG_RESULT_RETURN
+        assert int(body["digest"], 16) == _reference_digest(30, 4)
+
+    @pytest.mark.parametrize("trailer", [
+        b"{not json", b"[8]", b'{"checkpoint_interval": "8"}', b'{"checkpoint_interval": 0}',
+        b'{"sla": {"window_k": 3}}', b'{"sla": {"min_throughput": -1}}', b'{"reply_to": 7}'])
+    def test_malformed_trailer_yields_typed_error(self, daemon, trailer):
+        task = workload.init_sort(30, 4, job_id="bad-trailer")
+        payload = cp.encode(cp.capture_full(task.state, 0)) + trailer
+        msg_type, reply = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, payload)
+        assert msg_type == nd.MSG_ERROR
+        assert nd.parse_json(reply)["error"] == "MalformedPayload"
+        assert daemon.runtime.jobs == {}
+
+    def test_withdrawn_job_parks_then_resumes_after_grace(self, tmp_path, listener,
+                                                         monkeypatch):
+        monkeypatch.setattr(nd, "PARK_GRACE_S", 0.5)
+        runtime = nd.NodeRuntime(provider_id="g1", clock=nd.WallClock(),
+                                 store_dir=tmp_path / "g1", mode="wall", withdraw_at=25)
+        d = nd.NodeDaemon(runtime, supervisor=listener.address)
+        events = []
+        d.log = events.append
+        d.start()
+        try:
+            spec = {"job_id": "g", "task_kind": "sort", "params": {"n": 60, "seed": 3}}
+            msg_type, _ = send_request(d.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))
+            assert msg_type == nd.MSG_ACK
+            assert wait_until(lambda: runtime.job("g").status == nd.ST_QUIESCED, timeout=5)
+            assert runtime.job("g").task.iterations_done == 25
+            kinds = [listener.events.get(timeout=10) for _ in range(2)]
+            assert [k for k, _ in kinds] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
+            assert int(kinds[1][1]["digest"], 16) == _reference_digest(60, 3)
+            assert "EVENT park_expired job=g iteration=25" in events
+        finally:
+            d.stop()
 
     def test_corrupt_transfer_yields_typed_error(self, daemon):
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
