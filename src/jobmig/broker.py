@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:
     from .monitor import ServiceLevelAgreement
 
-MATCH_FORMULA_VERSION = "equal-weight-surplus-v1"
-
 
 class BrokerError(Exception):
     pass
@@ -108,7 +106,6 @@ class MatchResult:
     """Eligible providers ranked by score, best first."""
 
     ranked: tuple[tuple[str, Fraction], ...]
-    formula_version: str = MATCH_FORMULA_VERSION
 
     @property
     def provider_ids(self) -> tuple[str, ...]:

@@ -1,11 +1,9 @@
-"""Job control: the supervisory agent, per-job subordinate agents, and the
-local tuning hook.
+"""Job control: the supervisory agent and the local tuning rule.
 
 The supervisory agent deploys jobs through the broker, keeps the per-job
 candidate provider list, and turns performance reports into decisions:
-continue, reschedule to another provider, or renegotiate the SLA. Subordinate
-agents carry one job each; a migration moves the subordinate (and the job's
-checkpointed state) to the new provider.
+continue, reschedule to another provider, or renegotiate the SLA. A
+migration carries the job's checkpointed state to the new provider.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ class TransferFailed(ControlError):
 
 
 class JobStatus(enum.Enum):
-    PENDING = "pending"
     RUNNING = "running"
     MIGRATING = "migrating"
     DONE = "done"
@@ -81,25 +78,14 @@ class MigrationRecord:
 
 
 @dataclass
-class SubordinateAgent:
-    """Mobile agent carrying one job; relocates with it on migration."""
-
-    job_id: str
-    location: str
-
-
-@dataclass
 class JobEntry:
     jrl: JobRequirementList
     sla: ServiceLevelAgreement
     current_provider: str
     candidates: MatchResult
     status: JobStatus
-    subordinate: SubordinateAgent
     excluded: set[str] = field(default_factory=set)
     migrations: list[MigrationRecord] = field(default_factory=list)
-    digest: int | None = None
-    iterations_total: int | None = None
 
 
 class DecisionAction(enum.Enum):
@@ -171,42 +157,27 @@ TUNE_LOWER_BELOW = 0.01
 def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> TuningAction:
     """Adapt the checkpoint interval to the measured capture overhead.
 
-    The overhead fraction is cumulative checkpoint time over elapsed time
-    across the sample window; above 5% the interval doubles (capped at 128),
-    below 1% it halves (floored at 1).
+    The overhead fraction is the checkpoint time over the job's run time on
+    its node across the sample window, both real microseconds from the
+    ``checkpoint_us`` and ``run_us`` counters, so a virtual sample clock does
+    not enter it. Above 5% the interval doubles (capped at 128), below 1% it
+    halves (floored at 1). A window with no capture in it says nothing about
+    their cost and changes nothing.
     """
     if len(samples) < 2:
         return TuningAction("none")
     first, last = samples[0], samples[-1]
-    elapsed_ms = last.timestamp_ms - first.timestamp_ms
-    if elapsed_ms <= 0:
+    run_us = last.counter("run_us") - first.counter("run_us")
+    ckpt_us = last.counter("checkpoint_us") - first.counter("checkpoint_us")
+    if run_us <= 0 or ckpt_us <= 0:
         return TuningAction("none")
-    ckpt_ms = (last.counter("checkpoint_us") - first.counter("checkpoint_us")) / 1000
-    fraction = ckpt_ms / elapsed_ms
+    fraction = ckpt_us / run_us
     if fraction > TUNE_RAISE_ABOVE and current_interval < CHECKPOINT_INTERVAL_CAP:
         return TuningAction("set_checkpoint_interval",
                             min(current_interval * 2, CHECKPOINT_INTERVAL_CAP))
     if fraction < TUNE_LOWER_BELOW and current_interval > 1:
         return TuningAction("set_checkpoint_interval", max(current_interval // 2, 1))
     return TuningAction("none")
-
-
-class TuningAgent:
-    """Local tuner: tracks the checkpoint interval of jobs on one provider."""
-
-    def __init__(self):
-        self._intervals: dict[str, int] = {}
-
-    def register(self, job_id: str, interval: int) -> None:
-        self._intervals[job_id] = interval
-
-    def local_tune(self, job_id: str, samples: Sequence[MonitorSample]) -> TuningAction:
-        if job_id not in self._intervals:
-            raise UnknownJob(f"job {job_id!r} is not tuned here")
-        action = tune_decision(samples, self._intervals[job_id])
-        if action.kind == "set_checkpoint_interval":
-            self._intervals[job_id] = action.interval
-        return action
 
 
 class SupervisoryAgent:
@@ -247,8 +218,7 @@ class SupervisoryAgent:
         self.transport.submit(chosen, spec)
         self.jobs[jrl.job_id] = JobEntry(
             jrl=jrl, sla=jrl.sla, current_provider=chosen, candidates=result,
-            status=JobStatus.RUNNING,
-            subordinate=SubordinateAgent(job_id=jrl.job_id, location=chosen))
+            status=JobStatus.RUNNING)
         self.hub.track(jrl.job_id, chosen)
         self.log.append(self.clock(), jrl.job_id, "deploy", "submit",
                         f"provider={chosen} candidates={list(result.provider_ids)}")
@@ -347,7 +317,6 @@ class SupervisoryAgent:
         entry.status = JobStatus.RUNNING
         entry.current_provider = to_provider
         entry.excluded.add(source)
-        entry.subordinate.location = to_provider
         self.hub.track(job_id, to_provider)
         record = MigrationRecord(job_id=job_id, from_provider=source, to_provider=to_provider,
                                  iterations_before=outcome.iterations_before,
@@ -365,8 +334,6 @@ class SupervisoryAgent:
         if entry is None:
             raise UnknownJob(f"completion for untracked job {job_id!r}")
         entry.status = JobStatus.DONE
-        entry.digest = digest
-        entry.iterations_total = iterations
         if entry.migrations and entry.migrations[-1].time_on_target_ms is None:
             entry.migrations[-1].finalize(exec_ms)
         self.hub.untrack(job_id)

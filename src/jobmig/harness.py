@@ -13,8 +13,6 @@ import argparse
 import json
 import os
 import queue
-import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -38,7 +36,6 @@ from .control import (
     JobStatus,
     MigrationOutcome,
     MigrationRecord,
-    PolicyConfig,
     SubmitTimeout,
     SupervisoryAgent,
     TransferFailed,
@@ -46,21 +43,22 @@ from .control import (
 from .monitor import MonitorHub, PerformanceReport, ServiceLevelAgreement
 from .node import (
     MSG_ACK,
-    MSG_ERROR,
     MSG_JOB_SUBMIT,
     MSG_MIGRATE_REQUEST,
     MSG_MONITOR_REPORT,
+    MSG_NAMES,
     MSG_REGISTER_PROVIDER,
     MSG_RESULT_RETURN,
     MSG_WITHDRAW_NOTICE,
+    FrameServer,
     NodeError,
     NodeRuntime,
+    UnsupportedMessage,
     VirtualClock,
+    job_settings,
     json_payload,
     parse_json,
-    recv_frame,
     request,
-    send_frame,
 )
 
 
@@ -111,7 +109,6 @@ class SimConfig:
     overhead_a: Fraction
     overhead_b: Fraction
     speed_factors: dict[str, Fraction]
-    migrate_at: int | None = None
 
     def __post_init__(self):
         if self.per_iteration_cost_ms <= 0:
@@ -268,7 +265,7 @@ class StepLog:
                 seen.append(p)
 
 
-# -- sim environment -----------------------------------------------------------------
+# -- environments ----------------------------------------------------------------------
 
 @dataclass
 class ScenarioOutcome:
@@ -278,6 +275,70 @@ class ScenarioOutcome:
     migration: MigrationRecord | None = None
     step_log: StepLog | None = None
     detail: dict = field(default_factory=dict)
+
+
+class Environment:
+    """One mode's providers under one broker, monitor hub and supervisory
+    agent. Subclasses add ``run_job`` (a deployed job to its result); in both
+    modes node messages reach the hub and the supervisor through ``route``."""
+
+    step_log: StepLog | None = None  # who ran each iteration, where the mode records it
+    reply_to: str | None = None  # where nodes send results; None means their supervisor
+
+    def __init__(self, broker: ResourceBroker, transport, clock, sla: ServiceLevelAgreement,
+                 checkpoint_interval: int, decision_log: str | Path | None):
+        self.broker = broker
+        self.hub = MonitorHub(broker)
+        self.transport = transport
+        self.supervisory = SupervisoryAgent(broker, self.hub, transport, clock=clock,
+                                            decision_log=DecisionLog(decision_log))
+        self.sla = sla
+        self.checkpoint_interval = checkpoint_interval
+        self.results: dict[str, dict] = {}
+
+    def start(self) -> None:
+        pass
+
+    def stop(self) -> None:
+        pass
+
+    def dump_logs(self) -> str:
+        return ""
+
+    @property
+    def migrate_detail(self) -> dict:
+        """Transfer and restore times of the last migration, where the transport measures them."""
+        return {}
+
+    def deploy_sort(self, job_id: str, n: int, seed: int, start_on: str | None = None) -> str:
+        jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=DEFAULT_MIN_CPU_MHZ,
+                                 min_memory_mb=DEFAULT_MIN_MEMORY_MB,
+                                 arch_tags=frozenset(), sla=self.sla)
+        return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
+                                       start_on=start_on,
+                                       checkpoint_interval=self.checkpoint_interval,
+                                       reply_to=self.reply_to)
+
+    def route(self, msgs: list[tuple[str, Any]]) -> None:
+        """Hand node messages on: a withdrawal becomes a report for every job
+        on that provider, reports go through the hub to the supervisor, and a
+        result completes its job."""
+        for kind, body in msgs:
+            if kind == "withdraw_notice":
+                reports = self.hub.note_withdrawal(body["provider_id"], body["at_ms"])
+            elif kind == "monitor_report":
+                reports = [body]
+            else:
+                self.results[body["job_id"]] = body
+                self.supervisory.complete(body["job_id"], body["digest"],
+                                          body["exec_ms"], body["iterations_done"])
+                continue
+            for report in reports:
+                for fwd in self.hub.submit(report):
+                    try:
+                        self.supervisory.on_report(fwd)
+                    except TransferFailed:
+                        pass  # the job stays intact on its source; its result still comes
 
 
 class SimFault(Exception):
@@ -292,13 +353,8 @@ class SimTransport:
         self.fault_hook = None  # callable(source, job_id, target) raising SimFault
 
     def submit(self, provider_id: str, job_spec: dict) -> None:
-        sla = None
-        if job_spec.get("sla") is not None:
-            sla = ServiceLevelAgreement.from_dict(job_spec["sla"])
-        self.env.nodes[provider_id].submit_job(
-            job_spec["job_id"], job_spec["task_kind"], job_spec.get("params", {}),
-            sla=sla, checkpoint_interval=job_spec.get("checkpoint_interval", 16),
-            reply_to=job_spec.get("reply_to"))
+        self.env.nodes[provider_id].submit_job(job_spec["job_id"], job_spec["task_kind"],
+                                               job_spec["params"], **job_settings(job_spec))
 
     def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationOutcome:
         env = self.env
@@ -306,9 +362,10 @@ class SimTransport:
         overhead = env.config.overhead_ms(source.job(job_id).task.total_iterations)
 
         def send(payload: bytes) -> dict:
-            env.clock.advance(overhead)
+            # a transfer cut before it lands costs no virtual time
             if self.fault_hook is not None:
                 self.fault_hook(source_id, job_id, target_id)
+            env.clock.advance(overhead)
             return env.nodes[target_id].resume_from_bundle(payload)
 
         info, _ = source.hand_off(job_id, send)
@@ -320,7 +377,7 @@ class SimTransport:
         self.env.nodes[provider_id].job(job_id).sla = sla
 
 
-class SimEnvironment:
+class SimEnvironment(Environment):
     """All components in one process sharing a virtual clock."""
 
     def __init__(self, config: SimConfig, providers: Sequence[ResourceSpecTemplate],
@@ -328,59 +385,31 @@ class SimEnvironment:
                  checkpoint_interval: int = 16,
                  withdraw_at: dict[str, int] | None = None,
                  withdraw_at_ms: dict[str, Any] | None = None,
-                 decision_log: str | Path | None = None,
-                 policy: PolicyConfig | None = None, tune: bool = False):
+                 decision_log: str | Path | None = None, tune: bool = False):
         self.config = config
-        self.sla = sla
-        self.checkpoint_interval = checkpoint_interval
-        self.workdir = Path(workdir)
         self.clock = VirtualClock()
         self.step_log = StepLog()
-        self.broker = ResourceBroker()
         self.nodes: dict[str, NodeRuntime] = {}
+        broker = ResourceBroker()
         withdraw_at = withdraw_at or {}
         withdraw_at_ms = withdraw_at_ms or {}
         for template in providers:
-            self.broker.register_provider(template)
+            broker.register_provider(template)
             self.nodes[template.provider_id] = NodeRuntime(
                 provider_id=template.provider_id, clock=self.clock,
-                store_dir=self.workdir / template.provider_id, mode="sim",
+                store_dir=Path(workdir) / template.provider_id, mode="sim",
                 per_iteration_cost_ms=config.per_iteration_cost_ms,
                 speed_factor=template.speed_factor,
                 withdraw_at=withdraw_at.get(template.provider_id),
                 withdraw_at_ms=withdraw_at_ms.get(template.provider_id),
                 tune_enabled=tune, on_step=self.step_log.record)
-        self.hub = MonitorHub(self.broker)
-        self.transport = SimTransport(self)
-        self.supervisory = SupervisoryAgent(
-            self.broker, self.hub, self.transport, policy=policy,
-            clock=self.clock.now_ms, decision_log=DecisionLog(decision_log))
-        self.results: dict[str, dict] = {}
-
-    def deploy_sort(self, job_id: str, n: int, seed: int, start_on: str | None = None) -> str:
-        jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=DEFAULT_MIN_CPU_MHZ,
-                                 min_memory_mb=DEFAULT_MIN_MEMORY_MB,
-                                 arch_tags=frozenset(), sla=self.sla)
-        return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
-                                       start_on=start_on,
-                                       checkpoint_interval=self.checkpoint_interval)
-
-    def route(self, msgs: list[tuple[str, Any]]) -> None:
-        for kind, body in msgs:
-            if kind == "withdraw_notice":
-                reports = self.hub.note_withdrawal(body["provider_id"], body["at_ms"])
-                for report in reports:
-                    for fwd in self.hub.submit(report):
-                        self.supervisory.on_report(fwd)
-            elif kind == "monitor_report":
-                for fwd in self.hub.submit(body):
-                    self.supervisory.on_report(fwd)
-            elif kind == "result_return":
-                self.results[body["job_id"]] = body
-                self.supervisory.complete(body["job_id"], body["digest"],
-                                          body["exec_ms"], body["iterations_done"])
+        super().__init__(broker, SimTransport(self), self.clock.now_ms, sla,
+                         checkpoint_interval, decision_log)
 
     def run_job(self, job_id: str, max_steps: int | None = None) -> dict:
+        """Step the job on whichever node holds it until its result. The clock
+        is this job's alone, so it must then read the job's accounted time:
+        its execution on every node plus each migration's overhead."""
         entry = self.supervisory.jobs[job_id]
         budget = max_steps if max_steps is not None else 10_000_000
         while entry.status not in (JobStatus.DONE, JobStatus.FAILED):
@@ -391,191 +420,43 @@ class SimEnvironment:
             self.route(node.run_iteration(job_id))
         if entry.status is JobStatus.FAILED:
             raise HarnessError(f"job {job_id!r} failed")
-        return self.results[job_id]
+        result = self.results[job_id]
+        accounted = result["exec_ms"] + sum(r.time_on_source_ms + r.overhead_ms
+                                            for r in entry.migrations)
+        if self.clock.now_ms() != accounted:
+            raise HarnessError("virtual clock diverged from the job's accounted time")
+        return result
 
 
-# -- sim scenarios ---------------------------------------------------------------
+class SupervisoryListener(FrameServer):
+    """Frame endpoint for node-originated messages: registrations go to the
+    broker; withdrawals, reports and results to ``events``."""
 
-def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str = "sim",
-                  config: SimConfig | None = None,
-                  providers: Sequence[ResourceSpecTemplate] | None = None,
-                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
-                  workdir: str | Path | None = None, job_id: str | None = None,
-                  decision_log: str | Path | None = None) -> ScenarioOutcome:
-    """Uninterrupted run to completion on one provider."""
-    if mode == "wall":
-        return _run_scenario1_wall(n, seed, provider=provider, providers=providers,
-                                   sla=sla, checkpoint_interval=checkpoint_interval,
-                                   workdir=workdir, job_id=job_id)
-    config = config or calibrate_from_table1()
-    providers = list(providers) if providers is not None else default_providers(config)
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-s1-"))
-    env = SimEnvironment(config, providers, workdir, sla=sla or DEFAULT_SIM_SLA,
-                         checkpoint_interval=checkpoint_interval, decision_log=decision_log)
-    job_id = job_id or f"sort-{n}-{seed}"
-    env.deploy_sort(job_id, n, seed, start_on=provider)
-    result = env.run_job(job_id, max_steps=4 * n + 1000)
-    total = env.clock.now_ms()
-    if total != result["exec_ms"]:
-        raise HarnessError("virtual clock diverged from accrued execution time")
-    row = ScenarioRow(n=n, scenario1_total_ms=total)
-    return ScenarioOutcome(row=row, digest=result["digest"],
-                           iterations=result["iterations_done"], step_log=env.step_log)
-
-
-def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
-                  target: str = TARGET_PROVIDER, migrate_at: int | None = None,
-                  migrate_at_ms=None, mode: str = "sim", config: SimConfig | None = None,
-                  providers: Sequence[ResourceSpecTemplate] | None = None,
-                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
-                  workdir: str | Path | None = None, job_id: str | None = None,
-                  decision_log: str | Path | None = None,
-                  include_scenario1: bool = True) -> ScenarioOutcome:
-    """Withdrawal-triggered migration: start on ``source``, finish on ``target``.
-
-    The withdrawal fires at iteration ``migrate_at`` (default N//2) or, with
-    ``migrate_at_ms``, at the first yield point the clock reaches that time.
-    """
-    if mode == "wall":
-        if migrate_at_ms is not None:
-            raise HarnessError("time-based withdrawal is a sim-mode trigger; "
-                               "use --migrate-at in wall mode")
-        return _run_scenario2_wall(n, seed, source=source, target=target,
-                                   migrate_at=migrate_at, providers=providers, sla=sla,
-                                   checkpoint_interval=checkpoint_interval, workdir=workdir,
-                                   job_id=job_id, include_scenario1=include_scenario1)
-    config = config or calibrate_from_table1()
-    providers = list(providers) if providers is not None else default_providers(config)
-    withdraw_at = {}
-    withdraw_at_ms = {}
-    if migrate_at_ms is not None:
-        if migrate_at is not None:
-            raise HarnessError("give either migrate_at or migrate_at_ms, not both")
-        withdraw_at_ms[source] = Fraction(str(migrate_at_ms))
-    else:
-        if migrate_at is None:
-            migrate_at = config.migrate_at if config.migrate_at is not None else n // 2
-        if not 1 <= migrate_at < n:
-            raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
-        withdraw_at[source] = migrate_at
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-s2-"))
-    env = SimEnvironment(config, providers, workdir / "scenario2",
-                         sla=sla or DEFAULT_SIM_SLA, checkpoint_interval=checkpoint_interval,
-                         withdraw_at=withdraw_at, withdraw_at_ms=withdraw_at_ms,
-                         decision_log=decision_log)
-    job_id = job_id or f"sort-{n}-{seed}"
-    env.deploy_sort(job_id, n, seed, start_on=source)
-    result = env.run_job(job_id, max_steps=4 * n + 1000)
-    entry = env.supervisory.jobs[job_id]
-    if not entry.migrations:
-        raise HarnessError("scenario2 completed without migrating")
-    record = entry.migrations[-1]
-    record.check_identity()
-    total = env.clock.now_ms()
-    if total != record.total_ms:
-        raise HarnessError("virtual clock diverged from the migration accounting")
-
-    row = ScenarioRow(n=n, scenario2_total_ms=total,
-                      iterations_before=record.iterations_before,
-                      time_source_ms=record.time_on_source_ms,
-                      time_target_ms=record.time_on_target_ms,
-                      overhead_ms=record.overhead_ms)
-    outcome = ScenarioOutcome(row=row, digest=result["digest"],
-                              iterations=result["iterations_done"], migration=record,
-                              step_log=env.step_log)
-    if include_scenario1:
-        ref = run_scenario1(n, seed, provider=source, mode="sim", config=config,
-                            providers=providers, sla=sla,
-                            checkpoint_interval=checkpoint_interval,
-                            workdir=workdir / "scenario1", job_id=job_id)
-        if ref.digest != outcome.digest:
-            raise HarnessError("scenario2 digest differs from the uninterrupted run")
-        row.scenario1_total_ms = ref.row.scenario1_total_ms
-    return outcome
-
-
-def reference_digest(n: int, seed: int) -> int:
-    """Digest of a direct, provider-free run: the correctness witness."""
-    task = workload.init_sort(n, seed)
-    while not task.done:
-        task.step()
-    return task.digest()
-
-
-def run_table1(seed: int = 42, config: SimConfig | None = None,
-               workdir: str | Path | None = None) -> list[ScenarioRow]:
-    """All five baseline sizes at their recorded migration points, sim mode."""
-    config = config or calibrate_from_table1()
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-t1-"))
-    rows = []
-    for base in TABLE1_BASELINE:
-        outcome = run_scenario2(base.n, seed, migrate_at=base.iterations_before,
-                                config=config, workdir=workdir / str(base.n))
-        rows.append(outcome.row)
-    return rows
-
-
-# -- wall mode --------------------------------------------------------------------
-
-class SupervisoryListener:
-    """Frame endpoint for node-originated messages (registrations, withdrawals,
-    reports, results)."""
-
-    def __init__(self, broker: ResourceBroker, host: str = "127.0.0.1"):
+    def __init__(self, broker: ResourceBroker):
+        super().__init__()
         self.broker = broker
-        self._server = socket.create_server((host, 0))
-        self.address = "%s:%d" % self._server.getsockname()[:2]
         self.events: "queue.Queue[tuple[int, dict]]" = queue.Queue()
-        self._stop = threading.Event()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        self.start()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(30)
-            while not self._stop.is_set():
-                try:
-                    msg_type, payload = recv_frame(conn)
-                except (NodeError, OSError):
-                    return
-                try:
-                    if msg_type == MSG_REGISTER_PROVIDER:
-                        self.broker.register_provider(template_from_dict(parse_json(payload)))
-                        reply = (MSG_ACK, json_payload({"ok": True}))
-                    elif msg_type in (MSG_WITHDRAW_NOTICE, MSG_MONITOR_REPORT, MSG_RESULT_RETURN):
-                        self.events.put((msg_type, parse_json(payload)))
-                        reply = (MSG_ACK, json_payload({"ok": True}))
-                    else:
-                        reply = (MSG_ERROR, json_payload({"error": "UnsupportedMessage"}))
-                except Exception as exc:
-                    reply = (MSG_ERROR, json_payload({"error": type(exc).__name__,
-                                                      "detail": str(exc)}))
-                try:
-                    send_frame(conn, *reply)
-                except OSError:
-                    return
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
+    def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        if msg_type == MSG_REGISTER_PROVIDER:
+            self.broker.register_provider(template_from_dict(parse_json(payload)))
+        elif msg_type in (MSG_WITHDRAW_NOTICE, MSG_MONITOR_REPORT, MSG_RESULT_RETURN):
+            self.events.put((msg_type, parse_json(payload)))
+        else:
+            raise UnsupportedMessage(f"the supervisor does not serve "
+                                     f"{MSG_NAMES.get(msg_type, hex(msg_type))} messages")
+        return MSG_ACK, json_payload({"ok": True})
 
 
 class WallTransport:
     """Frame client used by the supervisory agent against real node daemons."""
 
-    def __init__(self, broker: ResourceBroker, timeout: float = 30.0):
+    timeout = 30.0  # seconds for each request to a node
+
+    def __init__(self, broker: ResourceBroker):
         self.broker = broker
-        self.timeout = timeout
+        self.last_detail: dict = {}
 
     def _addr(self, provider_id: str) -> str:
         template = self.broker.get(provider_id)
@@ -611,39 +492,40 @@ class WallTransport:
                                 overhead_ms=float(body["overhead_ms"]))
 
 
-class WallEnvironment:
+# seconds the spawned nodes have to register with the supervisor
+NODE_STARTUP_S = 20.0
+
+
+class WallEnvironment(Environment):
     """Spawns real node processes and orchestrates them over TCP."""
 
     def __init__(self, providers: Sequence[ResourceSpecTemplate], workdir: str | Path,
                  sla: ServiceLevelAgreement = DEFAULT_WALL_SLA, checkpoint_interval: int = 16,
                  withdraw_at: dict[str, int] | None = None,
-                 decision_log: str | Path | None = None, startup_timeout: float = 20.0):
+                 decision_log: str | Path | None = None):
         self.providers = list(providers)
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.sla = sla
-        self.checkpoint_interval = checkpoint_interval
         self.withdraw_at = withdraw_at or {}
-        self.startup_timeout = startup_timeout
-        self.broker = ResourceBroker()
-        self.listener = SupervisoryListener(self.broker)
-        self.hub = MonitorHub(self.broker)
-        self.transport = WallTransport(self.broker)
-        self.supervisory = SupervisoryAgent(self.broker, self.hub, self.transport,
-                                            clock=time.monotonic,
-                                            decision_log=DecisionLog(decision_log))
+        broker = ResourceBroker()
+        self.listener = SupervisoryListener(broker)
+        self.reply_to = self.listener.address
+        super().__init__(broker, WallTransport(broker), time.monotonic, sla,
+                         checkpoint_interval, decision_log)
         self.procs: dict[str, subprocess.Popen] = {}
         self.node_events: "queue.Queue[tuple[str, dict]]" = queue.Queue()
         self.node_logs: dict[str, list[str]] = {}
-        self.results: dict[str, dict] = {}
-        self.migrate_detail: dict = {}
+
+    @property
+    def migrate_detail(self) -> dict:
+        return self.transport.last_detail
 
     # -- process management --------------------------------------------------
 
     def start(self) -> None:
         for template in self.providers:
             self._spawn(template)
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + NODE_STARTUP_S
         pending = {t.provider_id for t in self.providers}
         while pending:
             pending = {p for p in pending if self.broker.get(p) is None}
@@ -656,8 +538,7 @@ class WallEnvironment:
     def _spawn(self, template: ResourceSpecTemplate) -> None:
         pid = template.provider_id
         cmd = [sys.executable, "-m", "jobmig.node", "--id", pid,
-               "--listen", "127.0.0.1:0", "--mode", "wall",
-               "--supervisor", self.listener.address,
+               "--listen", "127.0.0.1:0", "--supervisor", self.listener.address,
                "--data-dir", str(self.workdir / pid),
                "--cpu-mhz", str(template.cpu_mhz), "--memory-mb", str(template.memory_mb)]
         for tag in sorted(template.arch_tags):
@@ -702,8 +583,8 @@ class WallEnvironment:
             if event == name and all(attrs.get(k) == v for k, v in match.items()):
                 return attrs
 
-    def kill_node(self, provider_id: str, sig: int = signal.SIGKILL) -> None:
-        self.procs[provider_id].send_signal(sig)
+    def kill_node(self, provider_id: str) -> None:
+        self.procs[provider_id].kill()
 
     def stop(self) -> None:
         for proc in self.procs.values():
@@ -718,19 +599,10 @@ class WallEnvironment:
 
     # -- orchestration --------------------------------------------------------
 
-    def deploy_sort(self, job_id: str, n: int, seed: int, start_on: str) -> str:
-        jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=DEFAULT_MIN_CPU_MHZ,
-                                 min_memory_mb=DEFAULT_MIN_MEMORY_MB,
-                                 arch_tags=frozenset(), sla=self.sla)
-        return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
-                                       start_on=start_on,
-                                       checkpoint_interval=self.checkpoint_interval,
-                                       reply_to=self.listener.address)
-
-    def pump_until_complete(self, job_id: str, timeout: float = 60.0,
-                            auto_migrate: bool = True) -> dict:
+    def pump_until_complete(self, job_id: str, timeout: float = 60.0) -> dict:
+        """Route the nodes' messages until the job's result arrives."""
         deadline = time.monotonic() + timeout
-        while True:
+        while job_id not in self.results:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise HarnessError(f"job {job_id!r} did not complete in time\n{self.dump_logs()}")
@@ -739,107 +611,146 @@ class WallEnvironment:
             except queue.Empty:
                 continue
             if msg_type == MSG_WITHDRAW_NOTICE:
-                reports = self.hub.note_withdrawal(body["provider_id"], body.get("at_ms", 0))
-                if auto_migrate:
-                    for report in reports:
-                        for fwd in self.hub.submit(report):
-                            self._handle_report(fwd)
+                self.route([("withdraw_notice", body)])
             elif msg_type == MSG_MONITOR_REPORT:
-                report = PerformanceReport.from_dict(body)
-                if auto_migrate:
-                    for fwd in self.hub.submit(report):
-                        self._handle_report(fwd)
-            elif msg_type == MSG_RESULT_RETURN:
-                if body.get("failed"):
-                    raise HarnessError(f"job {body.get('job_id')} failed on "
-                                       f"{body.get('provider_id')}: {body.get('error')}")
-                result = {"job_id": body["job_id"],
-                          "provider_id": body.get("provider_id"),
-                          "digest": int(body["digest"], 16),
-                          "iterations_done": int(body["iterations_done"]),
-                          "exec_ms": float(body["exec_ms"])}
-                self.results[result["job_id"]] = result
-                self.supervisory.complete(result["job_id"], result["digest"],
-                                          result["exec_ms"], result["iterations_done"])
-                if result["job_id"] == job_id:
-                    return result
+                self.route([("monitor_report", PerformanceReport.from_dict(body))])
+            elif body.get("failed"):
+                raise HarnessError(f"job {body.get('job_id')} failed on "
+                                   f"{body.get('provider_id')}: {body.get('error')}")
+            else:
+                self.route([("result_return", {**body, "digest": int(body["digest"], 16)})])
+        return self.results[job_id]
 
-    def _handle_report(self, report: PerformanceReport) -> None:
-        try:
-            self.supervisory.on_report(report)
-            self.migrate_detail = getattr(self.transport, "last_detail", {})
-        except TransferFailed:
-            # the job stays intact on the source; completion will still arrive
-            pass
+    run_job = pump_until_complete
 
 
-def _wall_providers(providers: Sequence[ResourceSpecTemplate] | None,
-                    needed: Sequence[str]) -> list[ResourceSpecTemplate]:
-    pool = {t.provider_id: t for t in (providers or default_providers())}
+# -- scenarios ------------------------------------------------------------------------
+
+def _environment(mode: str, config: SimConfig,
+                 providers: Sequence[ResourceSpecTemplate] | None, needed: Sequence[str],
+                 workdir: Path, sla: ServiceLevelAgreement | None, checkpoint_interval: int,
+                 withdraw_at: dict[str, int] | None = None,
+                 withdraw_at_ms: dict[str, Any] | None = None,
+                 decision_log: str | Path | None = None) -> Environment:
+    """The mode's environment over the ``needed`` providers, in that order."""
+    pool = {t.provider_id: t for t in (providers or default_providers(config))}
     missing = [p for p in needed if p not in pool]
     if missing:
         raise HarnessError(f"no provider spec for {missing}")
-    return [pool[p] for p in needed]
+    chosen = [pool[p] for p in needed]
+    if mode == "wall":
+        return WallEnvironment(chosen, workdir, sla=sla or DEFAULT_WALL_SLA,
+                               checkpoint_interval=checkpoint_interval,
+                               withdraw_at=withdraw_at, decision_log=decision_log)
+    return SimEnvironment(config, chosen, workdir, sla=sla or DEFAULT_SIM_SLA,
+                          checkpoint_interval=checkpoint_interval, withdraw_at=withdraw_at,
+                          withdraw_at_ms=withdraw_at_ms, decision_log=decision_log)
 
 
-def _run_scenario1_wall(n, seed, provider, providers, sla, checkpoint_interval,
-                        workdir, job_id) -> ScenarioOutcome:
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-w1-"))
-    env = WallEnvironment(_wall_providers(providers, [provider]), workdir,
-                          sla=sla or DEFAULT_WALL_SLA, checkpoint_interval=checkpoint_interval)
+def _run(env: Environment, job_id: str, n: int, seed: int, start_on: str) -> dict:
+    """Deploy one sort job on ``start_on`` and run it to its result."""
     try:
         env.start()
-        job_id = job_id or f"sort-{n}-{seed}"
-        env.deploy_sort(job_id, n, seed, start_on=provider)
-        result = env.pump_until_complete(job_id)
-        row = ScenarioRow(n=n, scenario1_total_ms=result["exec_ms"])
-        return ScenarioOutcome(row=row, digest=result["digest"],
-                               iterations=result["iterations_done"])
+        env.deploy_sort(job_id, n, seed, start_on=start_on)
+        return env.run_job(job_id)
     finally:
         env.stop()
 
 
-def _run_scenario2_wall(n, seed, source, target, migrate_at, providers, sla,
-                        checkpoint_interval, workdir, job_id,
-                        include_scenario1) -> ScenarioOutcome:
-    if migrate_at is None:
-        migrate_at = n // 2
-    if not 1 <= migrate_at < n:
-        raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
-    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-w2-"))
-    env = WallEnvironment(_wall_providers(providers, [source, target]), workdir / "scenario2",
-                          sla=sla or DEFAULT_WALL_SLA, checkpoint_interval=checkpoint_interval,
-                          withdraw_at={source: migrate_at})
-    try:
-        env.start()
-        job_id = job_id or f"sort-{n}-{seed}"
-        env.deploy_sort(job_id, n, seed, start_on=source)
-        result = env.pump_until_complete(job_id)
-        entry = env.supervisory.jobs[job_id]
-        if not entry.migrations:
-            raise HarnessError(f"scenario2 completed without migrating\n{env.dump_logs()}")
-        record = entry.migrations[-1]
-        record.total_ms = (record.time_on_source_ms + record.time_on_target_ms
-                           + record.overhead_ms)
-        record.check_identity()
-        row = ScenarioRow(n=n, scenario2_total_ms=record.total_ms,
-                          iterations_before=record.iterations_before,
-                          time_source_ms=record.time_on_source_ms,
-                          time_target_ms=record.time_on_target_ms,
-                          overhead_ms=record.overhead_ms)
-        outcome = ScenarioOutcome(row=row, digest=result["digest"],
-                                  iterations=result["iterations_done"], migration=record,
-                                  detail=dict(env.migrate_detail))
-    finally:
-        env.stop()
+def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str = "sim",
+                  config: SimConfig | None = None,
+                  providers: Sequence[ResourceSpecTemplate] | None = None,
+                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
+                  workdir: str | Path | None = None, job_id: str | None = None,
+                  decision_log: str | Path | None = None) -> ScenarioOutcome:
+    """Uninterrupted run to completion on one provider."""
+    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix=f"jobmig-{mode}1-"))
+    env = _environment(mode, config or calibrate_from_table1(), providers, [provider],
+                       workdir, sla, checkpoint_interval, decision_log=decision_log)
+    result = _run(env, job_id or f"sort-{n}-{seed}", n, seed, provider)
+    return ScenarioOutcome(row=ScenarioRow(n=n, scenario1_total_ms=result["exec_ms"]),
+                           digest=result["digest"], iterations=result["iterations_done"],
+                           step_log=env.step_log)
+
+
+def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
+                  target: str = TARGET_PROVIDER, migrate_at: int | None = None,
+                  migrate_at_ms=None, mode: str = "sim", config: SimConfig | None = None,
+                  providers: Sequence[ResourceSpecTemplate] | None = None,
+                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
+                  workdir: str | Path | None = None, job_id: str | None = None,
+                  decision_log: str | Path | None = None,
+                  include_scenario1: bool = True) -> ScenarioOutcome:
+    """Withdrawal-triggered migration: start on ``source``, finish on ``target``.
+
+    The withdrawal fires at iteration ``migrate_at`` (default N//2) or, in sim
+    mode with ``migrate_at_ms``, at the first yield point the clock reaches
+    that time. With ``include_scenario1`` the uninterrupted run on ``source``
+    must reach the same digest, and fills the row's scenario-1 column.
+    """
+    withdraw_at: dict[str, int] = {}
+    withdraw_at_ms: dict[str, Any] = {}
+    if migrate_at_ms is not None:
+        if mode == "wall":
+            raise HarnessError("time-based withdrawal is a sim-mode trigger; "
+                               "use --migrate-at in wall mode")
+        if migrate_at is not None:
+            raise HarnessError("give either migrate_at or migrate_at_ms, not both")
+        withdraw_at_ms[source] = Fraction(str(migrate_at_ms))
+    else:
+        migrate_at = n // 2 if migrate_at is None else migrate_at
+        if not 1 <= migrate_at < n:
+            raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
+        withdraw_at[source] = migrate_at
+    config = config or calibrate_from_table1()
+    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix=f"jobmig-{mode}2-"))
+    job_id = job_id or f"sort-{n}-{seed}"
+    env = _environment(mode, config, providers, [source, target], workdir / "scenario2", sla,
+                       checkpoint_interval, withdraw_at=withdraw_at,
+                       withdraw_at_ms=withdraw_at_ms, decision_log=decision_log)
+    result = _run(env, job_id, n, seed, source)
+    entry = env.supervisory.jobs[job_id]
+    if not entry.migrations:
+        raise HarnessError(f"scenario2 completed without migrating\n{env.dump_logs()}".rstrip())
+    record = entry.migrations[-1]
+    record.check_identity()
+    row = ScenarioRow(n=n, scenario2_total_ms=record.total_ms,
+                      iterations_before=record.iterations_before,
+                      time_source_ms=record.time_on_source_ms,
+                      time_target_ms=record.time_on_target_ms,
+                      overhead_ms=record.overhead_ms)
+    outcome = ScenarioOutcome(row=row, digest=result["digest"],
+                              iterations=result["iterations_done"], migration=record,
+                              step_log=env.step_log, detail=dict(env.migrate_detail))
     if include_scenario1:
-        ref = _run_scenario1_wall(n, seed, provider=source, providers=providers, sla=sla,
-                                  checkpoint_interval=checkpoint_interval,
-                                  workdir=workdir / "scenario1", job_id=job_id)
+        ref = run_scenario1(n, seed, provider=source, mode=mode, config=config,
+                            providers=providers, sla=sla,
+                            checkpoint_interval=checkpoint_interval,
+                            workdir=workdir / "scenario1", job_id=job_id)
         if ref.digest != outcome.digest:
             raise HarnessError("scenario2 digest differs from the uninterrupted run")
-        outcome.row.scenario1_total_ms = ref.row.scenario1_total_ms
+        row.scenario1_total_ms = ref.row.scenario1_total_ms
     return outcome
+
+
+def reference_digest(n: int, seed: int) -> int:
+    """Digest of a direct, provider-free run: the correctness witness."""
+    task = workload.init_sort(n, seed)
+    while not task.done:
+        task.step()
+    return task.digest()
+
+
+def run_table1(seed: int = 42, workdir: str | Path | None = None) -> list[ScenarioRow]:
+    """All five baseline sizes at their recorded migration points, sim mode."""
+    config = calibrate_from_table1()
+    workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-t1-"))
+    rows = []
+    for base in TABLE1_BASELINE:
+        outcome = run_scenario2(base.n, seed, migrate_at=base.iterations_before,
+                                config=config, workdir=workdir / str(base.n))
+        rows.append(outcome.row)
+    return rows
 
 
 # -- CLI ----------------------------------------------------------------------------

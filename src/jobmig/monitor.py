@@ -1,4 +1,4 @@
-"""Performance monitoring: per-provider analyzers and the global aggregator.
+"""Performance monitoring: per-provider analyzers and the global hub.
 
 Local analyzers sample job progress and confirm SLA violations over a
 sliding window of pairwise throughputs; the hub keeps the integrated view,
@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from .broker import ResourceBroker, UnknownProvider
 
@@ -163,15 +163,17 @@ def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) 
 
 
 class LocalAnalyzer:
-    """Per-provider analysis agent: one sliding window per local job."""
+    """Per-provider analysis agent: one sliding window per local job, holding
+    the last ``window_k + 1`` samples, which are all that a decision reads."""
 
-    def __init__(self, provider_id: str, max_window: int = 64):
+    def __init__(self, provider_id: str):
         self.provider_id = provider_id
-        self.max_window = max_window
         self._windows: dict[str, deque[MonitorSample]] = {}
 
     def observe(self, s: MonitorSample, sla: ServiceLevelAgreement) -> PerformanceReport:
-        window = self._windows.setdefault(s.job_id, deque(maxlen=self.max_window))
+        window = self._windows.get(s.job_id)
+        if window is None or window.maxlen != sla.window_k + 1:
+            window = self._windows[s.job_id] = deque(window or (), maxlen=sla.window_k + 1)
         window.append(s)
         if len(window) < 2:
             return PerformanceReport(kind=ReportKind.NONE, provider_id=self.provider_id,
@@ -195,45 +197,23 @@ def _report_key(report: PerformanceReport) -> tuple:
             report.evidence)
 
 
-class Aggregator:
-    """Global analyzer view: latest non-none report per job, actionable
-    reports forwarded exactly once each."""
-
-    def __init__(self):
-        self.latest: dict[str, PerformanceReport] = {}
-        self._forwarded: set[tuple] = set()
-
-    def submit(self, report: PerformanceReport) -> list[PerformanceReport]:
-        if report.kind is ReportKind.NONE:
-            return []
-        self.latest[report.job_id] = report
-        key = _report_key(report)
-        if key in self._forwarded:
-            return []
-        self._forwarded.add(key)
-        return [report]
-
-    def consume(self, reports: Iterable[PerformanceReport]) -> list[PerformanceReport]:
-        forwarded = []
-        for report in reports:
-            forwarded.extend(self.submit(report))
-        return forwarded
-
-
 class MonitorHub:
     """Global analyzer: tracks job placement, turns withdrawals into reports,
-    and aggregates the per-provider report streams."""
+    and forwards each actionable report on a tracked job exactly once."""
 
     def __init__(self, broker: ResourceBroker):
         self.broker = broker
-        self.aggregator = Aggregator()
         self._placement: dict[str, str] = {}
+        # keys of the reports forwarded per tracked job; dropped with the job
+        self._forwarded: dict[str, set[tuple]] = {}
 
     def track(self, job_id: str, provider_id: str) -> None:
         self._placement[job_id] = provider_id
+        self._forwarded.setdefault(job_id, set())
 
     def untrack(self, job_id: str) -> None:
         self._placement.pop(job_id, None)
+        self._forwarded.pop(job_id, None)
 
     def jobs_on(self, provider_id: str) -> list[str]:
         return sorted(j for j, p in self._placement.items() if p == provider_id)
@@ -249,4 +229,14 @@ class MonitorHub:
                 for job_id in self.jobs_on(provider_id)]
 
     def submit(self, report: PerformanceReport) -> list[PerformanceReport]:
-        return self.aggregator.submit(report)
+        """The report if it is actionable, on a tracked job, and not forwarded
+        before; otherwise nothing. A report on an untracked job (finished, or
+        never deployed) has nothing left to act on."""
+        forwarded = self._forwarded.get(report.job_id)
+        if report.kind is ReportKind.NONE or forwarded is None:
+            return []
+        key = _report_key(report)
+        if key in forwarded:
+            return []
+        forwarded.add(key)
+        return [report]

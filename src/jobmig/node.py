@@ -4,7 +4,8 @@ A node accepts jobs, runs their step/checkpoint/sample loop, services
 migration transfers, and can withdraw its services. The same runtime drives
 both modes: in sim mode a shared virtual clock advances by the modeled
 per-iteration cost, in wall mode a real daemon executes jobs in threads and
-talks length-prefixed frames over TCP. Both modes migrate through
+talks length-prefixed frames over TCP (``FrameServer``, which the
+supervisor's listener also uses). Both modes migrate through
 ``NodeRuntime.hand_off``. A withdrawal parks every running job at its next
 yield point, where it waits for its migration, or for ``PARK_GRACE_S``
 seconds before it resumes on this node.
@@ -41,7 +42,7 @@ from .monitor import (
     UnknownJob,
     sample as take_sample,
 )
-from .control import TransferFailed, TuningAgent
+from .control import TransferFailed, tune_decision
 
 MSG_REGISTER_PROVIDER = 0x01
 MSG_JOB_SUBMIT = 0x02
@@ -69,6 +70,9 @@ MAX_PAYLOAD = 16 * 1024 * 1024
 
 # seconds a job parked by a withdrawal waits for its migration, then resumes
 PARK_GRACE_S = 5.0
+
+# every FULL_EVERY-th checkpoint record of a job is a full one
+FULL_EVERY = 16
 
 
 class NodeError(Exception):
@@ -167,6 +171,69 @@ def request(addr: str, msg_type: int, payload: bytes, timeout: float = 10.0) -> 
         return recv_frame(sock)
 
 
+class FrameServer:
+    """TCP endpoint answering each request frame with one reply frame, one
+    thread per connection. Subclasses supply ``handle``; an exception it
+    raises becomes a typed ERROR reply, and a frame that cannot be read gets
+    an ERROR reply and a closed connection."""
+
+    def __init__(self, listen: str = "127.0.0.1:0"):
+        host, port = parse_hostport(listen)
+        try:
+            self._server = socket.create_server((host, port))
+        except OSError as exc:
+            raise BindFailure(f"cannot bind {listen}: {exc}") from exc
+        self.address = "%s:%d" % self._server.getsockname()[:2]
+        self._stop = threading.Event()
+
+    def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        raise NotImplementedError
+
+    def start(self) -> None:
+        threading.Thread(target=self._accept_loop, name="accept", daemon=True).start()
+
+    def stop(self) -> None:
+        self._stop.set()
+        try:
+            self._server.close()
+        except OSError:
+            pass
+
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._server.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
+
+    def _serve_conn(self, conn: socket.socket) -> None:
+        with conn:
+            conn.settimeout(30)
+            while not self._stop.is_set():
+                try:
+                    msg_type, payload = recv_frame(conn)
+                except (ConnectionClosed, OSError):
+                    return
+                except FrameError as exc:
+                    # unrecoverable framing: report and drop the connection
+                    try:
+                        send_frame(conn, MSG_ERROR,
+                                   json_payload({"error": "FrameError", "detail": str(exc)}))
+                    except OSError:
+                        pass
+                    return
+                try:
+                    reply_type, reply = self.handle(msg_type, payload)
+                except Exception as exc:  # typed reply, never a server crash
+                    reply_type = MSG_ERROR
+                    reply = json_payload({"error": type(exc).__name__, "detail": str(exc)})
+                try:
+                    send_frame(conn, reply_type, reply)
+                except OSError:
+                    return
+
+
 def json_payload(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True).encode("utf-8")
 
@@ -252,6 +319,7 @@ class JobExecution:
     last_captured: ckpt.TaskState | None = None
     exec_ms: Any = 0
     checkpoint_us: int = 0
+    run_ns: int = 0  # real time spent stepping and checkpointing on this node
     next_sample_ms: Any = None
     quiesce_requested: bool = False
     # held by each iteration and by a whole hand-off: both see a yield point
@@ -263,11 +331,13 @@ class JobExecution:
 class NodeRuntime:
     """Provider-side execution engine, independent of the transport."""
 
+    full_every = FULL_EVERY
+
     def __init__(self, provider_id: str, clock, store_dir: str | Path, mode: str = "wall",
                  per_iteration_cost_ms: Fraction | None = None,
                  speed_factor: Fraction = Fraction(1),
                  withdraw_at: int | None = None, withdraw_at_ms=None,
-                 full_every: int = 16, tune_enabled: bool = False,
+                 tune_enabled: bool = False,
                  on_step: Callable[[str, str, int], None] | None = None):
         if mode not in ("sim", "wall"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -282,12 +352,10 @@ class NodeRuntime:
         self.speed_factor = Fraction(speed_factor)
         self.withdraw_at = withdraw_at
         self.withdraw_at_ms = withdraw_at_ms
-        self.full_every = full_every
         self.tune_enabled = tune_enabled
         self.on_step = on_step
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
-        self.tuner = TuningAgent()
         self.jobs: dict[str, JobExecution] = {}
         self._withdrawn = False
         self._lock = threading.RLock()
@@ -338,17 +406,13 @@ class NodeRuntime:
         self._capture(entry)
         if entry.sla is not None:
             entry.next_sample_ms = self.clock.now_ms() + entry.sla.sample_period_ms
-        self.tuner.register(entry.job_id, entry.checkpoint_interval)
 
     # -- progress source -----------------------------------------------------
 
     def progress(self, job_id: str) -> tuple[int, dict[str, int]]:
         entry = self.job(job_id)
-        counters = {"iterations": entry.task.iterations_done,
-                    "checkpoint_us": entry.checkpoint_us}
-        if self.mode == "wall":
-            counters["elapsed_ms"] = int(self.clock.now_ms())
-        return entry.task.iterations_done, counters
+        return entry.task.iterations_done, {"checkpoint_us": entry.checkpoint_us,
+                                            "run_us": entry.run_ns // 1000}
 
     # -- checkpoint cadence ----------------------------------------------------
 
@@ -386,14 +450,13 @@ class NodeRuntime:
                 return [self._complete(entry)]
 
             msgs: list[tuple[str, Any]] = []
+            t0 = time.perf_counter_ns()
+            entry.task.step()
             if self.mode == "sim":
-                entry.task.step()
                 cost = self.cost_ms / self.speed_factor
                 self.clock.advance(cost)
                 entry.exec_ms = entry.exec_ms + cost
             else:
-                t0 = time.perf_counter_ns()
-                entry.task.step()
                 entry.exec_ms = entry.exec_ms + (time.perf_counter_ns() - t0) / 1e6
             iterations = entry.task.iterations_done
             if self.on_step is not None:
@@ -402,6 +465,7 @@ class NodeRuntime:
             entry.since_checkpoint += 1
             if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
                 self._capture(entry)
+            entry.run_ns += time.perf_counter_ns() - t0
 
             if not self._withdrawn and (
                     (self.withdraw_at is not None and iterations >= self.withdraw_at)
@@ -417,7 +481,8 @@ class NodeRuntime:
                     if report.kind is not ReportKind.NONE:
                         msgs.append(("monitor_report", report))
                     if self.tune_enabled:
-                        action = self.tuner.local_tune(job_id, self.analyzer.window(job_id))
+                        action = tune_decision(self.analyzer.window(job_id),
+                                               entry.checkpoint_interval)
                         if action.kind == "set_checkpoint_interval":
                             entry.checkpoint_interval = action.interval
                     entry.next_sample_ms = now + entry.sla.sample_period_ms
@@ -522,46 +587,28 @@ class NodeRuntime:
 
 # -- the wall-mode daemon -------------------------------------------------------
 
-class NodeDaemon:
-    """TCP frame server wrapping a NodeRuntime; one thread per connection,
-    one execution thread per job."""
+class NodeDaemon(FrameServer):
+    """Frame server wrapping a NodeRuntime, with one execution thread per job."""
 
     def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0",
                  supervisor: str | None = None, quiet: bool = True):
+        super().__init__(listen)
         self.runtime = runtime
         self.supervisor = supervisor
         self.quiet = quiet
-        host, port = parse_hostport(listen)
-        try:
-            self._server = socket.create_server((host, port))
-        except OSError as exc:
-            raise BindFailure(f"cannot bind {listen}: {exc}") from exc
-        self.address = "%s:%d" % self._server.getsockname()[:2]
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     def log(self, line: str) -> None:
         if not self.quiet:
             print(line, flush=True)
 
     def start(self) -> None:
-        t = threading.Thread(target=self._accept_loop, name="accept", daemon=True)
-        t.start()
-        self._threads.append(t)
+        super().start()
         self.log(f"EVENT ready provider={self.runtime.provider_id} address={self.address}")
 
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
-
-    def register_with_supervisor(self, template: ResourceSpecTemplate,
-                                 attempts: int = 50, delay: float = 0.1) -> None:
+    def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
         payload = json_payload(template_to_dict(template))
         last: Exception | None = None
-        for _ in range(attempts):
+        for _ in range(50):
             try:
                 msg_type, _ = request(self.supervisor, MSG_REGISTER_PROVIDER, payload, timeout=5)
                 if msg_type == MSG_ACK:
@@ -569,47 +616,12 @@ class NodeDaemon:
                     return
             except OSError as exc:
                 last = exc
-            time.sleep(delay)
+            time.sleep(0.1)
         raise NodeError(f"could not register with supervisor {self.supervisor}: {last}")
 
-    # -- connection handling ---------------------------------------------------
+    # -- requests ----------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(30)
-            while not self._stop.is_set():
-                try:
-                    msg_type, payload = recv_frame(conn)
-                except (ConnectionClosed, OSError):
-                    return
-                except FrameError as exc:
-                    # unrecoverable framing: report and drop the connection
-                    try:
-                        send_frame(conn, MSG_ERROR,
-                                   json_payload({"error": "FrameError", "detail": str(exc)}))
-                    except OSError:
-                        pass
-                    return
-                try:
-                    reply_type, reply = self._handle(msg_type, payload)
-                except Exception as exc:  # typed reply, never a daemon crash
-                    reply_type = MSG_ERROR
-                    reply = json_payload({"error": type(exc).__name__, "detail": str(exc)})
-                try:
-                    send_frame(conn, reply_type, reply)
-                except OSError:
-                    return
-
-    def _handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+    def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == MSG_JOB_SUBMIT:
             obj = parse_json(payload)
             try:
@@ -645,10 +657,8 @@ class NodeDaemon:
     # -- execution threads -----------------------------------------------------
 
     def _start_exec(self, job_id: str) -> None:
-        t = threading.Thread(target=self._exec_loop, args=(job_id,),
-                             name=f"exec-{job_id}", daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._exec_loop, args=(job_id,),
+                         name=f"exec-{job_id}", daemon=True).start()
 
     def _exec_loop(self, job_id: str) -> None:
         rt = self.runtime
@@ -724,35 +734,24 @@ class NodeDaemon:
 # -- CLI ------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="jobmig-node", description="resource provider daemon")
+    parser = argparse.ArgumentParser(prog="jobmig-node",
+                                     description="wall-mode resource provider daemon")
     parser.add_argument("--id", required=True, help="provider id")
     parser.add_argument("--listen", default="127.0.0.1:0", help="host:port to listen on")
-    parser.add_argument("--mode", choices=("sim", "wall"), default="wall")
-    parser.add_argument("--speed", default="1.0", help="sim speed factor")
-    parser.add_argument("--cost-ms", default="100", help="sim per-iteration cost at speed 1.0")
     parser.add_argument("--supervisor", default=None, help="supervisory endpoint host:port")
     parser.add_argument("--data-dir", default=None, help="checkpoint store directory")
     parser.add_argument("--withdraw-at", type=int, default=None,
                         help="withdraw once a job reaches this iteration count: announce it "
                              "and park running jobs until they migrate")
-    parser.add_argument("--withdraw-at-ms", type=float, default=None,
-                        help="withdraw once the node clock reaches this time")
     parser.add_argument("--cpu-mhz", type=int, default=1000)
     parser.add_argument("--memory-mb", type=int, default=256)
     parser.add_argument("--arch", action="append", default=None, help="architecture tag (repeatable)")
-    parser.add_argument("--full-every", type=int, default=16,
-                        help="emit a full checkpoint every Nth record")
     parser.add_argument("--tune", action="store_true", help="enable local checkpoint-interval tuning")
     args = parser.parse_args(argv)
 
     data_dir = args.data_dir or tempfile.mkdtemp(prefix=f"jobmig-{args.id}-")
-    clock = VirtualClock() if args.mode == "sim" else WallClock()
-    runtime = NodeRuntime(
-        provider_id=args.id, clock=clock, store_dir=data_dir, mode=args.mode,
-        per_iteration_cost_ms=Fraction(args.cost_ms) if args.mode == "sim" else None,
-        speed_factor=Fraction(args.speed), withdraw_at=args.withdraw_at,
-        withdraw_at_ms=args.withdraw_at_ms, full_every=args.full_every,
-        tune_enabled=args.tune)
+    runtime = NodeRuntime(provider_id=args.id, clock=WallClock(), store_dir=data_dir,
+                          withdraw_at=args.withdraw_at, tune_enabled=args.tune)
     try:
         daemon = NodeDaemon(runtime, listen=args.listen, supervisor=args.supervisor, quiet=False)
     except BindFailure as exc:
@@ -763,8 +762,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.supervisor:
         template = ResourceSpecTemplate(
             provider_id=args.id, address=daemon.address, cpu_mhz=args.cpu_mhz,
-            memory_mb=args.memory_mb, arch_tags=frozenset(args.arch or ()),
-            speed_factor=Fraction(args.speed), available=True)
+            memory_mb=args.memory_mb, arch_tags=frozenset(args.arch or ()))
         try:
             daemon.register_with_supervisor(template)
         except NodeError as exc:

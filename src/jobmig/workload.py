@@ -9,7 +9,6 @@ grain: a task may be captured or handed off between any two steps.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .checkpoint import (
     TaskSchema,
@@ -17,7 +16,6 @@ from .checkpoint import (
     VT_INT64,
     VT_INT64_ARRAY,
     register_task_schema,
-    schema_for,
 )
 
 SORT_KIND = "sort"
@@ -50,12 +48,6 @@ class UnknownWorkload(WorkloadError):
     pass
 
 
-@dataclass(frozen=True)
-class StepReport:
-    iterations_completed: int
-    done: bool
-
-
 def splitmix64(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of the SplitMix64 generator."""
     state = seed & _M64
@@ -81,25 +73,10 @@ def fnv1a64(data: bytes) -> int:
 class SortTask:
     """Selection sort as a resumable task: total_iterations == N."""
 
-    task_kind = SORT_KIND
-
     def __init__(self, state: TaskState):
         if state.task_kind != SORT_KIND or set(state.fields) != {FIELD_ITER, FIELD_ARRAY, FIELD_DONE}:
             raise UnknownWorkload(f"state of job {state.job_id!r} is not a sort task")
         self.state = state
-
-    @classmethod
-    def create(cls, n: int, seed: int, job_id: str | None = None) -> "SortTask":
-        if n < 1:
-            raise InvalidSize(f"array size must be >= 1, got {n}")
-        array = [v % SORT_VALUE_MOD for v in splitmix64(seed, n)]
-        state = TaskState(
-            job_id=job_id if job_id is not None else f"sort-{n}-{seed}",
-            task_kind=SORT_KIND,
-            fields={FIELD_ITER: 0, FIELD_ARRAY: array, FIELD_DONE: 0},
-            done=False,
-        )
-        return cls(state)
 
     @property
     def total_iterations(self) -> int:
@@ -113,7 +90,7 @@ class SortTask:
     def done(self) -> bool:
         return self.state.done
 
-    def step(self) -> StepReport:
+    def step(self) -> None:
         """One outer iteration: move the minimum of the suffix to position iter."""
         if self.state.done:
             raise AlreadyDone(f"job {self.state.job_id!r} already completed")
@@ -127,7 +104,6 @@ class SortTask:
         if it == len(arr):
             fields[FIELD_DONE] = 1
             self.state.done = True
-        return StepReport(iterations_completed=1, done=self.state.done)
 
     def digest(self) -> int:
         """64-bit hash of the final array; equal for any two correct runs."""
@@ -143,31 +119,23 @@ register_task_schema(TaskSchema(
     done_field=FIELD_DONE,
 ))
 
-ResumableTask = SortTask  # single registered workload; widen to a Protocol if more land
-
-_TASK_TYPES = {SORT_KIND: SortTask}
-
 
 def init_sort(n: int, seed: int, job_id: str | None = None) -> SortTask:
-    return SortTask.create(n, seed, job_id=job_id)
-
-
-def step(task: SortTask) -> StepReport:
-    return task.step()
-
-
-def digest(task: SortTask) -> int:
-    return task.digest()
+    if n < 1:
+        raise InvalidSize(f"array size must be >= 1, got {n}")
+    array = [v % SORT_VALUE_MOD for v in splitmix64(seed, n)]
+    state = TaskState(
+        job_id=job_id if job_id is not None else f"sort-{n}-{seed}",
+        task_kind=SORT_KIND,
+        fields={FIELD_ITER: 0, FIELD_ARRAY: array, FIELD_DONE: 0},
+        done=False,
+    )
+    return SortTask(state)
 
 
 def from_state(state: TaskState) -> SortTask:
-    """Rebuild a runnable task from a (composed) state."""
-    try:
-        task_type = _TASK_TYPES[state.task_kind]
-    except KeyError:
-        raise UnknownWorkload(f"no task type registered for kind {state.task_kind!r}") from None
-    schema_for(state.task_kind)
-    return task_type(state)
+    """Rebuild a runnable task from a (composed) state; the only task type is sort."""
+    return SortTask(state)
 
 
 def create_task(job_id: str, task_kind: str, params: dict) -> SortTask:
@@ -179,4 +147,4 @@ def create_task(job_id: str, task_kind: str, params: dict) -> SortTask:
         seed = int(params["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UnknownWorkload(f"bad sort parameters: {params!r}") from exc
-    return SortTask.create(n, seed, job_id=job_id)
+    return init_sort(n, seed, job_id=job_id)

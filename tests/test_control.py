@@ -14,7 +14,6 @@ from jobmig.control import (
     PolicyConfig,
     SupervisoryAgent,
     TransferFailed,
-    TuningAgent,
     tune_decision,
 )
 from jobmig.monitor import (
@@ -215,9 +214,9 @@ class TestMigrationRecordIdentity:
 
 
 class TestLocalTune:
-    def sample_pair(self, elapsed_ms, ckpt_us):
-        a = MonitorSample.make("p", "j", 0, 0, {"checkpoint_us": 0})
-        b = MonitorSample.make("p", "j", elapsed_ms, 10, {"checkpoint_us": ckpt_us})
+    def sample_pair(self, run_ms, ckpt_us):
+        a = MonitorSample.make("p", "j", 0, 0, {"checkpoint_us": 0, "run_us": 0})
+        b = MonitorSample.make("p", "j", 1, 10, {"checkpoint_us": ckpt_us, "run_us": run_ms * 1000})
         return [a, b]
 
     def test_high_overhead_doubles_interval(self):
@@ -240,20 +239,35 @@ class TestLocalTune:
         assert action.interval == 4
 
     def test_floor_of_one(self):
-        action = tune_decision(self.sample_pair(10_000, 0), current_interval=1)
-        assert action.kind == "none"
+        for ckpt_us in (0, 10_000):  # 0% and 0.1%
+            action = tune_decision(self.sample_pair(10_000, ckpt_us), current_interval=1)
+            assert action.kind == "none"
 
-    def test_agent_tracks_interval(self):
-        agent = TuningAgent()
-        agent.register("j", 4)
-        action = agent.local_tune("j", self.sample_pair(10_000, 800_000))
-        assert action.interval == 8
-        action = agent.local_tune("j", self.sample_pair(10_000, 800_000))
-        assert action.interval == 16
+    def test_sample_clock_does_not_enter_the_fraction(self):
+        # 8% of the run time, whatever the sample timestamps (virtual in sim)
+        a = MonitorSample.make("p", "j", 0, 0, {"checkpoint_us": 0, "run_us": 0})
+        b = MonitorSample.make("p", "j", 10**9, 10, {"checkpoint_us": 800, "run_us": 10_000})
+        assert tune_decision([a, b], current_interval=4).interval == 8
 
-    def test_unknown_job(self):
-        with pytest.raises(UnknownJob):
-            TuningAgent().local_tune("ghost", [])
+    def test_window_without_run_or_capture_changes_nothing(self):
+        assert tune_decision(self.sample_pair(0, 0), current_interval=4).kind == "none"
+        # no capture fell in the window, which says nothing about their cost
+        assert tune_decision(self.sample_pair(10_000, 0), current_interval=8).kind == "none"
+        assert tune_decision(self.sample_pair(10_000, 800_000)[1:], current_interval=4).kind \
+            == "none"
+
+    def test_tuned_sim_job_keeps_its_interval_up(self, tmp_path):
+        # checkpointing an N=1000 array every 16 steps costs far more than 5% of the
+        # run time, so the tuner must raise the interval, never halve it to 1
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     tune=True)
+        env.deploy_sort("tuned", 1000, 5, start_on="server1")
+        result = env.run_job("tuned")
+        node = env.nodes["server1"]
+        assert len(node.store.load("tuned")) <= 63  # the untuned job's count at interval 16
+        assert node.job("tuned").checkpoint_interval >= 16
+        assert result["digest"] == harness.reference_digest(1000, 5)
 
 
 class TestDecisionLog:

@@ -258,6 +258,17 @@ class TestWallMode:
         assert outcome.row.iterations_before == 80
         assert outcome.detail.get("transfer_ms") is not None
 
+    def test_wall_decision_log(self, tmp_path):
+        log_path = tmp_path / "decisions.jsonl"
+        code = harness.main(["scenario2", "--n", "200", "--seed", "13", "--migrate-at", "80",
+                             "--mode", "wall", "--decision-log", str(log_path),
+                             "--out", str(tmp_path / "row.csv"),
+                             "--workdir", str(tmp_path / "w")])
+        assert code == 0
+        entries = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [e["decision"] for e in entries] == ["submit", "reschedule", "transfer", "done"]
+        assert entries[2]["detail"] == "server1->server2 after 80 iterations"
+
     def test_wall_scenario1_digest(self, tmp_path):
         outcome = harness.run_scenario1(150, 8, mode="wall", workdir=tmp_path)
         assert outcome.digest == harness.reference_digest(150, 8)

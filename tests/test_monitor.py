@@ -1,8 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobmig.broker import ResourceBroker, ResourceSpecTemplate, UnknownProvider
 from jobmig.monitor import (
-    Aggregator,
     InsufficientSamples,
     LocalAnalyzer,
     MonitorHub,
@@ -127,8 +127,49 @@ class TestDetectionLatency:
         report = analyzer.observe(s(2000, 2), SLA)
         assert report.kind is ReportKind.NONE
 
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 5), floor=st.integers(1, 20),
+           steps=st.lists(st.tuples(st.integers(1, 3000), st.integers(0, 40)),
+                          min_size=1, max_size=80))
+    def test_observe_matches_analysis_of_the_whole_history(self, k, floor, steps):
+        """The analyzer keeps only the last window_k+1 samples, yet reports what
+        analyze_local reports over every sample since the last violation."""
+        sla = ServiceLevelAgreement(min_throughput=float(floor), window_k=k,
+                                    sample_period_ms=1000)
+        analyzer = LocalAnalyzer("p1")
+        history = []
+        t = iters = 0
+        for dt, di in steps:
+            t += dt
+            iters += di
+            history.append(s(t, iters))
+            got = analyzer.observe(history[-1], sla)
+            if len(history) < 2:
+                assert got == PerformanceReport(kind=ReportKind.NONE, provider_id="p1",
+                                                job_id="j1", emitted_at=t)
+            else:
+                assert got == analyze_local(history, sla)
+            if got.kind is ReportKind.THROUGHPUT_VIOLATION:
+                history = []
+
+
+def forward(hub, reports):
+    return [fwd for report in reports for fwd in hub.submit(report)]
+
+
+def tracking_hub(*jobs):
+    broker = ResourceBroker()
+    broker.register_provider(ResourceSpecTemplate(
+        provider_id="p1", address="a:1", cpu_mhz=2800, memory_mb=512))
+    hub = MonitorHub(broker)
+    for job in jobs:
+        hub.track(job, "p1")
+    return hub
+
 
 class TestAggregator:
+    """The hub's report stream: what reaches the supervisor, and how often."""
+
     def violation(self, emitted_at=1000, job="j1", provider="p1"):
         return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id=provider,
                                  job_id=job, evidence=(s(emitted_at, 1, provider, job),),
@@ -143,36 +184,43 @@ class TestAggregator:
                                  emitted_at=at)
 
     def test_none_reports_are_not_forwarded(self):
-        agg = Aggregator()
-        forwarded = agg.consume([self.none_report(), self.none_report(), self.violation()])
+        forwarded = forward(tracking_hub("j1"),
+                            [self.none_report(), self.none_report(), self.violation()])
         assert len(forwarded) == 1
         assert forwarded[0].kind is ReportKind.THROUGHPUT_VIOLATION
 
     def test_violation_then_withdrawal_both_forwarded_in_order(self):
-        agg = Aggregator()
-        forwarded = agg.consume([self.violation(), self.withdrawal()])
+        forwarded = forward(tracking_hub("j1"), [self.violation(), self.withdrawal()])
         assert [r.kind for r in forwarded] == [ReportKind.THROUGHPUT_VIOLATION,
                                                ReportKind.RESOURCE_WITHDRAWN]
 
     def test_duplicate_report_forwarded_once(self):
-        agg = Aggregator()
+        hub = tracking_hub("j1")
         report = self.violation()
-        assert agg.submit(report) == [report]
-        assert agg.submit(report) == []
+        assert hub.submit(report) == [report]
+        assert hub.submit(report) == []
 
     def test_replay_yields_identical_forwarded_sequence(self):
         stream = [self.none_report(), self.violation(1000), self.violation(2000),
                   self.withdrawal()]
-        a = Aggregator().consume(list(stream))
-        b = Aggregator().consume(list(stream))
+        a = forward(tracking_hub("j1"), list(stream))
+        b = forward(tracking_hub("j1"), list(stream))
         assert a == b
+        assert len(a) == 3
 
-    def test_per_job_views_independent(self):
-        agg = Aggregator()
-        agg.consume([self.violation(job="a", provider="p1"),
-                     self.withdrawal(job="b", provider="p2")])
-        assert agg.latest["a"].kind is ReportKind.THROUGHPUT_VIOLATION
-        assert agg.latest["b"].kind is ReportKind.RESOURCE_WITHDRAWN
+    def test_no_dedupe_state_outlives_tracking(self):
+        hub = tracking_hub("j1", "j2")
+        report = self.violation()
+        assert forward(hub, [report, report, self.violation(job="j2")]) == \
+            [report, self.violation(job="j2")]
+        hub.untrack("j1")
+        assert set(hub._forwarded) == {"j2"}
+        # a late report on the finished job has nothing to act on and leaves no state
+        assert hub.submit(report) == []
+        assert set(hub._forwarded) == {"j2"}
+        # tracked again, the job starts a fresh stream: the duplicate is forwarded once
+        hub.track("j1", "p1")
+        assert forward(hub, [report, report]) == [report]
 
 
 class TestMonitorHub:

@@ -72,10 +72,10 @@ class TestStep:
                                      workload.FIELD_ARRAY: [3, 1, 2],
                                      workload.FIELD_DONE: 0})
         task = workload.from_state(state)
-        report = task.step()
+        task.step()
         assert state.fields[workload.FIELD_ARRAY] == [1, 3, 2]
         assert state.fields[workload.FIELD_ITER] == 1
-        assert report.iterations_completed == 1 and not report.done
+        assert task.iterations_done == 1 and not task.done
 
     def test_n_steps_complete_and_sort(self):
         task = workload.init_sort(5, 42)
