@@ -20,6 +20,11 @@ Binary layout (all integers big-endian):
 Value types: 0x01 int64 (8 bytes, two's complement), 0x02 int64 array
 (concatenated 8-byte elements), 0x03 byte string. Entries are sorted by
 ascending field_id; decoding rejects unordered or duplicate entries.
+
+The codec knows no task kinds. A field's value type follows from its value
+(int, list of ints, bytes), and a delta may not change it. Which fields a
+task has, and how they relate, is checked by the task that owns the state
+(``workload.SortTask``).
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import hashlib
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 MAGIC = b"MAF1"
 KIND_FULL = 0x00
@@ -56,10 +61,6 @@ class CheckpointError(Exception):
 
 
 class SchemaMismatch(CheckpointError):
-    pass
-
-
-class UnknownTaskKind(CheckpointError):
     pass
 
 
@@ -89,21 +90,15 @@ class MalformedRecord(CodecError):
 
 @dataclass
 class TaskState:
-    """Mutable execution state of one resumable task."""
+    """Mutable execution state of one resumable task: its field map."""
 
     job_id: str
-    task_kind: str
     fields: dict[int, FieldValue]
-    done: bool = False
 
     def copy(self) -> "TaskState":
         """Deep copy: mutating the original never alters the copy."""
-        return TaskState(
-            job_id=self.job_id,
-            task_kind=self.task_kind,
-            fields={fid: list(v) if isinstance(v, list) else v for fid, v in self.fields.items()},
-            done=self.done,
-        )
+        return TaskState(self.job_id, {fid: list(v) if isinstance(v, list) else v
+                                       for fid, v in self.fields.items()})
 
 
 @dataclass(frozen=True)
@@ -122,92 +117,41 @@ class CheckpointRecord:
     checksum: int
 
 
-@dataclass(frozen=True)
-class TaskSchema:
-    """Static field catalog for one task kind."""
-
-    task_kind: str
-    field_types: Mapping[int, int]
-    done_field: int | None = None
-
-
-_SCHEMAS: dict[str, TaskSchema] = {}
-
-
-def register_task_schema(schema: TaskSchema) -> None:
-    """Register a task kind's field catalog.
-
-    Field-id sets must be distinguishable across kinds: the transfer format
-    carries no kind tag, so the receiving side infers the kind from the
-    field-id set of a full record.
-    """
-    for fid, vt in schema.field_types.items():
-        if not 0 <= fid <= _U16_MAX:
-            raise ValueError(f"field_id {fid} out of 16-bit range")
-        if vt not in (VT_INT64, VT_INT64_ARRAY, VT_BYTES):
-            raise ValueError(f"bad value type {vt} for field {fid}")
-    if schema.done_field is not None and schema.done_field not in schema.field_types:
-        raise ValueError("done_field not in field catalog")
-    fid_set = frozenset(schema.field_types)
-    for other in _SCHEMAS.values():
-        if other.task_kind != schema.task_kind and frozenset(other.field_types) == fid_set:
-            raise ValueError(f"field set collides with task kind {other.task_kind!r}")
-    _SCHEMAS[schema.task_kind] = schema
-
-
-def schema_for(task_kind: str) -> TaskSchema:
-    try:
-        return _SCHEMAS[task_kind]
-    except KeyError:
-        raise UnknownTaskKind(f"no schema registered for task kind {task_kind!r}") from None
-
-
-def kind_for_fields(field_ids: frozenset[int]) -> TaskSchema:
-    for schema in _SCHEMAS.values():
-        if frozenset(schema.field_types) == field_ids:
-            return schema
-    raise UnknownTaskKind(f"no registered task kind has field set {sorted(field_ids)}")
-
-
-def _freeze(fid: int, value: FieldValue, expected_vt: int) -> FrozenValue:
-    if expected_vt == VT_INT64:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaMismatch(f"field {fid}: expected int64, got {type(value).__name__}")
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise SchemaMismatch(f"field {fid}: value out of int64 range")
+def _freeze(fid: int, value: FieldValue) -> FrozenValue:
+    """Check a field against the value type its value implies: int is int64,
+    list is int64 array, bytes is byte string, and nothing else is encodable."""
+    if not 0 <= fid <= _U16_MAX:
+        raise SchemaMismatch(f"field_id {fid} out of 16-bit range")
+    if isinstance(value, bytes):
         return value
-    if expected_vt == VT_INT64_ARRAY:
-        if not isinstance(value, (list, tuple)):
-            raise SchemaMismatch(f"field {fid}: expected int64 array, got {type(value).__name__}")
+    if isinstance(value, list):
         for v in value:
-            if not isinstance(v, int) or isinstance(v, bool) or not _INT64_MIN <= v <= _INT64_MAX:
+            if type(v) is not int or not _INT64_MIN <= v <= _INT64_MAX:
                 raise SchemaMismatch(f"field {fid}: array element out of int64 range")
         return tuple(value)
-    if not isinstance(value, (bytes, bytearray)):
-        raise SchemaMismatch(f"field {fid}: expected bytes, got {type(value).__name__}")
-    return bytes(value)
+    if type(value) is not int:
+        raise SchemaMismatch(f"field {fid}: no value type for {type(value).__name__}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise SchemaMismatch(f"field {fid}: value out of int64 range")
+    return value
 
 
 def _thaw(value: FrozenValue) -> FieldValue:
     return list(value) if isinstance(value, tuple) else value
 
 
-def _value_type(value: FrozenValue) -> int:
+def _value_type(value: FieldValue | FrozenValue) -> int:
     if isinstance(value, int):
         return VT_INT64
-    if isinstance(value, tuple):
+    if isinstance(value, (list, tuple)):
         return VT_INT64_ARRAY
     return VT_BYTES
 
 
-def _check_state_schema(state: TaskState) -> TaskSchema:
-    schema = schema_for(state.task_kind)
-    if set(state.fields) != set(schema.field_types):
-        raise SchemaMismatch(
-            f"task {state.job_id!r}: field set {sorted(state.fields)} does not match "
-            f"schema of kind {state.task_kind!r}"
-        )
-    return schema
+def _check_type_kept(fid: int, old: FieldValue, new: FieldValue | FrozenValue) -> None:
+    """A field keeps its value type along a lineage."""
+    if _value_type(new) != _value_type(old):
+        raise SchemaMismatch(f"field {fid}: a delta may not change the value type")
 
 
 def _make_record(job_id: str, seq: int, kind: int, base_seq: int,
@@ -224,26 +168,26 @@ def _make_record(job_id: str, seq: int, kind: int, base_seq: int,
 
 
 def capture_full(state: TaskState, seq: int) -> CheckpointRecord:
-    """Snapshot every schema field. The record is decoupled from the state:
+    """Snapshot every field. The record is decoupled from the state:
     later mutations of the state do not show through."""
-    schema = _check_state_schema(state)
-    deltas = [FieldDelta(fid, _freeze(fid, state.fields[fid], schema.field_types[fid]))
-              for fid in state.fields]
+    deltas = [FieldDelta(fid, _freeze(fid, value)) for fid, value in state.fields.items()]
     return _make_record(state.job_id, seq, KIND_FULL, seq, deltas)
 
 
 def capture_incremental(state: TaskState, last_captured: TaskState, seq: int) -> CheckpointRecord:
-    """Record exactly the fields whose values differ from ``last_captured``."""
+    """Record exactly the fields whose values differ from ``last_captured``,
+    each with the value type it had there."""
     if state.job_id != last_captured.job_id:
         raise SchemaMismatch("incremental capture across different job ids")
     if set(state.fields) != set(last_captured.fields):
         raise SchemaMismatch("field sets differ between state and last capture")
     if seq < 1:
         raise MalformedRecord("incremental records need seq >= 1")
-    schema = _check_state_schema(state)
-    deltas = [FieldDelta(fid, _freeze(fid, value, schema.field_types[fid]))
-              for fid, value in state.fields.items()
-              if value != last_captured.fields[fid]]
+    deltas = []
+    for fid, value in state.fields.items():
+        if value != last_captured.fields[fid]:
+            _check_type_kept(fid, last_captured.fields[fid], value)
+            deltas.append(FieldDelta(fid, _freeze(fid, value)))
     return _make_record(state.job_id, seq, KIND_INCREMENTAL, seq - 1, deltas)
 
 
@@ -252,15 +196,15 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
 
     The chain must be seq-contiguous: the first incremental's base_seq equals
     the full record's seq, and each later base_seq equals the previous seq.
-    Every record's checksum is re-verified before its deltas are applied.
+    Every record's checksum is re-verified before its deltas are applied, and
+    no delta may change a field's value type.
     """
     _verify_checksum(full)
     if full.kind != KIND_FULL:
         raise LineageBroken(f"base record {full.seq} is not a full checkpoint")
     fields: dict[int, FieldValue] = {d.field_id: _thaw(d.new_value) for d in full.deltas}
-    schema = kind_for_fields(frozenset(fields))
     for fid in fields:
-        _freeze(fid, fields[fid], schema.field_types[fid])
+        _freeze(fid, fields[fid])
 
     prev_seq = full.seq
     for rec in incrementals:
@@ -275,14 +219,11 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
         for d in rec.deltas:
             if d.field_id not in fields:
                 raise SchemaMismatch(f"delta for unknown field {d.field_id}")
-            _freeze(d.field_id, _thaw(d.new_value), schema.field_types[d.field_id])
+            _check_type_kept(d.field_id, fields[d.field_id], d.new_value)
+            _freeze(d.field_id, _thaw(d.new_value))
             fields[d.field_id] = _thaw(d.new_value)
         prev_seq = rec.seq
-
-    done = False
-    if schema.done_field is not None:
-        done = bool(fields[schema.done_field])
-    return TaskState(job_id=full.job_id, task_kind=schema.task_kind, fields=fields, done=done)
+    return TaskState(full.job_id, fields)
 
 
 def _verify_checksum(record: CheckpointRecord) -> None:
@@ -398,10 +339,6 @@ def decode_bundle(data: bytes) -> list[CheckpointRecord]:
         record, off = _parse_record(data, off)
         records.append(record)
     return records
-
-
-def encode_bundle(records: Sequence[CheckpointRecord]) -> bytes:
-    return b"".join(encode(r) for r in records)
 
 
 def split_bundle(data: bytes) -> tuple[bytes, bytes]:

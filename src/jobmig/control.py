@@ -103,18 +103,14 @@ class Decision:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    """Reschedule-vs-renegotiate policy, v1: move only to a strictly
-    better-scored provider, otherwise relax the floor."""
-
-    renegotiate_enabled: bool = True
-    renegotiate_factor: float = 0.8
+# a violation with no strictly better-scored provider relaxes the floor by this factor
+RENEGOTIATE_FACTOR = 0.8
 
 
 class Transport(Protocol):
     def submit(self, provider_id: str, job_spec: dict) -> None: ...
     def migrate(self, source_id: str, job_id: str, target_id: str) -> "MigrationOutcome": ...
+    def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,10 @@ class SupervisoryAgent:
     orchestrates migrations through the transport."""
 
     def __init__(self, broker: ResourceBroker, hub: MonitorHub, transport: Transport,
-                 policy: PolicyConfig | None = None, clock=None,
-                 decision_log: DecisionLog | None = None):
+                 clock=None, decision_log: DecisionLog | None = None):
         self.broker = broker
         self.hub = hub
         self.transport = transport
-        self.policy = policy or PolicyConfig()
         self.clock = clock or (lambda: 0)
         self.log = decision_log or DecisionLog(None)
         self.jobs: dict[str, JobEntry] = {}
@@ -227,7 +221,7 @@ class SupervisoryAgent:
     # -- report handling ----------------------------------------------------
 
     def decide(self, report: PerformanceReport) -> Decision:
-        """Pure decision function of (report, state, broker snapshot, policy)."""
+        """Pure decision function of (report, state, broker snapshot)."""
         entry = self.jobs.get(report.job_id)
         if entry is None:
             raise UnknownJob(f"report for untracked job {report.job_id!r}")
@@ -260,12 +254,9 @@ class SupervisoryAgent:
                 if current_score is None or pscore > current_score:
                     return Decision(DecisionAction.RESCHEDULE, target=pid,
                                     reason="strictly better provider available")
-        if self.policy.renegotiate_enabled:
-            new_sla = replace(entry.sla,
-                              min_throughput=entry.sla.min_throughput * self.policy.renegotiate_factor)
-            return Decision(DecisionAction.RENEGOTIATE_SLA, new_sla=new_sla,
-                            reason="no better provider; relaxing throughput floor")
-        return Decision(DecisionAction.FAIL, reason="violation with renegotiation disabled")
+        new_sla = replace(entry.sla, min_throughput=entry.sla.min_throughput * RENEGOTIATE_FACTOR)
+        return Decision(DecisionAction.RENEGOTIATE_SLA, new_sla=new_sla,
+                        reason="no better provider; relaxing throughput floor")
 
     def on_report(self, report: PerformanceReport) -> Decision:
         """Decide and apply: migrate, record the new SLA, or fail the job."""
@@ -277,10 +268,8 @@ class SupervisoryAgent:
         if decision.action is DecisionAction.RESCHEDULE:
             self.migrate(report.job_id, decision.target)
         elif decision.action is DecisionAction.RENEGOTIATE_SLA:
+            self.transport.update_sla(entry.current_provider, report.job_id, decision.new_sla)
             entry.sla = decision.new_sla
-            update = getattr(self.transport, "update_sla", None)
-            if update is not None:
-                update(entry.current_provider, report.job_id, decision.new_sla)
         elif decision.action is DecisionAction.FAIL:
             entry.status = JobStatus.FAILED
         return decision

@@ -49,6 +49,7 @@ from .node import (
     MSG_NAMES,
     MSG_REGISTER_PROVIDER,
     MSG_RESULT_RETURN,
+    MSG_SLA_UPDATE,
     MSG_WITHDRAW_NOTICE,
     FrameServer,
     NodeError,
@@ -374,7 +375,7 @@ class SimTransport:
                                 overhead_ms=overhead)
 
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None:
-        self.env.nodes[provider_id].job(job_id).sla = sla
+        self.env.nodes[provider_id].update_sla(job_id, sla)
 
 
 class SimEnvironment(Environment):
@@ -397,9 +398,8 @@ class SimEnvironment(Environment):
             broker.register_provider(template)
             self.nodes[template.provider_id] = NodeRuntime(
                 provider_id=template.provider_id, clock=self.clock,
-                store_dir=Path(workdir) / template.provider_id, mode="sim",
-                per_iteration_cost_ms=config.per_iteration_cost_ms,
-                speed_factor=template.speed_factor,
+                store_dir=Path(workdir) / template.provider_id,
+                step_cost_ms=config.per_iteration_cost_ms / template.speed_factor,
                 withdraw_at=withdraw_at.get(template.provider_id),
                 withdraw_at_ms=withdraw_at_ms.get(template.provider_id),
                 tune_enabled=tune, on_step=self.step_log.record)
@@ -464,32 +464,37 @@ class WallTransport:
             raise HarnessError(f"provider {provider_id!r} is not registered")
         return template.address
 
-    def submit(self, provider_id: str, job_spec: dict) -> None:
+    def _call(self, provider_id: str, msg_type: int, obj: dict,
+              error: type[Exception]) -> dict:
+        """One request to a node; no reply or an ERROR reply raises ``error``."""
+        name = MSG_NAMES[msg_type]
         try:
-            msg_type, payload = request(self._addr(provider_id), MSG_JOB_SUBMIT,
-                                        json_payload(job_spec), timeout=self.timeout)
+            reply_type, reply = request(self._addr(provider_id), msg_type, json_payload(obj),
+                                        timeout=self.timeout)
         except (OSError, NodeError) as exc:
-            raise SubmitTimeout(f"provider {provider_id!r} unresponsive: {exc}") from exc
-        if msg_type != MSG_ACK:
-            raise SubmitTimeout(f"provider {provider_id!r} rejected the job: "
-                                f"{parse_json(payload).get('error')}")
+            raise error(f"{name} to {provider_id!r} failed: {exc}") from exc
+        body = parse_json(reply)
+        if reply_type != MSG_ACK:
+            raise error(f"{provider_id!r} refused {name}: {body.get('error')}: "
+                        f"{body.get('detail')}")
+        return body
+
+    def submit(self, provider_id: str, job_spec: dict) -> None:
+        self._call(provider_id, MSG_JOB_SUBMIT, job_spec, SubmitTimeout)
 
     def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationOutcome:
-        payload = json_payload({"job_id": job_id, "target_id": target_id,
-                                "target_addr": self._addr(target_id)})
-        try:
-            msg_type, reply = request(self._addr(source_id), MSG_MIGRATE_REQUEST,
-                                      payload, timeout=self.timeout)
-        except (OSError, NodeError) as exc:
-            raise TransferFailed(f"migrate request to {source_id!r} failed: {exc}") from exc
-        body = parse_json(reply)
-        if msg_type != MSG_ACK:
-            raise TransferFailed(f"migration refused: {body.get('error')}: {body.get('detail')}")
+        body = self._call(source_id, MSG_MIGRATE_REQUEST,
+                          {"job_id": job_id, "target_id": target_id,
+                           "target_addr": self._addr(target_id)}, TransferFailed)
         self.last_detail = {"transfer_ms": body.get("transfer_ms"),
                             "restore_ms": body.get("restore_ms")}
         return MigrationOutcome(iterations_before=int(body["iterations_before"]),
                                 time_on_source_ms=float(body["time_on_source_ms"]),
                                 overhead_ms=float(body["overhead_ms"]))
+
+    def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None:
+        self._call(provider_id, MSG_SLA_UPDATE, {"job_id": job_id, "sla": sla.to_dict()},
+                   HarnessError)
 
 
 # seconds the spawned nodes have to register with the supervisor
@@ -513,7 +518,6 @@ class WallEnvironment(Environment):
         super().__init__(broker, WallTransport(broker), time.monotonic, sla,
                          checkpoint_interval, decision_log)
         self.procs: dict[str, subprocess.Popen] = {}
-        self.node_events: "queue.Queue[tuple[str, dict]]" = queue.Queue()
         self.node_logs: dict[str, list[str]] = {}
 
     @property
@@ -556,12 +560,7 @@ class WallEnvironment(Environment):
 
     def _read_stdout(self, pid: str, proc: subprocess.Popen) -> None:
         for line in proc.stdout:
-            line = line.rstrip("\n")
-            self.node_logs[pid].append(line)
-            if line.startswith("EVENT "):
-                parts = line.split()
-                attrs = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
-                self.node_events.put((parts[1], {"provider_id": pid, **attrs}))
+            self.node_logs[pid].append(line.rstrip("\n"))
 
     def dump_logs(self) -> str:
         chunks = []
@@ -569,22 +568,6 @@ class WallEnvironment(Environment):
             chunks.append(f"--- {pid} ---")
             chunks.extend(lines[-50:])
         return "\n".join(chunks)
-
-    def wait_node_event(self, name: str, timeout: float = 30.0, **match) -> dict:
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise HarnessError(f"timed out waiting for node event {name!r}\n{self.dump_logs()}")
-            try:
-                event, attrs = self.node_events.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            if event == name and all(attrs.get(k) == v for k, v in match.items()):
-                return attrs
-
-    def kill_node(self, provider_id: str) -> None:
-        self.procs[provider_id].kill()
 
     def stop(self) -> None:
         for proc in self.procs.values():

@@ -53,6 +53,7 @@ MSG_WITHDRAW_NOTICE = 0x06
 MSG_RESULT_RETURN = 0x07
 MSG_ACK = 0x08
 MSG_ERROR = 0x09
+MSG_SLA_UPDATE = 0x0A
 
 MSG_NAMES = {
     MSG_REGISTER_PROVIDER: "REGISTER_PROVIDER",
@@ -64,6 +65,7 @@ MSG_NAMES = {
     MSG_RESULT_RETURN: "RESULT_RETURN",
     MSG_ACK: "ACK",
     MSG_ERROR: "ERROR",
+    MSG_SLA_UPDATE: "SLA_UPDATE",
 }
 
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -115,17 +117,6 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise FrameError(f"payload of {len(payload)} bytes exceeds the 16 MiB cap")
     return struct.pack(">IB", len(payload) + 1, msg_type) + payload
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes]:
-    if len(data) < 5:
-        raise FrameError("frame shorter than its fixed header")
-    (length, msg_type) = struct.unpack(">IB", data[:5])
-    if length != len(data) - 4:
-        raise FrameError(f"frame length {length} does not match {len(data) - 4} present bytes")
-    if length - 1 > MAX_PAYLOAD:
-        raise FrameError("frame payload exceeds the 16 MiB cap")
-    return msg_type, data[5:]
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -248,6 +239,14 @@ def parse_json(payload: bytes) -> dict:
     return obj
 
 
+def require(obj: dict, *keys: str) -> list:
+    """The values of ``keys`` in a JSON payload, each of which must be there."""
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise MalformedPayload(f"missing field {missing[0]!r}")
+    return [obj[k] for k in keys]
+
+
 def job_settings(obj: dict) -> dict:
     """SLA, checkpoint interval and reply address of a job spec, as JobExecution kwargs."""
     sla = None
@@ -333,23 +332,18 @@ class NodeRuntime:
 
     full_every = FULL_EVERY
 
-    def __init__(self, provider_id: str, clock, store_dir: str | Path, mode: str = "wall",
-                 per_iteration_cost_ms: Fraction | None = None,
-                 speed_factor: Fraction = Fraction(1),
+    def __init__(self, provider_id: str, clock, store_dir: str | Path,
+                 step_cost_ms: Fraction | None = None,
                  withdraw_at: int | None = None, withdraw_at_ms=None,
                  tune_enabled: bool = False,
                  on_step: Callable[[str, str, int], None] | None = None):
-        if mode not in ("sim", "wall"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "sim" and per_iteration_cost_ms is None:
-            raise ValueError("sim mode needs a per-iteration cost")
+        """``step_cost_ms`` is the modeled cost of one step, charged to the
+        (virtual) clock; None means each step costs its measured wall time."""
         if withdraw_at is not None and withdraw_at < 1:
             raise ValueError("withdraw_at must be >= 1")
         self.provider_id = provider_id
         self.clock = clock
-        self.mode = mode
-        self.cost_ms = Fraction(per_iteration_cost_ms) if per_iteration_cost_ms is not None else None
-        self.speed_factor = Fraction(speed_factor)
+        self.step_cost_ms = step_cost_ms
         self.withdraw_at = withdraw_at
         self.withdraw_at_ms = withdraw_at_ms
         self.tune_enabled = tune_enabled
@@ -407,6 +401,14 @@ class NodeRuntime:
         if entry.sla is not None:
             entry.next_sample_ms = self.clock.now_ms() + entry.sla.sample_period_ms
 
+    def update_sla(self, job_id: str, sla: ServiceLevelAgreement) -> None:
+        """A renegotiated SLA: the job's later samples are judged against it."""
+        entry = self.job(job_id)
+        with entry.lock:
+            if entry.next_sample_ms is None:
+                entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
+            entry.sla = sla
+
     # -- progress source -----------------------------------------------------
 
     def progress(self, job_id: str) -> tuple[int, dict[str, int]]:
@@ -452,10 +454,9 @@ class NodeRuntime:
             msgs: list[tuple[str, Any]] = []
             t0 = time.perf_counter_ns()
             entry.task.step()
-            if self.mode == "sim":
-                cost = self.cost_ms / self.speed_factor
-                self.clock.advance(cost)
-                entry.exec_ms = entry.exec_ms + cost
+            if self.step_cost_ms is not None:
+                self.clock.advance(self.step_cost_ms)
+                entry.exec_ms = entry.exec_ms + self.step_cost_ms
             else:
                 entry.exec_ms = entry.exec_ms + (time.perf_counter_ns() - t0) / 1e6
             iterations = entry.task.iterations_done
@@ -624,11 +625,7 @@ class NodeDaemon(FrameServer):
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == MSG_JOB_SUBMIT:
             obj = parse_json(payload)
-            try:
-                job_id = obj["job_id"]
-                task_kind = obj["task_kind"]
-            except KeyError as exc:
-                raise MalformedPayload(f"missing field {exc}") from exc
+            job_id, task_kind = require(obj, "job_id", "task_kind")
             ack = self.runtime.submit_job(job_id, task_kind, obj.get("params", {}),
                                           **job_settings(obj))
             self._start_exec(job_id)
@@ -642,14 +639,18 @@ class NodeDaemon(FrameServer):
             return MSG_ACK, json_payload(ack)
 
         if msg_type == MSG_MIGRATE_REQUEST:
-            obj = parse_json(payload)
-            try:
-                job_id = obj["job_id"]
-                target_addr = obj["target_addr"]
-            except KeyError as exc:
-                raise MalformedPayload(f"missing field {exc}") from exc
+            job_id, target_addr = require(parse_json(payload), "job_id", "target_addr")
             info = self._migrate_out(job_id, target_addr)
             return MSG_ACK, json_payload(info)
+
+        if msg_type == MSG_SLA_UPDATE:
+            obj = parse_json(payload)
+            (job_id,) = require(obj, "job_id")
+            sla = job_settings(obj)["sla"]
+            if sla is None:
+                raise MalformedPayload("an SLA update needs an sla")
+            self.runtime.update_sla(job_id, sla)
+            return MSG_ACK, json_payload({"ok": True, "job_id": job_id})
 
         raise UnsupportedMessage(
             f"node does not serve {MSG_NAMES.get(msg_type, hex(msg_type))} messages")

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import struct
 
-from .checkpoint import (
-    TaskSchema,
-    TaskState,
-    VT_INT64,
-    VT_INT64_ARRAY,
-    register_task_schema,
-)
+from .checkpoint import TaskState
 
 SORT_KIND = "sort"
 FIELD_ITER = 0
@@ -48,6 +42,10 @@ class UnknownWorkload(WorkloadError):
     pass
 
 
+class InvalidState(WorkloadError):
+    pass
+
+
 def splitmix64(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of the SplitMix64 generator."""
     state = seed & _M64
@@ -71,11 +69,22 @@ def fnv1a64(data: bytes) -> int:
 
 
 class SortTask:
-    """Selection sort as a resumable task: total_iterations == N."""
+    """Selection sort as a resumable task: total_iterations == N.
+
+    The sort layout is checked here and nowhere else: the iteration counter
+    and the done flag are int64 fields, the array an int64 array, and
+    ``0 <= iter <= N`` with ``done == (iter == N)``."""
 
     def __init__(self, state: TaskState):
-        if state.task_kind != SORT_KIND or set(state.fields) != {FIELD_ITER, FIELD_ARRAY, FIELD_DONE}:
+        fields = state.fields
+        if set(fields) != {FIELD_ITER, FIELD_ARRAY, FIELD_DONE}:
             raise UnknownWorkload(f"state of job {state.job_id!r} is not a sort task")
+        it, arr, done = fields[FIELD_ITER], fields[FIELD_ARRAY], fields[FIELD_DONE]
+        if type(it) is not int or type(done) is not int or type(arr) is not list:
+            raise InvalidState(f"job {state.job_id!r}: sort fields have the wrong value types")
+        if not 0 <= it <= len(arr) or done != (it == len(arr)):
+            raise InvalidState(f"job {state.job_id!r}: iteration {it} and done flag {done} "
+                               f"do not fit an array of {len(arr)}")
         self.state = state
 
     @property
@@ -88,11 +97,11 @@ class SortTask:
 
     @property
     def done(self) -> bool:
-        return self.state.done
+        return self.state.fields[FIELD_DONE] == 1
 
     def step(self) -> None:
         """One outer iteration: move the minimum of the suffix to position iter."""
-        if self.state.done:
+        if self.done:
             raise AlreadyDone(f"job {self.state.job_id!r} already completed")
         fields = self.state.fields
         arr: list[int] = fields[FIELD_ARRAY]
@@ -103,38 +112,26 @@ class SortTask:
         fields[FIELD_ITER] = it
         if it == len(arr):
             fields[FIELD_DONE] = 1
-            self.state.done = True
 
     def digest(self) -> int:
         """64-bit hash of the final array; equal for any two correct runs."""
-        if not self.state.done:
+        if not self.done:
             raise NotDone(f"job {self.state.job_id!r} has not completed")
         arr = self.state.fields[FIELD_ARRAY]
         return fnv1a64(b"".join(struct.pack(">q", v) for v in arr))
-
-
-register_task_schema(TaskSchema(
-    task_kind=SORT_KIND,
-    field_types={FIELD_ITER: VT_INT64, FIELD_ARRAY: VT_INT64_ARRAY, FIELD_DONE: VT_INT64},
-    done_field=FIELD_DONE,
-))
 
 
 def init_sort(n: int, seed: int, job_id: str | None = None) -> SortTask:
     if n < 1:
         raise InvalidSize(f"array size must be >= 1, got {n}")
     array = [v % SORT_VALUE_MOD for v in splitmix64(seed, n)]
-    state = TaskState(
-        job_id=job_id if job_id is not None else f"sort-{n}-{seed}",
-        task_kind=SORT_KIND,
-        fields={FIELD_ITER: 0, FIELD_ARRAY: array, FIELD_DONE: 0},
-        done=False,
-    )
+    state = TaskState(job_id if job_id is not None else f"sort-{n}-{seed}",
+                      {FIELD_ITER: 0, FIELD_ARRAY: array, FIELD_DONE: 0})
     return SortTask(state)
 
 
 def from_state(state: TaskState) -> SortTask:
-    """Rebuild a runnable task from a (composed) state; the only task type is sort."""
+    """Rebuild a runnable task from a (composed) state, which must be a valid sort."""
     return SortTask(state)
 
 

@@ -2,51 +2,28 @@ import time
 
 import pytest
 
-from jobmig.checkpoint import (
-    TaskSchema,
-    TaskState,
-    VT_BYTES,
-    VT_INT64,
-    VT_INT64_ARRAY,
-    register_task_schema,
-)
+from jobmig.checkpoint import TaskState
 from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ServiceLevelAgreement
 from jobmig.node import NodeDaemon, NodeRuntime, WallClock
 
-# Synthetic task kind exercising every field value type (sort has no byte field).
-BLOB_KIND = "blob"
+# Synthetic field map exercising every field value type (sort has no byte field).
 BLOB_COUNTER = 10
 BLOB_VALUES = 11
 BLOB_PAYLOAD = 12
 BLOB_DONE = 13
 
-register_task_schema(TaskSchema(
-    task_kind=BLOB_KIND,
-    field_types={BLOB_COUNTER: VT_INT64, BLOB_VALUES: VT_INT64_ARRAY,
-                 BLOB_PAYLOAD: VT_BYTES, BLOB_DONE: VT_INT64},
-    done_field=BLOB_DONE,
-))
-
 
 def make_blob_state(job_id="blob-1", counter=0, values=(1, 2, 3), payload=b"xyz", done=0):
-    return TaskState(job_id=job_id, task_kind=BLOB_KIND,
+    return TaskState(job_id=job_id,
                      fields={BLOB_COUNTER: counter, BLOB_VALUES: list(values),
-                             BLOB_PAYLOAD: payload, BLOB_DONE: done},
-                     done=bool(done))
-
-
-@pytest.fixture
-def wall_runtime(tmp_path):
-    return NodeRuntime(provider_id="p1", clock=WallClock(), store_dir=tmp_path / "store",
-                       mode="wall")
+                             BLOB_PAYLOAD: payload, BLOB_DONE: done})
 
 
 @pytest.fixture
 def daemon(tmp_path):
     """In-process wall-mode daemon bound to an ephemeral port."""
-    runtime = NodeRuntime(provider_id="d1", clock=WallClock(), store_dir=tmp_path / "d1",
-                          mode="wall")
+    runtime = NodeRuntime(provider_id="d1", clock=WallClock(), store_dir=tmp_path / "d1")
     d = NodeDaemon(runtime, listen="127.0.0.1:0")
     d.start()
     yield d

@@ -226,17 +226,18 @@ def test_c8_crash_safety_after_transfer_ack(tmp_path_factory):
                                           sla=DEFAULT_TEST_SLA, checkpoint_interval=8,
                                           withdraw_at={"server1": withdraw_at})
             killed = threading.Event()
+            migrate = env.supervisory.migrate
+
+            def migrate_then_kill_source(job_id, to_provider):
+                record = migrate(job_id, to_provider)  # returns with the target's ACK in hand
+                env.procs["server1"].kill()
+                killed.set()
+                return record
+
+            env.supervisory.migrate = migrate_then_kill_source
             try:
                 env.start()
                 job_id = env.deploy_sort(f"crash-{rep}", n, seed, start_on="server1")
-
-                def kill_after_ack():
-                    env.wait_node_event("transfer_ack", timeout=30)
-                    env.kill_node("server1")
-                    killed.set()
-
-                watcher = threading.Thread(target=kill_after_ack, daemon=True)
-                watcher.start()
                 result = env.pump_until_complete(job_id, timeout=45)
                 assert killed.wait(timeout=10), f"rep {rep}: source never killed"
                 assert result["digest"] == harness.reference_digest(n, seed), f"rep {rep}"
@@ -278,7 +279,7 @@ def test_c9_fuzz_robustness(tmp_path_factory):
                 rejected_records += 1
 
         runtime = NodeRuntime(provider_id="fz", clock=WallClock(),
-                              store_dir=tmp_path_factory.mktemp("c9"), mode="wall")
+                              store_dir=tmp_path_factory.mktemp("c9"))
         daemon = NodeDaemon(runtime, listen="127.0.0.1:0")
         daemon.start()
         host, port = nd.parse_hostport(daemon.address)

@@ -11,7 +11,6 @@ from jobmig.control import (
     JobStatus,
     MigrationOutcome,
     MigrationRecord,
-    PolicyConfig,
     SupervisoryAgent,
     TransferFailed,
     tune_decision,
@@ -36,6 +35,7 @@ class RecordingTransport:
     def __init__(self, fail_transfer=False):
         self.submissions = []
         self.migrations = []
+        self.sla_updates = []
         self.fail_transfer = fail_transfer
 
     def submit(self, provider_id, job_spec):
@@ -48,15 +48,18 @@ class RecordingTransport:
         return MigrationOutcome(iterations_before=249, time_on_source_ms=27381,
                                 overhead_ms=3620)
 
+    def update_sla(self, provider_id, job_id, sla):
+        self.sla_updates.append((provider_id, job_id, sla))
 
-def make_agent(transport=None, policy=None):
+
+def make_agent(transport=None):
     broker = ResourceBroker()
     broker.register_provider(ResourceSpecTemplate(
         provider_id="server1", address="127.0.0.1:7001", cpu_mhz=2800, memory_mb=512))
     broker.register_provider(ResourceSpecTemplate(
         provider_id="server2", address="127.0.0.1:7002", cpu_mhz=3000, memory_mb=1024))
     transport = transport or RecordingTransport()
-    agent = SupervisoryAgent(broker, MonitorHub(broker), transport, policy=policy)
+    agent = SupervisoryAgent(broker, MonitorHub(broker), transport)
     return agent, transport
 
 
@@ -140,19 +143,13 @@ class TestOnReport:
         assert decision.target == "server2"
 
     def test_violation_without_better_provider_renegotiates(self):
-        agent, _ = make_agent()
+        agent, transport = make_agent()
         deploy(agent)  # already on the best-scored provider
         decision = agent.on_report(violation(provider="server2"))
         assert decision.action is DecisionAction.RENEGOTIATE_SLA
         assert decision.new_sla.min_throughput == pytest.approx(4.0)  # 5.0 * 0.8
         assert agent.jobs["job-1"].sla.min_throughput == pytest.approx(4.0)
-
-    def test_violation_renegotiation_disabled_fails(self):
-        agent, _ = make_agent(policy=PolicyConfig(renegotiate_enabled=False))
-        deploy(agent)
-        decision = agent.on_report(violation(provider="server2"))
-        assert decision.action is DecisionAction.FAIL
-        assert agent.jobs["job-1"].status is JobStatus.FAILED
+        assert transport.sla_updates == [("server2", "job-1", decision.new_sla)]
 
     def test_unknown_job_rejected(self):
         agent, _ = make_agent()

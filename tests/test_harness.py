@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from jobmig import harness
-from jobmig.broker import ResourceSpecTemplate
-from jobmig.control import JobStatus
-from jobmig.monitor import ServiceLevelAgreement
+from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
+from jobmig.control import DecisionAction, JobStatus, SupervisoryAgent
+from jobmig.monitor import MonitorHub, PerformanceReport, ReportKind, ServiceLevelAgreement
 
 
 class TestBaselineRows:
@@ -177,6 +177,32 @@ class TestViolationDrivenRescheduling:
         assert entry.sla.min_throughput < 11.0
         decisions = [json.loads(line)["decision"] for line in log_path.read_text().splitlines()]
         assert "renegotiate_sla" in decisions
+
+
+class TestWallTransport:
+    def test_renegotiated_sla_reaches_the_node(self, daemon):
+        broker = ResourceBroker()
+        broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
+                                                      cpu_mhz=2800, memory_mb=512))
+        agent = SupervisoryAgent(broker, MonitorHub(broker), harness.WallTransport(broker))
+        sla = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
+        agent.deploy(JobRequirementList(job_id="sla", min_cpu_mhz=2800, min_memory_mb=512,
+                                        sla=sla), "sort", {"n": 2000, "seed": 3})
+        assert daemon.runtime.job("sla").sla == sla
+        decision = agent.on_report(PerformanceReport(
+            kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="d1", job_id="sla", emitted_at=1))
+        assert decision.action is DecisionAction.RENEGOTIATE_SLA  # d1 is the only provider
+        assert decision.new_sla.min_throughput == pytest.approx(4.0)
+        assert daemon.runtime.job("sla").sla == decision.new_sla == agent.jobs["sla"].sla
+
+    def test_refused_sla_update_raises(self, daemon):
+        broker = ResourceBroker()
+        broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
+                                                      cpu_mhz=2800, memory_mb=512))
+        transport = harness.WallTransport(broker)
+        with pytest.raises(harness.HarnessError, match="UnknownJob"):
+            transport.update_sla("d1", "ghost", ServiceLevelAgreement(
+                min_throughput=1.0, window_k=3, sample_period_ms=50))
 
 
 class TestEmitTable:

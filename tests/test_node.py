@@ -13,27 +13,39 @@ from jobmig.monitor import ReportKind, ServiceLevelAgreement
 from conftest import DEFAULT_TEST_SLA, wait_until
 
 
+def read_back(data: bytes) -> tuple[int, bytes]:
+    """Write ``data`` into one end of a socket pair, close it, and read one
+    frame from the other end."""
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        reader.settimeout(5)
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        return nd.recv_frame(reader)
+
+
 class TestFraming:
     @pytest.mark.parametrize("msg_type", sorted(nd.MSG_NAMES))
     def test_round_trip_every_message_type(self, msg_type):
         payload = b'{"k": 1}'
         frame = nd.encode_frame(msg_type, payload)
-        assert nd.decode_frame(frame) == (msg_type, payload)
+        assert read_back(frame) == (msg_type, payload)
         # length covers the type byte plus the payload
         assert struct.unpack(">I", frame[:4])[0] == len(payload) + 1
 
     def test_empty_payload(self):
-        assert nd.decode_frame(nd.encode_frame(nd.MSG_ACK, b"")) == (nd.MSG_ACK, b"")
+        assert read_back(nd.encode_frame(nd.MSG_ACK, b"")) == (nd.MSG_ACK, b"")
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(nd.FrameError):
             nd.encode_frame(nd.MSG_ACK, b"x" * (nd.MAX_PAYLOAD + 1))
 
     def test_length_mismatch_rejected(self):
+        # the header promises one byte more than the writer sends before closing
         frame = bytearray(nd.encode_frame(nd.MSG_ACK, b"abc"))
         frame[3] += 1
-        with pytest.raises(nd.FrameError):
-            nd.decode_frame(bytes(frame))
+        with pytest.raises(nd.ConnectionClosed):
+            read_back(bytes(frame))
 
 
 class TestClocks:
@@ -56,8 +68,7 @@ class TestClocks:
 
 def sim_runtime(tmp_path, cost=Fraction(57306, 500), speed=Fraction(1), **kw):
     return nd.NodeRuntime(provider_id="sim1", clock=nd.VirtualClock(),
-                          store_dir=tmp_path / "sim1", mode="sim",
-                          per_iteration_cost_ms=cost, speed_factor=speed, **kw)
+                          store_dir=tmp_path / "sim1", step_cost_ms=cost / speed, **kw)
 
 
 def run_to_completion(runtime, job_id):
@@ -157,6 +168,17 @@ class TestSimExecution:
         assert reports
         assert all(r.kind is ReportKind.THROUGHPUT_VIOLATION for r in reports)
 
+    def test_updated_sla_governs_later_samples(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(100))
+        runtime.submit_job("j1", "sort", {"n": 50, "seed": 4})  # no SLA: never sampled
+        for _ in range(10):
+            assert runtime.run_iteration("j1") == []
+        # 1 iteration per 100 virtual ms misses a floor of 1000 iterations/s
+        runtime.update_sla("j1", ServiceLevelAgreement(min_throughput=1000.0, window_k=2,
+                                                       sample_period_ms=200))
+        reports = [m[1] for m in run_to_completion(runtime, "j1") if m[0] == "monitor_report"]
+        assert reports
+
 
 class TestTransfer:
     def migrate_bundle(self, tmp_path, n=500, until=249):
@@ -204,6 +226,15 @@ class TestTransfer:
         with pytest.raises(nd.DuplicateJob):
             target.resume_from_bundle(bundle)
 
+    @pytest.mark.parametrize("iteration,done", [(10, 1), (60, 0)])
+    def test_forged_sort_state_rejected(self, tmp_path, iteration, done):
+        bundle = forged_bundle(iteration, done)
+        target = sim_runtime(tmp_path / "t")
+        with pytest.raises(workload.InvalidState):
+            target.resume_from_bundle(bundle)
+        assert target.jobs == {}
+        assert not target.store.path_for("forged").exists()
+
     def test_incremental_first_bundle_rejected(self, tmp_path):
         state = workload.init_sort(5, 1, job_id="x").state
         inc = cp.capture_incremental(state, state.copy(), 1)
@@ -235,6 +266,17 @@ class TestTransfer:
         assert entry.status == nd.ST_RUNNING
         run_to_completion(source, "ja")
         assert entry.task.digest() == _reference_digest(30, 6)
+
+
+def forged_bundle(iteration, done):
+    """A well-formed transfer of a sort at iteration 10 of 50 whose counter and
+    done flag were then rewritten: a state no run of the sort can reach."""
+    task = workload.init_sort(50, 7, job_id="forged")
+    for _ in range(10):
+        task.step()
+    task.state.fields[workload.FIELD_ITER] = iteration
+    task.state.fields[workload.FIELD_DONE] = done
+    return cp.encode(cp.capture_full(task.state, 0))
 
 
 def _reference_digest(n, seed):
@@ -344,7 +386,7 @@ class TestDaemon:
                                                          monkeypatch):
         monkeypatch.setattr(nd, "PARK_GRACE_S", 0.5)
         runtime = nd.NodeRuntime(provider_id="g1", clock=nd.WallClock(),
-                                 store_dir=tmp_path / "g1", mode="wall", withdraw_at=25)
+                                 store_dir=tmp_path / "g1", withdraw_at=25)
         d = nd.NodeDaemon(runtime, supervisor=listener.address)
         events = []
         d.log = events.append
@@ -361,6 +403,35 @@ class TestDaemon:
             assert "EVENT park_expired job=g iteration=25" in events
         finally:
             d.stop()
+
+    @pytest.mark.parametrize("iteration,done", [(10, 1), (60, 0)])
+    def test_forged_transfer_yields_typed_error(self, daemon, iteration, done):
+        msg_type, reply = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
+                                       forged_bundle(iteration, done))
+        assert msg_type == nd.MSG_ERROR
+        assert nd.parse_json(reply)["error"] == "InvalidState"
+        assert daemon.runtime.jobs == {}
+
+    def test_sla_update(self, daemon):
+        spec = {"job_id": "s1", "task_kind": "sort", "params": {"n": 40, "seed": 5},
+                "sla": DEFAULT_TEST_SLA.to_dict()}
+        assert send_request(daemon.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))[0] \
+            == nd.MSG_ACK
+        new_sla = ServiceLevelAgreement(min_throughput=0.5, window_k=2, sample_period_ms=20)
+        msg_type, _ = send_request(daemon.address, nd.MSG_SLA_UPDATE, nd.json_payload(
+            {"job_id": "s1", "sla": new_sla.to_dict()}))
+        assert msg_type == nd.MSG_ACK
+        assert daemon.runtime.job("s1").sla == new_sla
+
+    @pytest.mark.parametrize("body,error", [
+        ({"job_id": "ghost", "sla": DEFAULT_TEST_SLA.to_dict()}, "UnknownJob"),
+        ({"sla": DEFAULT_TEST_SLA.to_dict()}, "MalformedPayload"),
+        ({"job_id": "ghost", "sla": None}, "MalformedPayload"),
+        ({"job_id": "ghost", "sla": {"window_k": 3}}, "MalformedPayload")])
+    def test_bad_sla_update_yields_typed_error(self, daemon, body, error):
+        msg_type, reply = send_request(daemon.address, nd.MSG_SLA_UPDATE, nd.json_payload(body))
+        assert msg_type == nd.MSG_ERROR
+        assert nd.parse_json(reply)["error"] == error
 
     def test_corrupt_transfer_yields_typed_error(self, daemon):
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
@@ -400,6 +471,6 @@ class TestDaemon:
 
     def test_bind_failure(self, daemon, tmp_path):
         runtime = nd.NodeRuntime(provider_id="x", clock=nd.WallClock(),
-                                 store_dir=tmp_path / "x", mode="wall")
+                                 store_dir=tmp_path / "x")
         with pytest.raises(nd.BindFailure):
             nd.NodeDaemon(runtime, listen=daemon.address)

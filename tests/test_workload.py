@@ -67,7 +67,7 @@ class TestInitSort:
 
 class TestStep:
     def test_hand_traced_step(self):
-        state = cp.TaskState(job_id="h", task_kind="sort",
+        state = cp.TaskState(job_id="h",
                              fields={workload.FIELD_ITER: 0,
                                      workload.FIELD_ARRAY: [3, 1, 2],
                                      workload.FIELD_DONE: 0})
@@ -177,9 +177,33 @@ class TestFromState:
         assert again.iterations_done == 4
 
     def test_wrong_kind_rejected(self):
-        state = cp.TaskState(job_id="x", task_kind="mystery", fields={0: 1})
+        state = cp.TaskState(job_id="x", fields={0: 1})
         with pytest.raises(workload.UnknownWorkload):
             workload.from_state(state)
+
+    @pytest.mark.parametrize("it,done", [(0, 1), (3, 1), (5, 0), (6, 0), (6, 1), (-1, 0)])
+    def test_iteration_and_done_flag_must_agree(self, it, done):
+        state = workload.init_sort(5, 1, job_id="bad").state
+        state.fields[workload.FIELD_ITER] = it
+        state.fields[workload.FIELD_DONE] = done
+        with pytest.raises(workload.InvalidState):
+            workload.from_state(state)
+
+    @pytest.mark.parametrize("field_id,value", [
+        (workload.FIELD_ITER, b"\x00"), (workload.FIELD_ARRAY, b"\x01\x02"),
+        (workload.FIELD_DONE, [0]), (workload.FIELD_ITER, True)])
+    def test_value_types_checked(self, field_id, value):
+        state = workload.init_sort(5, 1, job_id="bad").state
+        state.fields[field_id] = value
+        with pytest.raises(workload.InvalidState):
+            workload.from_state(state)
+
+    def test_layout_bounds_accepted(self):
+        task = workload.init_sort(4, 2, job_id="ok")
+        assert not workload.from_state(task.state).done
+        while not task.done:
+            task.step()
+        assert workload.from_state(task.state).done
 
     def test_create_task_validates_params(self):
         with pytest.raises(workload.UnknownWorkload):
