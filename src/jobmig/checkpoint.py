@@ -25,6 +25,11 @@ The codec knows no task kinds. A field's value type follows from its value
 (int, list of ints, bytes), and a delta may not change it. Which fields a
 task has, and how they relate, is checked by the task that owns the state
 (``workload.SortTask``).
+
+Each record is encoded once in its life: capture checks and packs the body
+(int64 arrays in bulk) and the record carries it for ``encode``, the store
+and ``compose``'s checksum check. A decoded record keeps no copy of its
+bytes; it, like a record assembled by hand, is packed again when needed.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
+import sys
 import zlib
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -115,29 +122,19 @@ class CheckpointRecord:
     base_seq: int
     deltas: tuple[FieldDelta, ...]
     checksum: int
+    # the encoded body, set only by capture (``_make_record``), so a record
+    # rebuilt with other contents never carries bytes that do not match them
+    _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _freeze(fid: int, value: FieldValue) -> FrozenValue:
-    """Check a field against the value type its value implies: int is int64,
-    list is int64 array, bytes is byte string, and nothing else is encodable."""
-    if not 0 <= fid <= _U16_MAX:
-        raise SchemaMismatch(f"field_id {fid} out of 16-bit range")
-    if isinstance(value, bytes):
-        return value
+    """A state value in record form: a list becomes a tuple. The encoder checks
+    the rest; a tuple is a record's array, never a state's."""
     if isinstance(value, list):
-        for v in value:
-            if type(v) is not int or not _INT64_MIN <= v <= _INT64_MAX:
-                raise SchemaMismatch(f"field {fid}: array element out of int64 range")
         return tuple(value)
-    if type(value) is not int:
-        raise SchemaMismatch(f"field {fid}: no value type for {type(value).__name__}")
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise SchemaMismatch(f"field {fid}: value out of int64 range")
+    if isinstance(value, tuple):
+        raise SchemaMismatch(f"field {fid}: no value type for tuple")
     return value
-
-
-def _thaw(value: FrozenValue) -> FieldValue:
-    return list(value) if isinstance(value, tuple) else value
 
 
 def _value_type(value: FieldValue | FrozenValue) -> int:
@@ -160,11 +157,11 @@ def _make_record(job_id: str, seq: int, kind: int, base_seq: int,
     for a, b in zip(ordered, ordered[1:]):
         if a.field_id == b.field_id:
             raise MalformedRecord(f"duplicate delta for field {a.field_id}")
+    body = _encode_body(job_id, seq, kind, base_seq, ordered)
     record = CheckpointRecord(job_id=job_id, seq=seq, kind=kind, base_seq=base_seq,
-                              deltas=ordered, checksum=0)
-    body = _encode_body(record)
-    return CheckpointRecord(job_id=job_id, seq=seq, kind=kind, base_seq=base_seq,
-                            deltas=ordered, checksum=zlib.crc32(body))
+                              deltas=ordered, checksum=zlib.crc32(body))
+    object.__setattr__(record, "_body", body)
+    return record
 
 
 def capture_full(state: TaskState, seq: int) -> CheckpointRecord:
@@ -197,18 +194,18 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
     The chain must be seq-contiguous: the first incremental's base_seq equals
     the full record's seq, and each later base_seq equals the previous seq.
     Every record's checksum is re-verified before its deltas are applied, and
-    no delta may change a field's value type.
+    no delta may change a field's value type. Every value was checked when its
+    record was encoded (at capture, or here for a record with no bytes), so
+    only each field's final value is copied out.
     """
-    _verify_checksum(full)
+    _checked_body(full)
     if full.kind != KIND_FULL:
         raise LineageBroken(f"base record {full.seq} is not a full checkpoint")
-    fields: dict[int, FieldValue] = {d.field_id: _thaw(d.new_value) for d in full.deltas}
-    for fid in fields:
-        _freeze(fid, fields[fid])
+    values: dict[int, FrozenValue] = {d.field_id: d.new_value for d in full.deltas}
 
     prev_seq = full.seq
     for rec in incrementals:
-        _verify_checksum(rec)
+        _checked_body(rec)
         if rec.job_id != full.job_id:
             raise LineageBroken(f"record {rec.seq} belongs to job {rec.job_id!r}")
         if rec.kind != KIND_INCREMENTAL:
@@ -217,49 +214,67 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
             raise LineageBroken(
                 f"record {rec.seq} chains from {rec.base_seq}, expected {prev_seq}")
         for d in rec.deltas:
-            if d.field_id not in fields:
+            if d.field_id not in values:
                 raise SchemaMismatch(f"delta for unknown field {d.field_id}")
-            _check_type_kept(d.field_id, fields[d.field_id], d.new_value)
-            _freeze(d.field_id, _thaw(d.new_value))
-            fields[d.field_id] = _thaw(d.new_value)
+            _check_type_kept(d.field_id, values[d.field_id], d.new_value)
+            values[d.field_id] = d.new_value
         prev_seq = rec.seq
-    return TaskState(full.job_id, fields)
+    return TaskState(full.job_id, {fid: list(v) if isinstance(v, tuple) else v
+                                   for fid, v in values.items()})
 
 
-def _verify_checksum(record: CheckpointRecord) -> None:
-    if zlib.crc32(_encode_body(record)) != record.checksum:
+def _checked_body(record: CheckpointRecord) -> bytes:
+    """The record's body (packed now if it carries none) after checking its CRC."""
+    body = record._body
+    if body is None:
+        body = _encode_body(record.job_id, record.seq, record.kind, record.base_seq,
+                            record.deltas)
+    if zlib.crc32(body) != record.checksum:
         raise ChecksumFailure(f"record {record.seq} fails checksum validation")
+    return body
 
 
-def _encode_value(value: FrozenValue) -> bytes:
-    if isinstance(value, int):
-        return struct.pack(">q", value)
-    if isinstance(value, tuple):
-        return b"".join(struct.pack(">q", v) for v in value)
-    return value
+def _encode_value(fid: int, value: FrozenValue) -> tuple[int, bytes]:
+    """The value type and bytes of one field value. A field id or value the
+    format cannot carry is SchemaMismatch; arrays are checked and packed in bulk."""
+    if not 0 <= fid <= _U16_MAX:
+        raise SchemaMismatch(f"field_id {fid} out of 16-bit range")
+    if isinstance(value, bytes):
+        return VT_BYTES, value
+    if type(value) is int:
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise SchemaMismatch(f"field {fid}: value out of int64 range")
+        return VT_INT64, struct.pack(">q", value)
+    if type(value) is not tuple:
+        raise SchemaMismatch(f"field {fid}: no value type for {type(value).__name__}")
+    if value and set(map(type, value)) != {int}:
+        raise SchemaMismatch(f"field {fid}: array element is not an int")
+    try:
+        packed = array("q", value)
+    except OverflowError:
+        raise SchemaMismatch(f"field {fid}: array element out of int64 range") from None
+    if sys.byteorder == "little":
+        packed.byteswap()
+    return VT_INT64_ARRAY, packed.tobytes()
 
 
-def _encode_body(record: CheckpointRecord) -> bytes:
-    jid = record.job_id.encode("utf-8")
+def _encode_body(job_id: str, seq: int, kind: int, base_seq: int,
+                 deltas: tuple[FieldDelta, ...]) -> bytes:
+    jid = job_id.encode("utf-8")
     if len(jid) > _U16_MAX:
         raise MalformedRecord("job_id too long to encode")
-    if not 0 <= record.seq <= _U64_MAX or not 0 <= record.base_seq <= _U64_MAX:
+    if not 0 <= seq <= _U64_MAX or not 0 <= base_seq <= _U64_MAX:
         raise MalformedRecord("sequence number out of 64-bit range")
-    parts = [MAGIC, bytes([record.kind]), struct.pack(">H", len(jid)), jid,
-             struct.pack(">Q", record.seq), struct.pack(">Q", record.base_seq),
-             struct.pack(">I", len(record.deltas))]
-    for d in record.deltas:
-        payload = _encode_value(d.new_value)
-        parts.append(struct.pack(">HBI", d.field_id, _value_type(d.new_value), len(payload)))
-        parts.append(payload)
+    parts = [MAGIC, bytes([kind]), struct.pack(">H", len(jid)), jid,
+             struct.pack(">QQI", seq, base_seq, len(deltas))]
+    for d in deltas:
+        vt, payload = _encode_value(d.field_id, d.new_value)
+        parts += (struct.pack(">HBI", d.field_id, vt, len(payload)), payload)
     return b"".join(parts)
 
 
 def encode(record: CheckpointRecord) -> bytes:
-    body = _encode_body(record)
-    if zlib.crc32(body) != record.checksum:
-        raise ChecksumFailure("record checksum does not match its contents")
-    return body + struct.pack(">I", record.checksum)
+    return _checked_body(record) + struct.pack(">I", record.checksum)
 
 
 def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:

@@ -118,7 +118,7 @@ class SortTask:
         if not self.done:
             raise NotDone(f"job {self.state.job_id!r} has not completed")
         arr = self.state.fields[FIELD_ARRAY]
-        return fnv1a64(b"".join(struct.pack(">q", v) for v in arr))
+        return fnv1a64(struct.pack(f">{len(arr)}q", *arr))
 
 
 def init_sort(n: int, seed: int, job_id: str | None = None) -> SortTask:

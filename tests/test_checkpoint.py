@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 import zlib
@@ -48,7 +49,8 @@ class TestCaptureFull:
         assert cp.encode(a) == cp.encode(b)
 
     @pytest.mark.parametrize("value", [1.5, True, "text", (1, 2), [1, 2.0], [2**63], 2**63,
-                                       -(2**63) - 1, bytearray(b"x"), None])
+                                       -(2**63) - 1, bytearray(b"x"), None, [True], [1, True],
+                                       [-(2**63) - 1], [1, "x"]])
     def test_unsupported_value_type_rejected(self, value):
         state = cp.TaskState(job_id="x", fields={1: value})
         with pytest.raises(cp.SchemaMismatch):
@@ -172,6 +174,9 @@ class TestCompose:
                                      checksum=record.checksum)
         with pytest.raises(cp.ChecksumFailure):
             cp.compose(forged, [])
+        # a copy with other contents does not keep the bytes the capture packed
+        with pytest.raises(cp.ChecksumFailure):
+            cp.compose(dataclasses.replace(record, deltas=forged.deltas), [])
 
     def test_done_flag_reconstructed(self):
         task = workload.init_sort(3, 8, job_id="d")
@@ -194,7 +199,42 @@ class TestCompose:
             cp.compose(full, [inc])
 
 
+def pack_int64_array(values) -> bytes | None:
+    """Element-wise reference packer: None where the format has no encoding."""
+    out = b""
+    for v in values:
+        if type(v) is not int or not -(2**63) <= v < 2**63:
+            return None
+        out += struct.pack(">q", v)
+    return out
+
+
 class TestCodec:
+    @pytest.mark.parametrize("value", [(2**63,), 1.5], ids=["array-2**63", "float"])
+    @pytest.mark.parametrize("call", [cp.encode, lambda r: cp.compose(r, [])],
+                             ids=["encode", "compose"])
+    def test_hand_assembled_bad_value_is_schema_mismatch(self, value, call):
+        record = cp.CheckpointRecord(job_id="x", seq=0, kind=cp.KIND_FULL, base_seq=0,
+                                     deltas=(cp.FieldDelta(1, value),), checksum=0)
+        with pytest.raises(cp.SchemaMismatch):
+            call(record)
+
+    @given(st.lists(st.one_of(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                              st.sampled_from([-(2**63), 2**63 - 1, -(2**63) - 1, 2**63,
+                                               0, -1]), st.booleans()), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_array_encoding_matches_element_wise(self, values):
+        state = cp.TaskState(job_id="arr", fields={7: values})
+        payload = pack_int64_array(values)
+        if payload is None:
+            with pytest.raises(cp.SchemaMismatch):
+                cp.capture_full(state, 0)
+            return
+        body = b"MAF1" + bytes([cp.KIND_FULL]) + struct.pack(">H", 3) + b"arr"
+        body += struct.pack(">QQI", 0, 0, 1) + struct.pack(">HBI", 7, 0x02, len(payload))
+        body += payload
+        assert cp.encode(cp.capture_full(state, 0)) == body + struct.pack(">I", zlib.crc32(body))
+
     def test_crc32_is_ieee_checkvalue(self):
         # standard check value for the IEEE 802.3 polynomial
         assert zlib.crc32(b"123456789") == 0xCBF43926
@@ -339,7 +379,11 @@ class TestStore:
         records.append(cp.capture_incremental(task.state, prev, 1))
         for r in records:
             store.append(r)
-        assert store.load("st-1") == records
+        loaded = store.load("st-1")
+        assert loaded == records
+        # a decoded record, encoded again on demand, gives the stored bytes
+        assert b"".join(cp.encode(r) for r in loaded) == store.path_for("st-1").read_bytes()
+        assert cp.compose(loaded[0], loaded[1:]) == cp.compose(records[0], records[1:])
         assert store.path_for("st-1").name == "st-1.ckpt"
 
     def test_hostile_job_id_is_sanitized(self, tmp_path):
