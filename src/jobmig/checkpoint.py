@@ -30,6 +30,15 @@ Each record is encoded once in its life: capture checks and packs the body
 (int64 arrays in bulk) and the record carries it for ``encode``, the store
 and ``compose``'s checksum check. A decoded record keeps no copy of its
 bytes; it, like a record assembled by hand, is packed again when needed.
+
+Touched elements: given ``images`` (each array's tuple and bytes in the last
+record that carried it) and a report of the indices the task wrote
+(``TaskState.touched``) under 1/``PATCH_RATIO`` of the array, a capture
+copies the image's bytes, checks and packs only those elements as
+``_encode_value`` would, and swaps them into the image's tuple. That tuple
+must equal the live array in one compare, or the array is packed whole; so
+a record's bytes encode exactly its int64 ints. An unreported element is
+taken by value: a ``True`` written over a ``1`` is recorded as ``1``.
 """
 
 from __future__ import annotations
@@ -56,11 +65,18 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _U64_MAX = (1 << 64) - 1
 _U16_MAX = (1 << 16) - 1
+_pack_int64_into = struct.Struct(">q").pack_into
+
+# packing touched elements alone pays below 1/PATCH_RATIO of the array: the
+# two paths cost the same between N/8 and N/5 (README, "Checkpoint cost")
+PATCH_RATIO = 8
 
 # Runtime (mutable) field values live in TaskState; records hold the frozen
 # form with tuples instead of lists.
 FieldValue = int | list[int] | bytes
 FrozenValue = int | tuple[int, ...] | bytes
+# per array field: its tuple and bytes (a view of the body) in its last record
+ArrayImages = dict[int, tuple[tuple[int, ...], memoryview]]
 
 
 class CheckpointError(Exception):
@@ -101,9 +117,13 @@ class TaskState:
 
     job_id: str
     fields: dict[int, FieldValue]
+    # per array field, the indices the task wrote since the last capture; a
+    # field with no entry has no report. Not part of the state's value.
+    touched: dict[int, set[int]] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "TaskState":
-        """Deep copy: mutating the original never alters the copy."""
+        """Deep copy of the fields, with no report: mutating the original never
+        alters the copy."""
         return TaskState(self.job_id, {fid: list(v) if isinstance(v, list) else v
                                        for fid, v in self.fields.items()})
 
@@ -127,16 +147,6 @@ class CheckpointRecord:
     _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _freeze(fid: int, value: FieldValue) -> FrozenValue:
-    """A state value in record form: a list becomes a tuple. The encoder checks
-    the rest; a tuple is a record's array, never a state's."""
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, tuple):
-        raise SchemaMismatch(f"field {fid}: no value type for tuple")
-    return value
-
-
 def _value_type(value: FieldValue | FrozenValue) -> int:
     if isinstance(value, int):
         return VT_INT64
@@ -151,27 +161,73 @@ def _check_type_kept(fid: int, old: FieldValue, new: FieldValue | FrozenValue) -
         raise SchemaMismatch(f"field {fid}: a delta may not change the value type")
 
 
-def _make_record(job_id: str, seq: int, kind: int, base_seq: int,
-                 deltas: Iterable[FieldDelta]) -> CheckpointRecord:
-    ordered = tuple(sorted(deltas, key=lambda d: d.field_id))
-    for a, b in zip(ordered, ordered[1:]):
-        if a.field_id == b.field_id:
-            raise MalformedRecord(f"duplicate delta for field {a.field_id}")
-    body = _encode_body(job_id, seq, kind, base_seq, ordered)
-    record = CheckpointRecord(job_id=job_id, seq=seq, kind=kind, base_seq=base_seq,
-                              deltas=ordered, checksum=zlib.crc32(body))
+def _make_record(state: TaskState, seq: int, kind: int, base_seq: int,
+                 fids: Iterable[int], images: ArrayImages | None) -> CheckpointRecord:
+    """A record of ``state``'s ``fids``, packed once. A list becomes a tuple and
+    the encoder checks the rest (a tuple is a record's array, never a state's)."""
+    deltas, entries = [], []
+    for fid in sorted(fids):
+        value = state.fields[fid]
+        patched = None
+        if images and type(value) is list and fid in images and fid in state.touched:
+            patched = _patch_array(fid, value, images[fid], state.touched[fid])
+        if patched is None:
+            if isinstance(value, tuple):
+                raise SchemaMismatch(f"field {fid}: no value type for tuple")
+            frozen = tuple(value) if isinstance(value, list) else value
+            vt, payload = _encode_value(fid, frozen)
+        else:
+            (frozen, payload), vt = patched, VT_INT64_ARRAY
+        deltas.append(FieldDelta(fid, frozen))
+        entries.append((fid, vt, payload))
+    body = _encode_body(state.job_id, seq, kind, base_seq, entries)
+    record = CheckpointRecord(job_id=state.job_id, seq=seq, kind=kind, base_seq=base_seq,
+                              deltas=tuple(deltas), checksum=zlib.crc32(body))
     object.__setattr__(record, "_body", body)
+    if images is not None:  # the images follow the record
+        view = memoryview(body)
+        end = len(body) - sum(7 + len(payload) for _, _, payload in entries)
+        for delta, (_, vt, payload) in zip(deltas, entries):
+            start, end = end + 7, end + 7 + len(payload)
+            if vt == VT_INT64_ARRAY:
+                images[delta.field_id] = (delta.new_value, view[start:end])
     return record
 
 
-def capture_full(state: TaskState, seq: int) -> CheckpointRecord:
+def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], memoryview],
+                 touched: set[int]) -> tuple[tuple[int, ...], bytearray] | None:
+    """``live``'s record tuple and bytes from its image and the touched indices;
+    None when the report is too large to pay or misses a change."""
+    old, old_bytes = image
+    n = len(old)
+    if len(touched) * PATCH_RATIO >= n or len(live) != n:
+        return None
+    new = list(old)
+    buf = bytearray(old_bytes)
+    for i in touched:
+        if not 0 <= i < n:
+            return None
+        value = live[i]
+        if type(value) is not int:
+            raise SchemaMismatch(f"field {fid}: array element is not an int")
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise SchemaMismatch(f"field {fid}: array element out of int64 range")
+        _pack_int64_into(buf, 8 * i, value)
+        new[i] = value
+    if new != live:
+        return None
+    return tuple(new), buf
+
+
+def capture_full(state: TaskState, seq: int,
+                 images: ArrayImages | None = None) -> CheckpointRecord:
     """Snapshot every field. The record is decoupled from the state:
     later mutations of the state do not show through."""
-    deltas = [FieldDelta(fid, _freeze(fid, value)) for fid, value in state.fields.items()]
-    return _make_record(state.job_id, seq, KIND_FULL, seq, deltas)
+    return _make_record(state, seq, KIND_FULL, seq, state.fields, images)
 
 
-def capture_incremental(state: TaskState, last_captured: TaskState, seq: int) -> CheckpointRecord:
+def capture_incremental(state: TaskState, last_captured: TaskState, seq: int,
+                        images: ArrayImages | None = None) -> CheckpointRecord:
     """Record exactly the fields whose values differ from ``last_captured``,
     each with the value type it had there."""
     if state.job_id != last_captured.job_id:
@@ -180,12 +236,12 @@ def capture_incremental(state: TaskState, last_captured: TaskState, seq: int) ->
         raise SchemaMismatch("field sets differ between state and last capture")
     if seq < 1:
         raise MalformedRecord("incremental records need seq >= 1")
-    deltas = []
+    changed = []
     for fid, value in state.fields.items():
         if value != last_captured.fields[fid]:
             _check_type_kept(fid, last_captured.fields[fid], value)
-            deltas.append(FieldDelta(fid, _freeze(fid, value)))
-    return _make_record(state.job_id, seq, KIND_INCREMENTAL, seq - 1, deltas)
+            changed.append(fid)
+    return _make_record(state, seq, KIND_INCREMENTAL, seq - 1, changed, images)
 
 
 def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) -> TaskState:
@@ -228,7 +284,8 @@ def _checked_body(record: CheckpointRecord) -> bytes:
     body = record._body
     if body is None:
         body = _encode_body(record.job_id, record.seq, record.kind, record.base_seq,
-                            record.deltas)
+                            [(d.field_id, *_encode_value(d.field_id, d.new_value))
+                             for d in record.deltas])
     if zlib.crc32(body) != record.checksum:
         raise ChecksumFailure(f"record {record.seq} fails checksum validation")
     return body
@@ -259,17 +316,16 @@ def _encode_value(fid: int, value: FrozenValue) -> tuple[int, bytes]:
 
 
 def _encode_body(job_id: str, seq: int, kind: int, base_seq: int,
-                 deltas: tuple[FieldDelta, ...]) -> bytes:
+                 entries: Sequence[tuple[int, int, bytes | bytearray]]) -> bytes:
     jid = job_id.encode("utf-8")
     if len(jid) > _U16_MAX:
         raise MalformedRecord("job_id too long to encode")
     if not 0 <= seq <= _U64_MAX or not 0 <= base_seq <= _U64_MAX:
         raise MalformedRecord("sequence number out of 64-bit range")
     parts = [MAGIC, bytes([kind]), struct.pack(">H", len(jid)), jid,
-             struct.pack(">QQI", seq, base_seq, len(deltas))]
-    for d in deltas:
-        vt, payload = _encode_value(d.field_id, d.new_value)
-        parts += (struct.pack(">HBI", d.field_id, vt, len(payload)), payload)
+             struct.pack(">QQI", seq, base_seq, len(entries))]
+    for fid, vt, payload in entries:
+        parts += (struct.pack(">HBI", fid, vt, len(payload)), payload)
     return b"".join(parts)
 
 

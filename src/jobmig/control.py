@@ -155,7 +155,7 @@ def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> Tu
 
     The overhead fraction is the checkpoint time over the job's run time on
     its node across the sample window, both real microseconds from the
-    ``checkpoint_us`` and ``run_us`` counters, so a virtual sample clock does
+    samples' ``checkpoint_us`` and ``run_us``, so a virtual sample clock does
     not enter it. Above 5% the interval doubles (capped at 128), below 1% it
     halves (floored at 1). A window with no capture in it says nothing about
     their cost and changes nothing.
@@ -163,8 +163,8 @@ def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> Tu
     if len(samples) < 2:
         return TuningAction("none")
     first, last = samples[0], samples[-1]
-    run_us = last.counter("run_us") - first.counter("run_us")
-    ckpt_us = last.counter("checkpoint_us") - first.counter("checkpoint_us")
+    run_us = last.run_us - first.run_us
+    ckpt_us = last.checkpoint_us - first.checkpoint_us
     if run_us <= 0 or ckpt_us <= 0:
         return TuningAction("none")
     fraction = ckpt_us / run_us

@@ -385,7 +385,6 @@ class SimEnvironment(Environment):
                  workdir: str | Path, sla: ServiceLevelAgreement = DEFAULT_SIM_SLA,
                  checkpoint_interval: int = 16,
                  withdraw_at: dict[str, int] | None = None,
-                 withdraw_at_ms: dict[str, Any] | None = None,
                  decision_log: str | Path | None = None, tune: bool = False):
         self.config = config
         self.clock = VirtualClock()
@@ -393,7 +392,6 @@ class SimEnvironment(Environment):
         self.nodes: dict[str, NodeRuntime] = {}
         broker = ResourceBroker()
         withdraw_at = withdraw_at or {}
-        withdraw_at_ms = withdraw_at_ms or {}
         for template in providers:
             broker.register_provider(template)
             self.nodes[template.provider_id] = NodeRuntime(
@@ -401,7 +399,6 @@ class SimEnvironment(Environment):
                 store_dir=Path(workdir) / template.provider_id,
                 step_cost_ms=config.per_iteration_cost_ms / template.speed_factor,
                 withdraw_at=withdraw_at.get(template.provider_id),
-                withdraw_at_ms=withdraw_at_ms.get(template.provider_id),
                 tune_enabled=tune, on_step=self.step_log.record)
         super().__init__(broker, SimTransport(self), self.clock.now_ms, sla,
                          checkpoint_interval, decision_log)
@@ -613,7 +610,6 @@ def _environment(mode: str, config: SimConfig,
                  providers: Sequence[ResourceSpecTemplate] | None, needed: Sequence[str],
                  workdir: Path, sla: ServiceLevelAgreement | None, checkpoint_interval: int,
                  withdraw_at: dict[str, int] | None = None,
-                 withdraw_at_ms: dict[str, Any] | None = None,
                  decision_log: str | Path | None = None) -> Environment:
     """The mode's environment over the ``needed`` providers, in that order."""
     pool = {t.provider_id: t for t in (providers or default_providers(config))}
@@ -627,7 +623,7 @@ def _environment(mode: str, config: SimConfig,
                                withdraw_at=withdraw_at, decision_log=decision_log)
     return SimEnvironment(config, chosen, workdir, sla=sla or DEFAULT_SIM_SLA,
                           checkpoint_interval=checkpoint_interval, withdraw_at=withdraw_at,
-                          withdraw_at_ms=withdraw_at_ms, decision_log=decision_log)
+                          decision_log=decision_log)
 
 
 def _run(env: Environment, job_id: str, n: int, seed: int, start_on: str) -> dict:
@@ -658,7 +654,7 @@ def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str 
 
 def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                   target: str = TARGET_PROVIDER, migrate_at: int | None = None,
-                  migrate_at_ms=None, mode: str = "sim", config: SimConfig | None = None,
+                  mode: str = "sim", config: SimConfig | None = None,
                   providers: Sequence[ResourceSpecTemplate] | None = None,
                   sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
                   workdir: str | Path | None = None, job_id: str | None = None,
@@ -666,31 +662,19 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                   include_scenario1: bool = True) -> ScenarioOutcome:
     """Withdrawal-triggered migration: start on ``source``, finish on ``target``.
 
-    The withdrawal fires at iteration ``migrate_at`` (default N//2) or, in sim
-    mode with ``migrate_at_ms``, at the first yield point the clock reaches
-    that time. With ``include_scenario1`` the uninterrupted run on ``source``
-    must reach the same digest, and fills the row's scenario-1 column.
+    The withdrawal fires at iteration ``migrate_at`` (default N//2). With
+    ``include_scenario1`` the uninterrupted run on ``source`` must reach the
+    same digest, and fills the row's scenario-1 column.
     """
-    withdraw_at: dict[str, int] = {}
-    withdraw_at_ms: dict[str, Any] = {}
-    if migrate_at_ms is not None:
-        if mode == "wall":
-            raise HarnessError("time-based withdrawal is a sim-mode trigger; "
-                               "use --migrate-at in wall mode")
-        if migrate_at is not None:
-            raise HarnessError("give either migrate_at or migrate_at_ms, not both")
-        withdraw_at_ms[source] = Fraction(str(migrate_at_ms))
-    else:
-        migrate_at = n // 2 if migrate_at is None else migrate_at
-        if not 1 <= migrate_at < n:
-            raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
-        withdraw_at[source] = migrate_at
+    migrate_at = n // 2 if migrate_at is None else migrate_at
+    if not 1 <= migrate_at < n:
+        raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
     config = config or calibrate_from_table1()
     workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix=f"jobmig-{mode}2-"))
     job_id = job_id or f"sort-{n}-{seed}"
     env = _environment(mode, config, providers, [source, target], workdir / "scenario2", sla,
-                       checkpoint_interval, withdraw_at=withdraw_at,
-                       withdraw_at_ms=withdraw_at_ms, decision_log=decision_log)
+                       checkpoint_interval, withdraw_at={source: migrate_at},
+                       decision_log=decision_log)
     result = _run(env, job_id, n, seed, source)
     entry = env.supervisory.jobs[job_id]
     if not entry.migrations:
@@ -780,8 +764,6 @@ def main(argv: list[str] | None = None) -> int:
     p2.add_argument("--target", default=TARGET_PROVIDER)
     p2.add_argument("--migrate-at", type=int, default=None,
                     help="withdrawal iteration (default N//2)")
-    p2.add_argument("--migrate-at-ms", type=float, default=None,
-                    help="withdrawal at this virtual time instead of an iteration (sim)")
 
     pt = sub.add_parser("table1", help="all five baseline sizes at their migration points")
     _add_common(pt)
@@ -800,8 +782,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"digest={outcome.digest:016x}")
         elif args.command == "scenario2":
             outcome = run_scenario2(args.n, args.seed, source=args.start_on, target=args.target,
-                                    migrate_at=args.migrate_at,
-                                    migrate_at_ms=args.migrate_at_ms, mode=args.mode,
+                                    migrate_at=args.migrate_at, mode=args.mode,
                                     providers=providers, sla=sla,
                                     checkpoint_interval=args.checkpoint_interval,
                                     workdir=args.workdir, decision_log=args.decision_log)

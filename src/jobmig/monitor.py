@@ -67,19 +67,9 @@ class MonitorSample:
     job_id: str
     timestamp_ms: Any  # int in wall mode, exact rational in sim mode
     iterations_done: int
-    counters: tuple[tuple[str, int], ...] = ()
-
-    @classmethod
-    def make(cls, provider_id: str, job_id: str, timestamp_ms, iterations_done: int,
-             counters: dict[str, int] | None = None) -> "MonitorSample":
-        items = tuple(sorted((counters or {}).items()))
-        return cls(provider_id, job_id, timestamp_ms, iterations_done, items)
-
-    def counter(self, name: str, default: int = 0) -> int:
-        for key, value in self.counters:
-            if key == name:
-                return value
-        return default
+    # the job's real time on its node so far: checkpointing, and all its work
+    checkpoint_us: int = 0
+    run_us: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,21 +104,20 @@ class PerformanceReport:
             evidence = tuple(WithdrawalEvent(e["withdrawn"], e["at_ms"])
                              for e in obj.get("evidence", []))
         else:
-            evidence = tuple(MonitorSample.make(obj["provider_id"], obj["job_id"],
-                                                e["timestamp_ms"], int(e["iterations_done"]))
+            evidence = tuple(MonitorSample(obj["provider_id"], obj["job_id"],
+                                           e["timestamp_ms"], int(e["iterations_done"]))
                              for e in obj.get("evidence", []))
         return cls(kind=kind, provider_id=obj["provider_id"], job_id=obj["job_id"],
                    evidence=evidence, emitted_at=obj.get("emitted_at", 0))
 
 
 class ProgressSource(Protocol):
-    def progress(self, job_id: str) -> tuple[int, dict[str, int]]: ...
+    def progress(self, job_id: str) -> tuple[int, int, int]: ...  # iters, ckpt us, run us
 
 
 def sample(provider_id: str, job_id: str, source: ProgressSource, now_ms) -> MonitorSample:
     """Snapshot a job's cumulative progress at the current clock."""
-    iterations_done, counters = source.progress(job_id)
-    return MonitorSample.make(provider_id, job_id, now_ms, iterations_done, counters)
+    return MonitorSample(provider_id, job_id, now_ms, *source.progress(job_id))
 
 
 def pair_throughputs(samples: Sequence[MonitorSample]) -> list[float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import socket
 import struct
@@ -275,23 +276,29 @@ class WallClock:
 
 
 class VirtualClock:
-    """Deterministic clock advanced only by modeled costs."""
+    """Deterministic clock advanced only by modeled costs (ints or Fractions).
+    It holds an integer numerator over a common denominator, the lcm of the
+    deltas' denominators so far, so an advance is integer arithmetic; ``now_ms``
+    returns the exact Fraction."""
 
     def __init__(self):
-        self._now = Fraction(0)
+        self._num = 0
+        self._den = 1
         self._lock = threading.Lock()
 
     def now_ms(self) -> Fraction:
         with self._lock:
-            return self._now
+            return Fraction(self._num, self._den)
 
-    def advance(self, delta_ms) -> Fraction:
-        delta = Fraction(delta_ms)
-        if delta < 0:
+    def advance(self, delta_ms: int | Fraction) -> None:
+        num, den = delta_ms.numerator, delta_ms.denominator
+        if num < 0:
             raise ValueError("virtual time cannot go backwards")
         with self._lock:
-            self._now += delta
-            return self._now
+            if self._den % den:
+                lcm = math.lcm(self._den, den)
+                self._num, self._den = self._num * (lcm // self._den), lcm
+            self._num += num * (self._den // den)
 
 
 # -- job execution -------------------------------------------------------------
@@ -316,15 +323,19 @@ class JobExecution:
     since_checkpoint: int = 0
     lineage: list[ckpt.CheckpointRecord] = field(default_factory=list)
     last_captured: ckpt.TaskState | None = None
-    exec_ms: Any = 0
     checkpoint_us: int = 0
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
+    step_ns: int = 0  # real time spent stepping on this node
     next_sample_ms: Any = None
     quiesce_requested: bool = False
     # held by each iteration and by a whole hand-off: both see a yield point
     lock: threading.RLock = field(default_factory=threading.RLock)
     # set when a parked job may go on: tombstoned, or resumed on this node
     proceed_evt: threading.Event = field(default_factory=threading.Event)
+    # the job's iteration when this node admitted it
+    first_iteration: int = field(default=0, init=False)
+    # the array images that let a capture pack only what the task touched
+    images: ckpt.ArrayImages = field(default_factory=dict, init=False)
 
 
 class NodeRuntime:
@@ -334,7 +345,7 @@ class NodeRuntime:
 
     def __init__(self, provider_id: str, clock, store_dir: str | Path,
                  step_cost_ms: Fraction | None = None,
-                 withdraw_at: int | None = None, withdraw_at_ms=None,
+                 withdraw_at: int | None = None,
                  tune_enabled: bool = False,
                  on_step: Callable[[str, str, int], None] | None = None):
         """``step_cost_ms`` is the modeled cost of one step, charged to the
@@ -345,7 +356,6 @@ class NodeRuntime:
         self.clock = clock
         self.step_cost_ms = step_cost_ms
         self.withdraw_at = withdraw_at
-        self.withdraw_at_ms = withdraw_at_ms
         self.tune_enabled = tune_enabled
         self.on_step = on_step
         self.store = ckpt.CheckpointStore(store_dir)
@@ -396,6 +406,7 @@ class NodeRuntime:
             if entry.job_id in self.jobs:
                 raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
             self.jobs[entry.job_id] = entry
+        entry.first_iteration = entry.task.iterations_done
         # initial full snapshot persists before any step runs
         self._capture(entry)
         if entry.sla is not None:
@@ -411,10 +422,9 @@ class NodeRuntime:
 
     # -- progress source -----------------------------------------------------
 
-    def progress(self, job_id: str) -> tuple[int, dict[str, int]]:
+    def progress(self, job_id: str) -> tuple[int, int, int]:
         entry = self.job(job_id)
-        return entry.task.iterations_done, {"checkpoint_us": entry.checkpoint_us,
-                                            "run_us": entry.run_ns // 1000}
+        return entry.task.iterations_done, entry.checkpoint_us, entry.run_ns // 1000
 
     # -- checkpoint cadence ----------------------------------------------------
 
@@ -422,11 +432,13 @@ class NodeRuntime:
         t0 = time.perf_counter_ns()
         state = entry.task.state
         if entry.records_written % self.full_every == 0:
-            record = ckpt.capture_full(state, entry.seq_next)
+            record = ckpt.capture_full(state, entry.seq_next, entry.images)
             entry.lineage = [record]
         else:
-            record = ckpt.capture_incremental(state, entry.last_captured, entry.seq_next)
+            record = ckpt.capture_incremental(state, entry.last_captured, entry.seq_next,
+                                              entry.images)
             entry.lineage.append(record)
+        state.touched.clear()
         self.store.append(record)
         entry.last_captured = state.copy()
         entry.seq_next += 1
@@ -456,9 +468,8 @@ class NodeRuntime:
             entry.task.step()
             if self.step_cost_ms is not None:
                 self.clock.advance(self.step_cost_ms)
-                entry.exec_ms = entry.exec_ms + self.step_cost_ms
             else:
-                entry.exec_ms = entry.exec_ms + (time.perf_counter_ns() - t0) / 1e6
+                entry.step_ns += time.perf_counter_ns() - t0
             iterations = entry.task.iterations_done
             if self.on_step is not None:
                 self.on_step(self.provider_id, job_id, iterations - 1)
@@ -468,10 +479,8 @@ class NodeRuntime:
                 self._capture(entry)
             entry.run_ns += time.perf_counter_ns() - t0
 
-            if not self._withdrawn and (
-                    (self.withdraw_at is not None and iterations >= self.withdraw_at)
-                    or (self.withdraw_at_ms is not None
-                        and self.clock.now_ms() >= self.withdraw_at_ms)):
+            if self.withdraw_at is not None and iterations >= self.withdraw_at \
+                    and not self._withdrawn:
                 msgs.extend(self.withdraw())
 
             if entry.sla is not None and not entry.task.done:
@@ -507,7 +516,13 @@ class NodeRuntime:
         return ("result_return", {
             "job_id": entry.job_id, "provider_id": self.provider_id,
             "digest": entry.task.digest(), "iterations_done": entry.task.iterations_done,
-            "exec_ms": entry.exec_ms})
+            "exec_ms": self._exec_ms(entry)})
+
+    def _exec_ms(self, entry: JobExecution):
+        """The job's time on this node: its steps at the modeled cost, or as measured."""
+        if self.step_cost_ms is None:
+            return entry.step_ns / 1e6
+        return self.step_cost_ms * (entry.task.iterations_done - entry.first_iteration)
 
     # -- migration, source side ---------------------------------------------
 
@@ -549,7 +564,7 @@ class NodeRuntime:
         trailer = json_payload({"sla": entry.sla and entry.sla.to_dict(), "reply_to": entry.reply_to,
                                 "checkpoint_interval": entry.checkpoint_interval})
         info = {"iterations_before": entry.task.iterations_done,
-                "time_on_source_ms": entry.exec_ms}
+                "time_on_source_ms": self._exec_ms(entry)}
         return ckpt.encode(outgoing) + trailer, info
 
     def abort_transfer(self, job_id: str) -> bool:

@@ -100,7 +100,8 @@ class SortTask:
         return self.state.fields[FIELD_DONE] == 1
 
     def step(self) -> None:
-        """One outer iteration: move the minimum of the suffix to position iter."""
+        """One outer iteration: move the minimum of the suffix to position iter,
+        and report the two array indices written."""
         if self.done:
             raise AlreadyDone(f"job {self.state.job_id!r} already completed")
         fields = self.state.fields
@@ -108,6 +109,9 @@ class SortTask:
         it: int = fields[FIELD_ITER]
         j = arr.index(min(arr[it:]), it)
         arr[it], arr[j] = arr[j], arr[it]
+        touched = self.state.touched.setdefault(FIELD_ARRAY, set())
+        touched.add(it)
+        touched.add(j)
         it += 1
         fields[FIELD_ITER] = it
         if it == len(arr):

@@ -205,7 +205,7 @@ def test_c7_detection_latency():
             for idx in range(drop_at + window_k + 5):
                 iters += 10 if idx < drop_at else 1
                 report = analyzer.observe(
-                    MonitorSample.make("p1", "j1", idx * 1000, iters), sla)
+                    MonitorSample("p1", "j1", idx * 1000, iters), sla)
                 if report.kind is ReportKind.THROUGHPUT_VIOLATION:
                     emitted = idx
                     break

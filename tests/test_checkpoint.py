@@ -1,12 +1,15 @@
 import dataclasses
 import random
 import struct
+import tempfile
 import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jobmig import checkpoint as cp
+from jobmig import node as nd
 from jobmig import workload
 
 from conftest import BLOB_COUNTER, BLOB_PAYLOAD, BLOB_VALUES, make_blob_state
@@ -207,6 +210,102 @@ def pack_int64_array(values) -> bytes | None:
             return None
         out += struct.pack(">q", v)
     return out
+
+
+def reference_encode(record: cp.CheckpointRecord) -> bytes:
+    """Element-wise reference encoding of a record's values."""
+    jid = record.job_id.encode("utf-8")
+    body = b"MAF1" + bytes([record.kind]) + struct.pack(">H", len(jid)) + jid
+    body += struct.pack(">QQI", record.seq, record.base_seq, len(record.deltas))
+    for d in record.deltas:
+        if type(d.new_value) is bytes:
+            vt, payload = 0x03, d.new_value
+        elif type(d.new_value) is tuple:
+            vt, payload = 0x02, pack_int64_array(d.new_value)
+        else:
+            assert type(d.new_value) is int
+            vt, payload = 0x01, struct.pack(">q", d.new_value)
+        assert payload is not None, f"field {d.field_id} holds a value with no encoding"
+        body += struct.pack(">HBI", d.field_id, vt, len(payload)) + payload
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+class TestTouchedPacking:
+    """A capture with array images packs only the elements the task reported."""
+
+    def state_with_image(self, n=64):
+        state = cp.TaskState("t", {1: list(range(n)), 2: 0})
+        images: cp.ArrayImages = {}
+        cp.capture_full(state, 0, images)
+        return state, images
+
+    @given(n=st.integers(min_value=1, max_value=300),
+           seed=st.integers(min_value=0, max_value=2**32),
+           interval=st.integers(min_value=1, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_runtime_records_match_element_wise_encoding(self, n, seed, interval):
+        with tempfile.TemporaryDirectory() as tmp:
+            runtime = nd.NodeRuntime("p", nd.VirtualClock(), tmp, step_cost_ms=Fraction(1))
+            records = []
+            append = runtime.store.append
+            runtime.store.append = lambda rec: (records.append(rec), append(rec))[1]
+            runtime.submit_job("j", "sort", {"n": n, "seed": seed},
+                               checkpoint_interval=interval)
+            entry = runtime.job("j")
+            while entry.status == nd.ST_RUNNING:
+                runtime.run_iteration("j")
+            stored = runtime.store.path_for("j").read_bytes()
+        assert stored == b"".join(reference_encode(rec) for rec in records)
+        # every record holds the sort's state at its iteration
+        ref = workload.init_sort(n, seed, job_id="j")
+        values: dict = {}
+        for rec in records:
+            if rec.kind == cp.KIND_FULL:
+                values = {}
+            values.update((d.field_id, d.new_value) for d in rec.deltas)
+            while ref.iterations_done < values[workload.FIELD_ITER]:
+                ref.step()
+            assert list(values[workload.FIELD_ARRAY]) == ref.state.fields[workload.FIELD_ARRAY]
+
+    @pytest.mark.parametrize("kind", ["full", "incremental"])
+    def test_report_missing_a_change_gives_exact_bytes(self, kind):
+        state, images = self.state_with_image()
+        last = state.copy()
+        arr = state.fields[1]
+        arr[3], arr[40] = 77, 99
+        state.touched = {1: {3}}  # index 40 changed without a report
+        record = (cp.capture_full(state, 1, images) if kind == "full"
+                  else cp.capture_incremental(state, last, 1, images))
+        assert {d.field_id: d.new_value for d in record.deltas}[1] == tuple(arr)
+        assert cp.encode(record) == reference_encode(record)
+        assert images[1][0] == tuple(arr)
+        assert bytes(images[1][1]) == pack_int64_array(arr)
+
+    @pytest.mark.parametrize("value", [True, 1.5, 2**63, -(2**63) - 1])
+    def test_bad_value_at_touched_index_rejected(self, value):
+        state, images = self.state_with_image()
+        state.fields[1][5] = value
+        state.touched = {1: {5}}
+        with pytest.raises(cp.SchemaMismatch):
+            cp.capture_full(state, 1, images)
+        assert images[1][0] == tuple(range(64))
+
+    def test_unreported_element_is_taken_by_value(self):
+        state, images = self.state_with_image()
+        state.fields[1][1] = True  # equal to 1, and not reported
+        state.fields[1][5] = -5
+        state.touched = {1: {5}}
+        record = cp.capture_full(state, 1, images)
+        array = {d.field_id: d.new_value for d in record.deltas}[1]
+        assert type(array[1]) is int and array[5] == -5
+        assert cp.encode(record) == reference_encode(record)
+
+    def test_touched_is_not_part_of_the_state(self):
+        state = cp.TaskState("x", {1: [1, 2]})
+        copy = state.copy()
+        state.touched[1] = {0}
+        assert state == copy
+        assert copy.touched == {}
 
 
 class TestCodec:

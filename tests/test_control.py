@@ -212,8 +212,8 @@ class TestMigrationRecordIdentity:
 
 class TestLocalTune:
     def sample_pair(self, run_ms, ckpt_us):
-        a = MonitorSample.make("p", "j", 0, 0, {"checkpoint_us": 0, "run_us": 0})
-        b = MonitorSample.make("p", "j", 1, 10, {"checkpoint_us": ckpt_us, "run_us": run_ms * 1000})
+        a = MonitorSample("p", "j", 0, 0, checkpoint_us=0, run_us=0)
+        b = MonitorSample("p", "j", 1, 10, checkpoint_us=ckpt_us, run_us=run_ms * 1000)
         return [a, b]
 
     def test_high_overhead_doubles_interval(self):
@@ -242,8 +242,8 @@ class TestLocalTune:
 
     def test_sample_clock_does_not_enter_the_fraction(self):
         # 8% of the run time, whatever the sample timestamps (virtual in sim)
-        a = MonitorSample.make("p", "j", 0, 0, {"checkpoint_us": 0, "run_us": 0})
-        b = MonitorSample.make("p", "j", 10**9, 10, {"checkpoint_us": 800, "run_us": 10_000})
+        a = MonitorSample("p", "j", 0, 0, checkpoint_us=0, run_us=0)
+        b = MonitorSample("p", "j", 10**9, 10, checkpoint_us=800, run_us=10_000)
         assert tune_decision([a, b], current_interval=4).interval == 8
 
     def test_window_without_run_or_capture_changes_nothing(self):

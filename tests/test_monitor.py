@@ -21,7 +21,7 @@ SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=100
 
 
 def s(ts, iters, provider="p1", job="j1"):
-    return MonitorSample.make(provider, job, ts, iters)
+    return MonitorSample(provider, job, ts, iters)
 
 
 class FakeSource:
@@ -31,7 +31,7 @@ class FakeSource:
     def progress(self, job_id):
         if job_id not in self.jobs:
             raise UnknownJob(job_id)
-        return self.jobs[job_id], {"iterations": self.jobs[job_id]}
+        return self.jobs[job_id], 0, 0
 
 
 class TestSla:

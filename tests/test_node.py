@@ -4,6 +4,7 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobmig import checkpoint as cp
 from jobmig import node as nd
@@ -59,6 +60,20 @@ class TestClocks:
     def test_virtual_clock_rejects_negative(self):
         with pytest.raises(ValueError):
             nd.VirtualClock().advance(-1)
+        with pytest.raises(ValueError):
+            nd.VirtualClock().advance(Fraction(-1, 3))
+
+    @given(st.lists(st.one_of(st.integers(min_value=0, max_value=10**12),
+                              st.fractions(min_value=0, max_denominator=10**6)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_virtual_clock_equals_exact_sum(self, deltas):
+        clock = nd.VirtualClock()
+        total = Fraction(0)
+        for delta in deltas:
+            clock.advance(delta)
+            total += delta
+            assert clock.now_ms() == total
+        assert type(clock.now_ms()) is Fraction
 
     def test_wall_clock_monotonic(self):
         clock = nd.WallClock()
@@ -207,7 +222,7 @@ class TestTransfer:
         bundle, _ = self.migrate_bundle(tmp_path)
         target = sim_runtime(tmp_path / "t")
         target.resume_from_bundle(bundle)
-        iterations, _ = target.progress("jm")
+        iterations, _, _ = target.progress("jm")
         assert iterations >= 249
 
     def test_corrupted_bundle_leaves_node_unchanged(self, tmp_path):
