@@ -31,14 +31,16 @@ Each record is encoded once in its life: capture checks and packs the body
 and ``compose``'s checksum check. A decoded record keeps no copy of its
 bytes; it, like a record assembled by hand, is packed again when needed.
 
-Touched elements: given ``images`` (each array's tuple and bytes in the last
-record that carried it) and a report of the indices the task wrote
-(``TaskState.touched``) under 1/``PATCH_RATIO`` of the array, a capture
-copies the image's bytes, checks and packs only those elements as
-``_encode_value`` would, and swaps them into the image's tuple. That tuple
-must equal the live array in one compare, or the array is packed whole; so
-a record's bytes encode exactly its int64 ints. An unreported element is
-taken by value: a ``True`` written over a ``1`` is recorded as ``1``.
+Images: a capture keeps, per field, the frozen value and the bytes it was
+packed to in the last record that carried it (``images``). An incremental
+record holds the fields whose values differ from their images. Given a report
+of the indices the task wrote (``TaskState.touched``) under 1/``PATCH_RATIO``
+of an array, a capture copies the image's bytes, checks and packs only those
+elements as ``_encode_value`` would, and swaps them into the image's tuple.
+That tuple must equal the live array in one compare, or the array is packed
+whole; so a record's bytes encode exactly its int64 ints, and the array
+changed if a touched element did. An unreported element is taken by value: a
+``True`` written over a ``1`` is recorded as ``1``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAGIC = b"MAF1"
 KIND_FULL = 0x00
@@ -75,8 +77,8 @@ PATCH_RATIO = 8
 # form with tuples instead of lists.
 FieldValue = int | list[int] | bytes
 FrozenValue = int | tuple[int, ...] | bytes
-# per array field: its tuple and bytes (a view of the body) in its last record
-ArrayImages = dict[int, tuple[tuple[int, ...], memoryview]]
+# per field: its frozen value and the bytes it was packed to, in its last record
+Images = dict[int, tuple[FrozenValue, bytes | bytearray]]
 
 
 class CheckpointError(Exception):
@@ -121,12 +123,6 @@ class TaskState:
     # field with no entry has no report. Not part of the state's value.
     touched: dict[int, set[int]] = field(default_factory=dict, compare=False, repr=False)
 
-    def copy(self) -> "TaskState":
-        """Deep copy of the fields, with no report: mutating the original never
-        alters the copy."""
-        return TaskState(self.job_id, {fid: list(v) if isinstance(v, list) else v
-                                       for fid, v in self.fields.items()})
-
 
 @dataclass(frozen=True)
 class FieldDelta:
@@ -155,55 +151,60 @@ def _value_type(value: FieldValue | FrozenValue) -> int:
     return VT_BYTES
 
 
-def _check_type_kept(fid: int, old: FieldValue, new: FieldValue | FrozenValue) -> None:
+def _check_type_kept(fid: int, old: FrozenValue, new: FieldValue | FrozenValue) -> None:
     """A field keeps its value type along a lineage."""
     if _value_type(new) != _value_type(old):
         raise SchemaMismatch(f"field {fid}: a delta may not change the value type")
 
 
-def _make_record(state: TaskState, seq: int, kind: int, base_seq: int,
-                 fids: Iterable[int], images: ArrayImages | None) -> CheckpointRecord:
-    """A record of ``state``'s ``fids``, packed once. A list becomes a tuple and
+def _make_record(state: TaskState, seq: int, kind: int, images: Images) -> CheckpointRecord:
+    """A record of ``state``, packed once: every field if ``kind`` is full, else
+    the fields whose values differ from their images. A list becomes a tuple and
     the encoder checks the rest (a tuple is a record's array, never a state's)."""
+    incremental = kind == KIND_INCREMENTAL
+    if incremental and set(state.fields) != set(images):
+        raise SchemaMismatch("field sets differ between state and last capture")
     deltas, entries = [], []
-    for fid in sorted(fids):
-        value = state.fields[fid]
-        patched = None
-        if images and type(value) is list and fid in images and fid in state.touched:
-            patched = _patch_array(fid, value, images[fid], state.touched[fid])
-        if patched is None:
+    for fid in sorted(state.fields):
+        value, image = state.fields[fid], images.get(fid)
+        packed = None
+        if image and type(value) is list and fid in state.touched:
+            packed = _patch_array(fid, value, image, state.touched[fid])
+            if incremental and packed is image:
+                continue
+        if packed is None:
             if isinstance(value, tuple):
                 raise SchemaMismatch(f"field {fid}: no value type for tuple")
             frozen = tuple(value) if isinstance(value, list) else value
-            vt, payload = _encode_value(fid, frozen)
-        else:
-            (frozen, payload), vt = patched, VT_INT64_ARRAY
-        deltas.append(FieldDelta(fid, frozen))
-        entries.append((fid, vt, payload))
+            if incremental:
+                if frozen == image[0]:
+                    continue
+                _check_type_kept(fid, image[0], frozen)
+            packed = frozen, _encode_value(fid, frozen)[1]
+        deltas.append(FieldDelta(fid, packed[0]))
+        entries.append((fid, _value_type(packed[0]), packed[1]))
+    base_seq = seq - 1 if incremental else seq
     body = _encode_body(state.job_id, seq, kind, base_seq, entries)
     record = CheckpointRecord(job_id=state.job_id, seq=seq, kind=kind, base_seq=base_seq,
                               deltas=tuple(deltas), checksum=zlib.crc32(body))
     object.__setattr__(record, "_body", body)
-    if images is not None:  # the images follow the record
-        view = memoryview(body)
-        end = len(body) - sum(7 + len(payload) for _, _, payload in entries)
-        for delta, (_, vt, payload) in zip(deltas, entries):
-            start, end = end + 7, end + 7 + len(payload)
-            if vt == VT_INT64_ARRAY:
-                images[delta.field_id] = (delta.new_value, view[start:end])
+    for delta, (_, _, payload) in zip(deltas, entries):  # the images follow the record
+        images[delta.field_id] = (delta.new_value, payload)
     return record
 
 
-def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], memoryview],
-                 touched: set[int]) -> tuple[tuple[int, ...], bytearray] | None:
-    """``live``'s record tuple and bytes from its image and the touched indices;
-    None when the report is too large to pay or misses a change."""
+def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], bytes | bytearray],
+                 touched: set[int]) -> tuple[tuple[int, ...], bytes | bytearray] | None:
+    """``live``'s record tuple and bytes from its image and the touched indices:
+    the image itself if no touched element changed, None when the report is too
+    large to pay or misses a change."""
     old, old_bytes = image
-    n = len(old)
+    n = len(old) if type(old) is tuple else 0
     if len(touched) * PATCH_RATIO >= n or len(live) != n:
         return None
     new = list(old)
     buf = bytearray(old_bytes)
+    changed = False
     for i in touched:
         if not 0 <= i < n:
             return None
@@ -212,36 +213,27 @@ def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], memoryview]
             raise SchemaMismatch(f"field {fid}: array element is not an int")
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise SchemaMismatch(f"field {fid}: array element out of int64 range")
-        _pack_int64_into(buf, 8 * i, value)
-        new[i] = value
+        if value != old[i]:
+            _pack_int64_into(buf, 8 * i, value)
+            new[i] = value
+            changed = True
     if new != live:
         return None
-    return tuple(new), buf
+    return (tuple(new), buf) if changed else image
 
 
-def capture_full(state: TaskState, seq: int,
-                 images: ArrayImages | None = None) -> CheckpointRecord:
+def capture_full(state: TaskState, seq: int, images: Images | None = None) -> CheckpointRecord:
     """Snapshot every field. The record is decoupled from the state:
     later mutations of the state do not show through."""
-    return _make_record(state, seq, KIND_FULL, seq, state.fields, images)
+    return _make_record(state, seq, KIND_FULL, {} if images is None else images)
 
 
-def capture_incremental(state: TaskState, last_captured: TaskState, seq: int,
-                        images: ArrayImages | None = None) -> CheckpointRecord:
-    """Record exactly the fields whose values differ from ``last_captured``,
+def capture_incremental(state: TaskState, images: Images, seq: int) -> CheckpointRecord:
+    """Record exactly the fields whose values differ from their ``images``,
     each with the value type it had there."""
-    if state.job_id != last_captured.job_id:
-        raise SchemaMismatch("incremental capture across different job ids")
-    if set(state.fields) != set(last_captured.fields):
-        raise SchemaMismatch("field sets differ between state and last capture")
     if seq < 1:
         raise MalformedRecord("incremental records need seq >= 1")
-    changed = []
-    for fid, value in state.fields.items():
-        if value != last_captured.fields[fid]:
-            _check_type_kept(fid, last_captured.fields[fid], value)
-            changed.append(fid)
-    return _make_record(state, seq, KIND_INCREMENTAL, seq - 1, changed, images)
+    return _make_record(state, seq, KIND_INCREMENTAL, images)
 
 
 def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) -> TaskState:
@@ -410,24 +402,6 @@ def decode_bundle(data: bytes) -> list[CheckpointRecord]:
         record, off = _parse_record(data, off)
         records.append(record)
     return records
-
-
-def split_bundle(data: bytes) -> tuple[bytes, bytes]:
-    """Split ``data`` into its leading records and the bytes after them by header
-    length fields alone; a torn record stays in the first part for ``decode_bundle``."""
-    off = 0
-    try:
-        while data.startswith(MAGIC, off):
-            (jid_len,) = struct.unpack_from(">H", data, off + 5)
-            pos = off + 7 + jid_len + 20
-            (count,) = struct.unpack_from(">I", data, pos - 4)
-            for _ in range(count):
-                (vlen,) = struct.unpack_from(">I", data, pos + 3)
-                pos += 7 + vlen
-            off = pos + 4
-    except struct.error:
-        return data, b""
-    return data[:off], data[off:]
 
 
 _SAFE_NAME = re.compile(r"[A-Za-z0-9._-]{1,80}")

@@ -320,15 +320,18 @@ class Environment:
                                        checkpoint_interval=self.checkpoint_interval,
                                        reply_to=self.reply_to)
 
-    def route(self, msgs: list[tuple[str, Any]]) -> None:
+    def route(self, msgs: list[tuple[int, dict]]) -> None:
         """Hand node messages on: a withdrawal becomes a report for every job
         on that provider, reports go through the hub to the supervisor, and a
-        result completes its job."""
-        for kind, body in msgs:
-            if kind == "withdraw_notice":
+        result completes its job, or raises if the job failed."""
+        for msg_type, body in msgs:
+            if msg_type == MSG_WITHDRAW_NOTICE:
                 reports = self.hub.note_withdrawal(body["provider_id"], body["at_ms"])
-            elif kind == "monitor_report":
-                reports = [body]
+            elif msg_type == MSG_MONITOR_REPORT:
+                reports = [PerformanceReport.from_dict(body)]
+            elif body.get("failed"):
+                raise HarnessError(f"job {body.get('job_id')} failed on "
+                                   f"{body.get('provider_id')}: {body.get('error')}")
             else:
                 self.results[body["job_id"]] = body
                 self.supervisory.complete(body["job_id"], body["digest"],
@@ -342,16 +345,11 @@ class Environment:
                         pass  # the job stays intact on its source; its result still comes
 
 
-class SimFault(Exception):
-    """Raised by an injected fault hook to fail a transfer mid-flight."""
-
-
 class SimTransport:
     """In-process transport: direct calls plus the virtual-time overhead model."""
 
     def __init__(self, env: "SimEnvironment"):
         self.env = env
-        self.fault_hook = None  # callable(source, job_id, target) raising SimFault
 
     def submit(self, provider_id: str, job_spec: dict) -> None:
         self.env.nodes[provider_id].submit_job(job_spec["job_id"], job_spec["task_kind"],
@@ -364,10 +362,9 @@ class SimTransport:
 
         def send(payload: bytes) -> dict:
             # a transfer cut before it lands costs no virtual time
-            if self.fault_hook is not None:
-                self.fault_hook(source_id, job_id, target_id)
+            ack = env.nodes[target_id].resume_from_bundle(payload)
             env.clock.advance(overhead)
-            return env.nodes[target_id].resume_from_bundle(payload)
+            return ack
 
         info, _ = source.hand_off(job_id, send)
         return MigrationOutcome(iterations_before=info["iterations_before"],
@@ -587,18 +584,9 @@ class WallEnvironment(Environment):
             if remaining <= 0:
                 raise HarnessError(f"job {job_id!r} did not complete in time\n{self.dump_logs()}")
             try:
-                msg_type, body = self.listener.events.get(timeout=min(remaining, 0.5))
+                self.route([self.listener.events.get(timeout=min(remaining, 0.5))])
             except queue.Empty:
                 continue
-            if msg_type == MSG_WITHDRAW_NOTICE:
-                self.route([("withdraw_notice", body)])
-            elif msg_type == MSG_MONITOR_REPORT:
-                self.route([("monitor_report", PerformanceReport.from_dict(body))])
-            elif body.get("failed"):
-                raise HarnessError(f"job {body.get('job_id')} failed on "
-                                   f"{body.get('provider_id')}: {body.get('error')}")
-            else:
-                self.route([("result_return", {**body, "digest": int(body["digest"], 16)})])
         return self.results[job_id]
 
     run_job = pump_until_complete

@@ -12,8 +12,10 @@ seconds before it resumes on this node.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
-CHECKPOINT_TRANSFER carries a checkpoint record bundle, then a JSON trailer
-of the job's settings (``job_settings``); a bare bundle means the defaults.
+CHECKPOINT_TRANSFER carries a 4-byte big-endian length, that many bytes of
+the job's settings as JSON (``job_settings``), then a checkpoint record
+bundle. A node's messages to the supervisor are ``(MSG_*, body)`` pairs in
+both modes, with the body the wire carries as JSON.
 """
 
 from __future__ import annotations
@@ -319,10 +321,8 @@ class JobExecution:
     reply_to: str | None = None
     status: str = ST_RUNNING
     seq_next: int = 0
-    records_written: int = 0
     since_checkpoint: int = 0
     lineage: list[ckpt.CheckpointRecord] = field(default_factory=list)
-    last_captured: ckpt.TaskState | None = None
     checkpoint_us: int = 0
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
     step_ns: int = 0  # real time spent stepping on this node
@@ -334,8 +334,8 @@ class JobExecution:
     proceed_evt: threading.Event = field(default_factory=threading.Event)
     # the job's iteration when this node admitted it
     first_iteration: int = field(default=0, init=False)
-    # the array images that let a capture pack only what the task touched
-    images: ckpt.ArrayImages = field(default_factory=dict, init=False)
+    # each field's value and bytes in the last record: what a capture diffs against
+    images: ckpt.Images = field(default_factory=dict, init=False)
 
 
 class NodeRuntime:
@@ -383,12 +383,14 @@ class NodeRuntime:
         return {"ok": True, "job_id": job_id, "provider_id": self.provider_id}
 
     def resume_from_bundle(self, data: bytes) -> dict:
-        """Accept a CHECKPOINT_TRANSFER payload: a full record, optional incrementals
-        and settings trailer. The node is left unchanged on any decode failure."""
+        """Accept a CHECKPOINT_TRANSFER payload: the settings, then a full record and
+        optional incrementals. The node is left unchanged on any decode failure."""
         t0 = time.perf_counter_ns()
-        bundle, trailer = ckpt.split_bundle(data)
-        records = ckpt.decode_bundle(bundle)
-        settings = job_settings(parse_json(trailer)) if trailer else {}
+        end = 4 + int.from_bytes(data[:4], "big")
+        if len(data) < 4 or end > len(data):
+            raise MalformedPayload("transfer payload ends before its settings do")
+        settings = job_settings(parse_json(data[4:end]))
+        records = ckpt.decode_bundle(data[end:])
         if records[0].kind != ckpt.KIND_FULL:
             raise ckpt.LineageBroken("transfer bundle must start with a full record")
         state = ckpt.compose(records[0], records[1:])
@@ -428,28 +430,25 @@ class NodeRuntime:
 
     # -- checkpoint cadence ----------------------------------------------------
 
-    def _capture(self, entry: JobExecution) -> ckpt.CheckpointRecord:
+    def _capture(self, entry: JobExecution, full: bool = False) -> ckpt.CheckpointRecord:
         t0 = time.perf_counter_ns()
         state = entry.task.state
-        if entry.records_written % self.full_every == 0:
+        if full or len(entry.lineage) % self.full_every == 0:
             record = ckpt.capture_full(state, entry.seq_next, entry.images)
             entry.lineage = [record]
         else:
-            record = ckpt.capture_incremental(state, entry.last_captured, entry.seq_next,
-                                              entry.images)
+            record = ckpt.capture_incremental(state, entry.images, entry.seq_next)
             entry.lineage.append(record)
         state.touched.clear()
         self.store.append(record)
-        entry.last_captured = state.copy()
         entry.seq_next += 1
-        entry.records_written += 1
         entry.since_checkpoint = 0
         entry.checkpoint_us += (time.perf_counter_ns() - t0) // 1000
         return record
 
     # -- the execution loop ----------------------------------------------------
 
-    def run_iteration(self, job_id: str) -> list[tuple[str, Any]]:
+    def run_iteration(self, job_id: str) -> list[tuple[int, dict]]:
         """One yield-point-to-yield-point unit of work; returns outbound messages.
         A quiesce request parks the job at its next yield point and takes the
         final capture there, ahead of the hand-off that will need it."""
@@ -463,7 +462,7 @@ class NodeRuntime:
             if entry.task.done:  # a transferred state may already be complete
                 return [self._complete(entry)]
 
-            msgs: list[tuple[str, Any]] = []
+            msgs: list[tuple[int, dict]] = []
             t0 = time.perf_counter_ns()
             entry.task.step()
             if self.step_cost_ms is not None:
@@ -489,7 +488,7 @@ class NodeRuntime:
                     s = take_sample(self.provider_id, job_id, self, now)
                     report = self.analyzer.observe(s, entry.sla)
                     if report.kind is not ReportKind.NONE:
-                        msgs.append(("monitor_report", report))
+                        msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
                     if self.tune_enabled:
                         action = tune_decision(self.analyzer.window(job_id),
                                                entry.checkpoint_interval)
@@ -510,10 +509,10 @@ class NodeRuntime:
             if entry.since_checkpoint:
                 self._capture(entry)
 
-    def _complete(self, entry: JobExecution) -> tuple[str, Any]:
+    def _complete(self, entry: JobExecution) -> tuple[int, dict]:
         entry.status = ST_DONE
         self.analyzer.reset(entry.job_id)
-        return ("result_return", {
+        return (MSG_RESULT_RETURN, {
             "job_id": entry.job_id, "provider_id": self.provider_id,
             "digest": entry.task.digest(), "iterations_done": entry.task.iterations_done,
             "exec_ms": self._exec_ms(entry)})
@@ -550,22 +549,22 @@ class NodeRuntime:
         self.run_iteration(job_id)  # with the request set, this parks the job
 
     def prepare_transfer(self, job_id: str) -> tuple[bytes, dict]:
-        """Compose the parked job's lineage, check it against the live state,
-        and encode the outgoing full record followed by the settings trailer."""
+        """Compose the parked job's lineage, check it against the live state, and
+        encode the settings followed by an outgoing full record, which becomes
+        the start of the job's lineage here too."""
         entry = self.job(job_id)
         if entry.status != ST_QUIESCED:
             raise InvalidJobState(f"job {job_id!r} must be quiesced before transfer")
         composed = ckpt.compose(entry.lineage[0], entry.lineage[1:])
         if composed.fields != entry.task.state.fields:
             raise ckpt.CheckpointError(f"composed state diverges from live state for {job_id!r}")
-        outgoing = ckpt.capture_full(composed, entry.seq_next)
-        entry.seq_next += 1
-        self.store.append(outgoing)
-        trailer = json_payload({"sla": entry.sla and entry.sla.to_dict(), "reply_to": entry.reply_to,
-                                "checkpoint_interval": entry.checkpoint_interval})
+        outgoing = self._capture(entry, full=True)
+        settings = json_payload({"sla": entry.sla and entry.sla.to_dict(),
+                                 "reply_to": entry.reply_to,
+                                 "checkpoint_interval": entry.checkpoint_interval})
         info = {"iterations_before": entry.task.iterations_done,
                 "time_on_source_ms": self._exec_ms(entry)}
-        return ckpt.encode(outgoing) + trailer, info
+        return struct.pack(">I", len(settings)) + settings + ckpt.encode(outgoing), info
 
     def abort_transfer(self, job_id: str) -> bool:
         """The job resumes on this node untouched: its transfer failed, or no
@@ -588,7 +587,7 @@ class NodeRuntime:
 
     # -- withdrawal -----------------------------------------------------------
 
-    def withdraw(self) -> list[tuple[str, Any]]:
+    def withdraw(self) -> list[tuple[int, dict]]:
         """Announce withdrawal once, and park every running job at its next
         yield point to wait for its migration."""
         with self._lock:
@@ -597,8 +596,8 @@ class NodeRuntime:
             self._withdrawn = True
             for entry in self.jobs.values():
                 entry.quiesce_requested = True
-        return [("withdraw_notice", {"provider_id": self.provider_id,
-                                     "at_ms": self.clock.now_ms()})]
+        return [(MSG_WITHDRAW_NOTICE, {"provider_id": self.provider_id,
+                                       "at_ms": self.clock.now_ms()})]
 
 
 # -- the wall-mode daemon -------------------------------------------------------
@@ -698,22 +697,14 @@ class NodeDaemon(FrameServer):
             if entry.status in (ST_DONE, ST_TOMBSTONED):
                 return
 
-    def _dispatch(self, entry: JobExecution, msgs: list[tuple[str, Any]]) -> None:
-        for kind, body in msgs:
-            if kind == "withdraw_notice":
+    def _dispatch(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> None:
+        for msg_type, body in msgs:
+            if msg_type == MSG_WITHDRAW_NOTICE:
                 self.log(f"EVENT withdraw provider={self.runtime.provider_id}")
-                self._send_upstream(MSG_WITHDRAW_NOTICE,
-                                    {"provider_id": body["provider_id"],
-                                     "at_ms": float(body["at_ms"])}, None)
-            elif kind == "monitor_report":
-                self._send_upstream(MSG_MONITOR_REPORT, body.to_dict(), None)
-            elif kind == "result_return":
+            elif msg_type == MSG_RESULT_RETURN:
                 self.log(f"EVENT result job={body['job_id']} digest={body['digest']:016x}")
-                self._send_upstream(MSG_RESULT_RETURN, {
-                    "job_id": body["job_id"], "provider_id": body["provider_id"],
-                    "digest": f"{body['digest']:016x}",
-                    "iterations_done": body["iterations_done"],
-                    "exec_ms": float(body["exec_ms"])}, entry.reply_to)
+            self._send_upstream(msg_type, body,
+                                entry.reply_to if msg_type == MSG_RESULT_RETURN else None)
 
     def _send_upstream(self, msg_type: int, obj: dict, reply_to: str | None) -> None:
         addr = reply_to or self.supervisor

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from jobmig.checkpoint import TaskState
+from jobmig.checkpoint import TaskState, capture_full
 from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ServiceLevelAgreement
 from jobmig.node import NodeDaemon, NodeRuntime, WallClock
@@ -12,6 +12,21 @@ BLOB_COUNTER = 10
 BLOB_VALUES = 11
 BLOB_PAYLOAD = 12
 BLOB_DONE = 13
+
+
+def copy_state(state: TaskState) -> TaskState:
+    """Deep copy of the fields, with no report: mutating the original never
+    alters the copy."""
+    return TaskState(state.job_id, {fid: list(v) if isinstance(v, list) else v
+                                    for fid, v in state.fields.items()})
+
+
+def images_of(state: TaskState) -> dict:
+    """The images a full capture of ``state`` leaves: what a later incremental
+    capture diffs against."""
+    images: dict = {}
+    capture_full(state, 0, images)
+    return images
 
 
 def make_blob_state(job_id="blob-1", counter=0, values=(1, 2, 3), payload=b"xyz", done=0):

@@ -127,13 +127,12 @@ def test_c4_checkpoint_equivalence_suite():
             seed = rng.getrandbits(64)
             k = rng.randint(0, n)
             task = workload.init_sort(n, seed, job_id="u")
-            full = cp.capture_full(task.state, 0)
-            prev = task.state.copy()
+            images = {}
+            full = cp.capture_full(task.state, 0, images)
             incrementals = []
             for seq in range(1, k + 1):
                 task.step()
-                incrementals.append(cp.capture_incremental(task.state, prev, seq))
-                prev = task.state.copy()
+                incrementals.append(cp.capture_incremental(task.state, images, seq))
             resumed = workload.from_state(cp.compose(full, incrementals))
             while not resumed.done:
                 resumed.step()

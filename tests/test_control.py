@@ -282,24 +282,42 @@ class TestDecisionLog:
 
 
 class TestEndToEndFaultInjection:
-    def test_failed_transfer_job_completes_on_source_with_reference_digest(self, tmp_path):
+    def cut_first_transfer(self, tmp_path):
+        """A sim job 10 iterations into its run on server1, after a migration
+        to server2 whose transfer failed on arrival."""
         config = harness.calibrate_from_table1()
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
         env.deploy_sort("j-fault", 40, 9, start_on="server1")
         for _ in range(10):
             env.route(env.nodes["server1"].run_iteration("j-fault"))
+        target = env.nodes["server2"]
 
-        def boom(source, job_id, target):
-            raise harness.SimFault("wire cut")
+        def cut(payload):  # fails once; then the node's own method serves again
+            del target.resume_from_bundle
+            raise ConnectionResetError("wire cut")
 
-        env.transport.fault_hook = boom
+        target.resume_from_bundle = cut
         with pytest.raises(TransferFailed):
             env.supervisory.migrate("j-fault", "server2")
-        env.transport.fault_hook = None
 
         entry = env.supervisory.jobs["j-fault"]
         assert entry.status is JobStatus.RUNNING
         assert entry.current_provider == "server1"
+        return env
+
+    def test_failed_transfer_job_completes_on_source_with_reference_digest(self, tmp_path):
+        env = self.cut_first_transfer(tmp_path)
         result = env.run_job("j-fault")
+        assert result["digest"] == harness.reference_digest(40, 9)
+        env.step_log.assert_single_ownership("j-fault")
+
+    def test_migration_retried_after_a_failed_transfer_lands(self, tmp_path):
+        env = self.cut_first_transfer(tmp_path)
+        for _ in range(4):
+            env.route(env.nodes["server1"].run_iteration("j-fault"))
+        record = env.supervisory.migrate("j-fault", "server2")
+        assert record.iterations_before == 14
+        result = env.run_job("j-fault")
+        assert result["provider_id"] == "server2"
         assert result["digest"] == harness.reference_digest(40, 9)
         env.step_log.assert_single_ownership("j-fault")

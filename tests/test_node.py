@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from jobmig import checkpoint as cp
 from jobmig import node as nd
 from jobmig import workload
+from jobmig.control import TransferFailed
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import DEFAULT_TEST_SLA, wait_until
+from conftest import DEFAULT_TEST_SLA, images_of, wait_until
 
 
 def read_back(data: bytes) -> tuple[int, bytes]:
@@ -101,7 +102,7 @@ class TestSimExecution:
         runtime.submit_job("j1", "sort", {"n": 500, "seed": 42})
         msgs = run_to_completion(runtime, "j1")
         assert runtime.clock.now_ms() == 57306
-        result = dict(msgs)["result_return"]
+        result = dict(msgs)[nd.MSG_RESULT_RETURN]
         assert result["exec_ms"] == 57306
         assert result["iterations_done"] == 500
 
@@ -165,7 +166,7 @@ class TestSimExecution:
         notices = []
         for _ in range(12):
             notices.extend(m for m in runtime.run_iteration("j1")
-                           if m[0] == "withdraw_notice")
+                           if m[0] == nd.MSG_WITHDRAW_NOTICE)
         assert len(notices) == 1
         assert notices[0][1]["provider_id"] == "sim1"
 
@@ -179,9 +180,10 @@ class TestSimExecution:
         sla = ServiceLevelAgreement(min_throughput=1000.0, window_k=2, sample_period_ms=200)
         runtime = sim_runtime(tmp_path, cost=Fraction(100))
         runtime.submit_job("j1", "sort", {"n": 50, "seed": 4}, sla=sla)
-        reports = [m[1] for m in run_to_completion(runtime, "j1") if m[0] == "monitor_report"]
+        reports = [m[1] for m in run_to_completion(runtime, "j1")
+                   if m[0] == nd.MSG_MONITOR_REPORT]
         assert reports
-        assert all(r.kind is ReportKind.THROUGHPUT_VIOLATION for r in reports)
+        assert all(ReportKind(r["kind"]) is ReportKind.THROUGHPUT_VIOLATION for r in reports)
 
     def test_updated_sla_governs_later_samples(self, tmp_path):
         runtime = sim_runtime(tmp_path, cost=Fraction(100))
@@ -191,7 +193,8 @@ class TestSimExecution:
         # 1 iteration per 100 virtual ms misses a floor of 1000 iterations/s
         runtime.update_sla("j1", ServiceLevelAgreement(min_throughput=1000.0, window_k=2,
                                                        sample_period_ms=200))
-        reports = [m[1] for m in run_to_completion(runtime, "j1") if m[0] == "monitor_report"]
+        reports = [m[1] for m in run_to_completion(runtime, "j1")
+                   if m[0] == nd.MSG_MONITOR_REPORT]
         assert reports
 
 
@@ -228,7 +231,7 @@ class TestTransfer:
     def test_corrupted_bundle_leaves_node_unchanged(self, tmp_path):
         bundle, _ = self.migrate_bundle(tmp_path, n=50, until=10)
         corrupted = bytearray(bundle)
-        corrupted[15] ^= 0x01
+        corrupted[4 + int.from_bytes(bundle[:4], "big") + 15] ^= 0x01  # the record's seq
         target = sim_runtime(tmp_path / "t")
         with pytest.raises(cp.CodecError):
             target.resume_from_bundle(bytes(corrupted))
@@ -252,20 +255,20 @@ class TestTransfer:
 
     def test_incremental_first_bundle_rejected(self, tmp_path):
         state = workload.init_sort(5, 1, job_id="x").state
-        inc = cp.capture_incremental(state, state.copy(), 1)
+        inc = cp.capture_incremental(state, images_of(state), 1)
         target = sim_runtime(tmp_path / "t")
         with pytest.raises(cp.LineageBroken):
-            target.resume_from_bundle(cp.encode(inc))
+            target.resume_from_bundle(transfer_payload(cp.encode(inc)))
 
     def test_resume_of_completed_state_reports_result(self, tmp_path):
         task = workload.init_sort(5, 1, job_id="done1")
         while not task.done:
             task.step()
-        bundle = cp.encode(cp.capture_full(task.state, 0))
+        bundle = transfer_payload(cp.encode(cp.capture_full(task.state, 0)))
         target = sim_runtime(tmp_path / "t")
         target.resume_from_bundle(bundle)
         msgs = target.run_iteration("done1")
-        assert msgs[0][0] == "result_return"
+        assert msgs[0][0] == nd.MSG_RESULT_RETURN
         assert msgs[0][1]["digest"] == _reference_digest(5, 1)
         assert target.job("done1").status == nd.ST_DONE
 
@@ -282,6 +285,30 @@ class TestTransfer:
         run_to_completion(source, "ja")
         assert entry.task.digest() == _reference_digest(30, 6)
 
+    def test_hand_off_after_a_failed_send(self, tmp_path):
+        source = sim_runtime(tmp_path)
+        source.submit_job("jr", "sort", {"n": 60, "seed": 8}, checkpoint_interval=2)
+        for _ in range(10):
+            source.run_iteration("jr")
+
+        def cut(payload):
+            raise ConnectionResetError("wire cut")
+
+        with pytest.raises(TransferFailed):
+            source.hand_off("jr", cut)
+        for _ in range(4):
+            source.run_iteration("jr")
+        target = sim_runtime(tmp_path / "t")
+        info, ack = source.hand_off("jr", target.resume_from_bundle)
+        assert info["iterations_before"] == ack["resumed_at_iteration"] == 14
+        run_to_completion(target, "jr")
+        assert target.job("jr").task.digest() == _reference_digest(60, 8)
+
+
+def transfer_payload(bundle: bytes, settings: bytes = b"{}") -> bytes:
+    """A CHECKPOINT_TRANSFER payload: settings length, settings JSON, record bundle."""
+    return struct.pack(">I", len(settings)) + settings + bundle
+
 
 def forged_bundle(iteration, done):
     """A well-formed transfer of a sort at iteration 10 of 50 whose counter and
@@ -291,7 +318,7 @@ def forged_bundle(iteration, done):
         task.step()
     task.state.fields[workload.FIELD_ITER] = iteration
     task.state.fields[workload.FIELD_DONE] = done
-    return cp.encode(cp.capture_full(task.state, 0))
+    return transfer_payload(cp.encode(cp.capture_full(task.state, 0)))
 
 
 def _reference_digest(n, seed):
@@ -299,6 +326,10 @@ def _reference_digest(n, seed):
     while not task.done:
         task.step()
     return task.digest()
+
+
+BAD_TRAILER_BUNDLE = cp.encode(cp.capture_full(workload.init_sort(30, 4, job_id="bad-trailer")
+                                               .state, 0))
 
 
 def send_request(address, msg_type, payload, timeout=10.0):
@@ -315,7 +346,7 @@ class TestDaemon:
         assert msg_type == nd.MSG_ACK
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert int(body["digest"], 16) == _reference_digest(40, 5)
+        assert body["digest"] == _reference_digest(40, 5)
         assert body["iterations_done"] == 40
 
     def test_two_concurrent_jobs_progress_independently(self, daemon, listener):
@@ -327,7 +358,7 @@ class TestDaemon:
         results = {}
         for _ in range(2):
             _, body = listener.events.get(timeout=10)
-            results[body["job_id"]] = int(body["digest"], 16)
+            results[body["job_id"]] = body["digest"]
         assert results == {"c1": _reference_digest(200, 1), "c2": _reference_digest(150, 2)}
 
     def test_transfer_over_the_wire(self, daemon, tmp_path, listener):
@@ -343,7 +374,7 @@ class TestDaemon:
         assert nd.parse_json(payload)["resumed_at_iteration"] == 20
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert int(body["digest"], 16) == _reference_digest(60, 9)
+        assert body["digest"] == _reference_digest(60, 9)
 
     def test_migrated_job_keeps_its_settings(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src")
@@ -367,31 +398,18 @@ class TestDaemon:
         # the daemon has no supervisor: the result can only come back through reply_to
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert int(body["digest"], 16) == _reference_digest(60, 9)
+        assert body["digest"] == _reference_digest(60, 9)
         iterations = [dict((d.field_id, d.new_value) for d in r.deltas)[workload.FIELD_ITER]
                       for r in daemon.runtime.store.load("ks")]
         assert iterations == [20, 28, 36, 44, 52]
 
-    def test_bare_bundle_resumes_with_default_settings(self, daemon, listener):
-        task = workload.init_sort(30, 4, job_id="bare")
-        for _ in range(10):
-            task.step()
-        daemon.supervisor = listener.address
-        msg_type, _ = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
-                                   cp.encode(cp.capture_full(task.state, 0)))
-        assert msg_type == nd.MSG_ACK
-        entry = daemon.runtime.job("bare")
-        assert (entry.sla, entry.checkpoint_interval, entry.reply_to) == (None, 16, None)
-        kind, body = listener.events.get(timeout=10)
-        assert kind == nd.MSG_RESULT_RETURN
-        assert int(body["digest"], 16) == _reference_digest(30, 4)
-
-    @pytest.mark.parametrize("trailer", [
+    @pytest.mark.parametrize("payload", [pytest.param(transfer_payload(BAD_TRAILER_BUNDLE, s),
+                                                      id=s.decode()) for s in (
         b"{not json", b"[8]", b'{"checkpoint_interval": "8"}', b'{"checkpoint_interval": 0}',
-        b'{"sla": {"window_k": 3}}', b'{"sla": {"min_throughput": -1}}', b'{"reply_to": 7}'])
-    def test_malformed_trailer_yields_typed_error(self, daemon, trailer):
-        task = workload.init_sort(30, 4, job_id="bad-trailer")
-        payload = cp.encode(cp.capture_full(task.state, 0)) + trailer
+        b'{"sla": {"window_k": 3}}', b'{"sla": {"min_throughput": -1}}', b'{"reply_to": 7}')] + [
+        pytest.param(b"\x00\x00\x02", id="under-4-bytes"),
+        pytest.param(transfer_payload(BAD_TRAILER_BUNDLE)[:5], id="settings-past-the-end")])
+    def test_malformed_trailer_yields_typed_error(self, daemon, payload):
         msg_type, reply = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, payload)
         assert msg_type == nd.MSG_ERROR
         assert nd.parse_json(reply)["error"] == "MalformedPayload"
@@ -414,7 +432,7 @@ class TestDaemon:
             assert runtime.job("g").task.iterations_done == 25
             kinds = [listener.events.get(timeout=10) for _ in range(2)]
             assert [k for k, _ in kinds] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
-            assert int(kinds[1][1]["digest"], 16) == _reference_digest(60, 3)
+            assert kinds[1][1]["digest"] == _reference_digest(60, 3)
             assert "EVENT park_expired job=g iteration=25" in events
         finally:
             d.stop()
@@ -450,7 +468,7 @@ class TestDaemon:
 
     def test_corrupt_transfer_yields_typed_error(self, daemon):
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER,
-                                         b"MAF1" + b"\x00" * 20)
+                                         transfer_payload(b"MAF1" + b"\x00" * 20))
         assert msg_type == nd.MSG_ERROR
         assert nd.parse_json(payload)["error"] in ("Truncated", "ChecksumFailure",
                                                    "MalformedRecord", "BadMagic")
