@@ -3,16 +3,16 @@
 The supervisory agent deploys jobs through the broker, keeps the per-job
 candidate provider list, and turns performance reports into decisions:
 continue, reschedule to another provider, or renegotiate the SLA. A
-migration carries the job's checkpointed state to the new provider.
+migration carries the job's checkpointed state to the new provider. Each
+decision goes to its ``emit`` as a timeline row ``{"t", "event": "decision",
+"job_id", "provider", "report_kind", "decision", "detail"}``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from .broker import (
     JobRequirementList,
@@ -109,34 +109,8 @@ RENEGOTIATE_FACTOR = 0.8
 
 class Transport(Protocol):
     def submit(self, provider_id: str, job_spec: dict) -> None: ...
-    def migrate(self, source_id: str, job_id: str, target_id: str) -> "MigrationOutcome": ...
+    def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationRecord: ...
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None: ...
-
-
-@dataclass(frozen=True)
-class MigrationOutcome:
-    """What the source side reports once the transfer is acknowledged."""
-
-    iterations_before: int
-    time_on_source_ms: Any
-    overhead_ms: Any
-
-
-class DecisionLog:
-    """Append-only JSON-lines record of every control decision."""
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def append(self, ts, job_id: str, report_kind: str, decision: str, detail: str) -> None:
-        if self.path is None:
-            return
-        entry = {"ts": float(ts), "job_id": job_id, "report_kind": report_kind,
-                 "decision": decision, "detail": detail}
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -181,13 +155,20 @@ class SupervisoryAgent:
     orchestrates migrations through the transport."""
 
     def __init__(self, broker: ResourceBroker, hub: MonitorHub, transport: Transport,
-                 clock=None, decision_log: DecisionLog | None = None):
+                 clock=None, emit: Callable[[dict], None] | None = None):
         self.broker = broker
         self.hub = hub
         self.transport = transport
         self.clock = clock or (lambda: 0)
-        self.log = decision_log or DecisionLog(None)
+        self.emit = emit or (lambda row: None)
         self.jobs: dict[str, JobEntry] = {}
+
+    def _record(self, job_id: str, report_kind: str, decision: str, detail: str,
+                t=None) -> None:
+        """One decision row, stamped now unless ``t`` is given."""
+        self.emit({"t": self.clock() if t is None else t, "event": "decision",
+                   "job_id": job_id, "provider": self.jobs[job_id].current_provider,
+                   "report_kind": report_kind, "decision": decision, "detail": detail})
 
     # -- deployment ---------------------------------------------------------
 
@@ -209,13 +190,14 @@ class SupervisoryAgent:
         spec = {"job_id": jrl.job_id, "task_kind": task_kind, "params": params,
                 "sla": jrl.sla.to_dict(), "checkpoint_interval": checkpoint_interval,
                 "reply_to": reply_to}
+        t = self.clock()  # the job's timeline starts before its node can step it
         self.transport.submit(chosen, spec)
         self.jobs[jrl.job_id] = JobEntry(
             jrl=jrl, sla=jrl.sla, current_provider=chosen, candidates=result,
             status=JobStatus.RUNNING)
         self.hub.track(jrl.job_id, chosen)
-        self.log.append(self.clock(), jrl.job_id, "deploy", "submit",
-                        f"provider={chosen} candidates={list(result.provider_ids)}")
+        self._record(jrl.job_id, "deploy", "submit",
+                     f"provider={chosen} candidates={list(result.provider_ids)}", t)
         return jrl.job_id
 
     # -- report handling ----------------------------------------------------
@@ -262,9 +244,8 @@ class SupervisoryAgent:
         """Decide and apply: migrate, record the new SLA, or fail the job."""
         decision = self.decide(report)
         entry = self.jobs[report.job_id]
-        self.log.append(self.clock(), report.job_id, report.kind.value,
-                        decision.action.value,
-                        decision.reason + (f" target={decision.target}" if decision.target else ""))
+        self._record(report.job_id, report.kind.value, decision.action.value,
+                     decision.reason + (f" target={decision.target}" if decision.target else ""))
         if decision.action is DecisionAction.RESCHEDULE:
             self.migrate(report.job_id, decision.target)
         elif decision.action is DecisionAction.RENEGOTIATE_SLA:
@@ -299,7 +280,7 @@ class SupervisoryAgent:
 
         entry.status = JobStatus.MIGRATING
         try:
-            outcome = self.transport.migrate(source, job_id, to_provider)
+            record = self.transport.migrate(source, job_id, to_provider)
         except TransferFailed:
             entry.status = JobStatus.RUNNING
             raise
@@ -307,13 +288,9 @@ class SupervisoryAgent:
         entry.current_provider = to_provider
         entry.excluded.add(source)
         self.hub.track(job_id, to_provider)
-        record = MigrationRecord(job_id=job_id, from_provider=source, to_provider=to_provider,
-                                 iterations_before=outcome.iterations_before,
-                                 time_on_source_ms=outcome.time_on_source_ms,
-                                 overhead_ms=outcome.overhead_ms)
         entry.migrations.append(record)
-        self.log.append(self.clock(), job_id, "migrate", "transfer",
-                        f"{source}->{to_provider} after {outcome.iterations_before} iterations")
+        self._record(job_id, "migrate", "transfer",
+                     f"{source}->{to_provider} after {record.iterations_before} iterations")
         return record
 
     # -- completion ---------------------------------------------------------
@@ -326,5 +303,4 @@ class SupervisoryAgent:
         if entry.migrations and entry.migrations[-1].time_on_target_ms is None:
             entry.migrations[-1].finalize(exec_ms)
         self.hub.untrack(job_id)
-        self.log.append(self.clock(), job_id, "result", "done",
-                        f"digest={digest:016x} iterations={iterations}")
+        self._record(job_id, "result", "done", f"digest={digest:016x} iterations={iterations}")

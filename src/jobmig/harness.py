@@ -5,6 +5,11 @@ same provider, migrates to a second one when the first withdraws, and finishes
 there. Rows carry the benchmark accounting columns, and in sim mode the
 identity ``scenario2_total = time_source + time_target + overhead`` holds
 exactly. The sim cost model is calibrated from the table1 baseline rows.
+
+Both modes record a run on one ``Timeline``: the nodes' rows and the
+supervisor's decision rows, each ``{"t", "event", "job_id", "provider", ...}``
+with ``t`` in ms, virtual and exact in sim, ``time.monotonic_ns()/1e6`` in
+wall. Its ``steps`` rows show which provider ran each iteration.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ from .broker import (
     template_from_dict,
 )
 from .control import (
-    DecisionLog,
     JobStatus,
-    MigrationOutcome,
     MigrationRecord,
     SubmitTimeout,
     SupervisoryAgent,
@@ -56,6 +59,7 @@ from .node import (
     NodeRuntime,
     UnsupportedMessage,
     VirtualClock,
+    WallClock,
     job_settings,
     json_payload,
     parse_json,
@@ -67,29 +71,7 @@ class HarnessError(Exception):
     pass
 
 
-# -- table1 baseline ------------------------------------------------------------
-# Reference measurements (milliseconds) used for calibration defaults and as
-# regression fixtures. Every row satisfies
-# time_source + time_target + overhead == scenario2_total exactly.
-
-@dataclass(frozen=True)
-class BaselineRow:
-    n: int
-    scenario1_total_ms: int
-    scenario2_total_ms: int
-    iterations_before: int
-    time_source_ms: int
-    time_target_ms: int
-    overhead_ms: int
-
-
-TABLE1_BASELINE: tuple[BaselineRow, ...] = (
-    BaselineRow(500, 57306, 56422, 249, 27381, 25421, 3620),
-    BaselineRow(1000, 111686, 104896, 516, 56805, 43371, 4720),
-    BaselineRow(1500, 171436, 159883, 764, 84056, 70002, 5825),
-    BaselineRow(2000, 217751, 212264, 1050, 115500, 89811, 6953),
-    BaselineRow(2500, 276016, 270604, 1298, 142882, 119944, 7778),
-)
+# -- testbed defaults and calibration -----------------------------------------
 
 SOURCE_PROVIDER = "server1"
 TARGET_PROVIDER = "server2"
@@ -203,6 +185,18 @@ class ScenarioRow:
                 format_ms(self.overhead_ms)]
 
 
+# Reference measurements (milliseconds) used for calibration defaults and as
+# regression fixtures. Every row satisfies
+# time_source + time_target + overhead == scenario2_total exactly.
+TABLE1_BASELINE: tuple[ScenarioRow, ...] = (
+    ScenarioRow(500, 57306, 56422, 249, 27381, 25421, 3620),
+    ScenarioRow(1000, 111686, 104896, 516, 56805, 43371, 4720),
+    ScenarioRow(1500, 171436, 159883, 764, 84056, 70002, 5825),
+    ScenarioRow(2000, 217751, 212264, 1050, 115500, 89811, 6953),
+    ScenarioRow(2500, 276016, 270604, 1298, 142882, 119944, 7778),
+)
+
+
 def format_ms(value) -> str:
     if value is None:
         return ""
@@ -236,19 +230,30 @@ def emit_table(rows: Sequence[ScenarioRow], out_path: str | Path | None = None) 
     return csv_text, aligned
 
 
-# -- step ownership log ------------------------------------------------------------
+# -- the job timeline ----------------------------------------------------------------
 
-class StepLog:
-    """Global record of every executed iteration: (provider, job, iteration)."""
+class Timeline:
+    """Every row the nodes and the supervisor emit, in arrival order; decision
+    rows also go to ``decision_log`` as JSON lines."""
 
-    def __init__(self):
-        self.entries: list[tuple[str, str, int]] = []
+    def __init__(self, decision_log: str | Path | None = None):
+        self.rows: list[dict] = []
+        self.decision_log = Path(decision_log) if decision_log is not None else None
+        if self.decision_log is not None:
+            self.decision_log.parent.mkdir(parents=True, exist_ok=True)
 
-    def record(self, provider_id: str, job_id: str, iteration: int) -> None:
-        self.entries.append((provider_id, job_id, iteration))
+    def emit(self, row: dict) -> None:
+        decision = row["event"] == "decision"  # a dict that is no row raises before it is kept
+        self.rows.append(row)
+        if decision and self.decision_log is not None:
+            with self.decision_log.open("a") as fh:
+                fh.write(json.dumps(row, sort_keys=True, default=float) + "\n")
 
     def for_job(self, job_id: str) -> list[tuple[str, int]]:
-        return [(p, i) for p, j, i in self.entries if j == job_id]
+        """(provider, iteration) for each iteration the job ran, from its steps rows by time."""
+        steps = sorted((r for r in self.rows if r["job_id"] == job_id and r["event"] == "steps"),
+                       key=lambda r: r["t"])
+        return [(r["provider"], i) for r in steps for i in range(r["first"], r["end"])]
 
     def assert_single_ownership(self, job_id: str) -> None:
         """Every iteration ran exactly once, in order, with no provider interleaving."""
@@ -274,7 +279,7 @@ class ScenarioOutcome:
     digest: int
     iterations: int
     migration: MigrationRecord | None = None
-    step_log: StepLog | None = None
+    step_log: Timeline | None = None
     detail: dict = field(default_factory=dict)
 
 
@@ -283,7 +288,6 @@ class Environment:
     agent. Subclasses add ``run_job`` (a deployed job to its result); in both
     modes node messages reach the hub and the supervisor through ``route``."""
 
-    step_log: StepLog | None = None  # who ran each iteration, where the mode records it
     reply_to: str | None = None  # where nodes send results; None means their supervisor
 
     def __init__(self, broker: ResourceBroker, transport, clock, sla: ServiceLevelAgreement,
@@ -291,8 +295,9 @@ class Environment:
         self.broker = broker
         self.hub = MonitorHub(broker)
         self.transport = transport
+        self.step_log = Timeline(decision_log)  # the run's timeline, under the benchmark's name
         self.supervisory = SupervisoryAgent(broker, self.hub, transport, clock=clock,
-                                            decision_log=DecisionLog(decision_log))
+                                            emit=self.step_log.emit)
         self.sla = sla
         self.checkpoint_interval = checkpoint_interval
         self.results: dict[str, dict] = {}
@@ -308,8 +313,8 @@ class Environment:
 
     @property
     def migrate_detail(self) -> dict:
-        """Transfer and restore times of the last migration, where the transport measures them."""
-        return {}
+        """Transfer and restore times (real ms) of the last migration."""
+        return self.transport.last_detail
 
     def deploy_sort(self, job_id: str, n: int, seed: int, start_on: str | None = None) -> str:
         jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=DEFAULT_MIN_CPU_MHZ,
@@ -350,12 +355,13 @@ class SimTransport:
 
     def __init__(self, env: "SimEnvironment"):
         self.env = env
+        self.last_detail: dict = {}
 
     def submit(self, provider_id: str, job_spec: dict) -> None:
         self.env.nodes[provider_id].submit_job(job_spec["job_id"], job_spec["task_kind"],
                                                job_spec["params"], **job_settings(job_spec))
 
-    def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationOutcome:
+    def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationRecord:
         env = self.env
         source = env.nodes[source_id]
         overhead = env.config.overhead_ms(source.job(job_id).task.total_iterations)
@@ -366,10 +372,10 @@ class SimTransport:
             env.clock.advance(overhead)
             return ack
 
-        info, _ = source.hand_off(job_id, send)
-        return MigrationOutcome(iterations_before=info["iterations_before"],
-                                time_on_source_ms=info["time_on_source_ms"],
-                                overhead_ms=overhead)
+        info, ack = source.hand_off(job_id, send)
+        self.last_detail = {"transfer_ms": info["transfer_ms"], "restore_ms": ack["restore_ms"]}
+        return MigrationRecord(job_id, source_id, target_id, info["iterations_before"],
+                               info["time_on_source_ms"], overhead_ms=overhead)
 
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None:
         self.env.nodes[provider_id].update_sla(job_id, sla)
@@ -382,23 +388,20 @@ class SimEnvironment(Environment):
                  workdir: str | Path, sla: ServiceLevelAgreement = DEFAULT_SIM_SLA,
                  checkpoint_interval: int = 16,
                  withdraw_at: dict[str, int] | None = None,
-                 decision_log: str | Path | None = None, tune: bool = False):
+                 decision_log: str | Path | None = None):
         self.config = config
         self.clock = VirtualClock()
-        self.step_log = StepLog()
         self.nodes: dict[str, NodeRuntime] = {}
-        broker = ResourceBroker()
+        super().__init__(ResourceBroker(), SimTransport(self), self.clock.now_ms, sla,
+                         checkpoint_interval, decision_log)
         withdraw_at = withdraw_at or {}
         for template in providers:
-            broker.register_provider(template)
+            self.broker.register_provider(template)
             self.nodes[template.provider_id] = NodeRuntime(
                 provider_id=template.provider_id, clock=self.clock,
                 store_dir=Path(workdir) / template.provider_id,
                 step_cost_ms=config.per_iteration_cost_ms / template.speed_factor,
-                withdraw_at=withdraw_at.get(template.provider_id),
-                tune_enabled=tune, on_step=self.step_log.record)
-        super().__init__(broker, SimTransport(self), self.clock.now_ms, sla,
-                         checkpoint_interval, decision_log)
+                withdraw_at=withdraw_at.get(template.provider_id), emit=self.step_log.emit)
 
     def run_job(self, job_id: str, max_steps: int | None = None) -> dict:
         """Step the job on whichever node holds it until its result. The clock
@@ -476,15 +479,15 @@ class WallTransport:
     def submit(self, provider_id: str, job_spec: dict) -> None:
         self._call(provider_id, MSG_JOB_SUBMIT, job_spec, SubmitTimeout)
 
-    def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationOutcome:
+    def migrate(self, source_id: str, job_id: str, target_id: str) -> MigrationRecord:
         body = self._call(source_id, MSG_MIGRATE_REQUEST,
                           {"job_id": job_id, "target_id": target_id,
                            "target_addr": self._addr(target_id)}, TransferFailed)
         self.last_detail = {"transfer_ms": body.get("transfer_ms"),
                             "restore_ms": body.get("restore_ms")}
-        return MigrationOutcome(iterations_before=int(body["iterations_before"]),
-                                time_on_source_ms=float(body["time_on_source_ms"]),
-                                overhead_ms=float(body["overhead_ms"]))
+        return MigrationRecord(job_id, source_id, target_id, int(body["iterations_before"]),
+                               float(body["time_on_source_ms"]),
+                               overhead_ms=float(body["overhead_ms"]))
 
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None:
         self._call(provider_id, MSG_SLA_UPDATE, {"job_id": job_id, "sla": sla.to_dict()},
@@ -509,14 +512,11 @@ class WallEnvironment(Environment):
         broker = ResourceBroker()
         self.listener = SupervisoryListener(broker)
         self.reply_to = self.listener.address
-        super().__init__(broker, WallTransport(broker), time.monotonic, sla,
+        super().__init__(broker, WallTransport(broker), WallClock().now_ms, sla,
                          checkpoint_interval, decision_log)
         self.procs: dict[str, subprocess.Popen] = {}
-        self.node_logs: dict[str, list[str]] = {}
-
-    @property
-    def migrate_detail(self) -> dict:
-        return self.transport.last_detail
+        self.node_logs: dict[str, list[str]] = {}  # what nodes print besides their rows
+        self.readers: list[threading.Thread] = []
 
     # -- process management --------------------------------------------------
 
@@ -550,11 +550,16 @@ class WallEnvironment(Environment):
                                 text=True, bufsize=1, env=env)
         self.procs[pid] = proc
         self.node_logs[pid] = []
-        threading.Thread(target=self._read_stdout, args=(pid, proc), daemon=True).start()
+        reader = threading.Thread(target=self._read_stdout, args=(pid, proc), daemon=True)
+        reader.start()
+        self.readers.append(reader)
 
     def _read_stdout(self, pid: str, proc: subprocess.Popen) -> None:
         for line in proc.stdout:
-            self.node_logs[pid].append(line.rstrip("\n"))
+            try:
+                self.step_log.emit(json.loads(line))
+            except (ValueError, TypeError, KeyError):  # not a row
+                self.node_logs[pid].append(line.rstrip("\n"))
 
     def dump_logs(self) -> str:
         chunks = []
@@ -572,6 +577,8 @@ class WallEnvironment(Environment):
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+        for reader in self.readers:  # every row a node printed reaches the timeline
+            reader.join(timeout=5)
         self.listener.stop()
 
     # -- orchestration --------------------------------------------------------
@@ -615,13 +622,15 @@ def _environment(mode: str, config: SimConfig,
 
 
 def _run(env: Environment, job_id: str, n: int, seed: int, start_on: str) -> dict:
-    """Deploy one sort job on ``start_on`` and run it to its result."""
+    """Deploy one sort job on ``start_on``, run it to its result, check single ownership."""
     try:
         env.start()
         env.deploy_sort(job_id, n, seed, start_on=start_on)
-        return env.run_job(job_id)
+        result = env.run_job(job_id)
     finally:
         env.stop()
+    env.step_log.assert_single_ownership(job_id)
+    return result
 
 
 def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str = "sim",
@@ -669,6 +678,9 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
         raise HarnessError(f"scenario2 completed without migrating\n{env.dump_logs()}".rstrip())
     record = entry.migrations[-1]
     record.check_identity()
+    rows = {(r["event"], r.get("decision")): r for r in env.step_log.rows if r["job_id"] == job_id}
+    e2e_ms = rows["result", None]["t"] - rows["decision", "submit"]["t"]
+    detail = {**env.migrate_detail, "e2e_ms": e2e_ms, "unattributed_ms": e2e_ms - record.total_ms}
     row = ScenarioRow(n=n, scenario2_total_ms=record.total_ms,
                       iterations_before=record.iterations_before,
                       time_source_ms=record.time_on_source_ms,
@@ -676,7 +688,7 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                       overhead_ms=record.overhead_ms)
     outcome = ScenarioOutcome(row=row, digest=result["digest"],
                               iterations=result["iterations_done"], migration=record,
-                              step_log=env.step_log, detail=dict(env.migrate_detail))
+                              step_log=env.step_log, detail=detail)
     if include_scenario1:
         ref = run_scenario1(n, seed, provider=source, mode=mode, config=config,
                             providers=providers, sla=sla,
@@ -776,8 +788,7 @@ def main(argv: list[str] | None = None) -> int:
                                     workdir=args.workdir, decision_log=args.decision_log)
             rows = [outcome.row]
             print(f"digest={outcome.digest:016x}")
-            if outcome.detail:
-                print(f"detail={json.dumps(outcome.detail, sort_keys=True)}")
+            print(f"detail={json.dumps(outcome.detail, sort_keys=True, default=float)}")
         else:
             if args.mode != "sim":
                 raise HarnessError("table1 runs in sim mode only")

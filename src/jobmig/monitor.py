@@ -65,7 +65,7 @@ class ServiceLevelAgreement:
 class MonitorSample:
     provider_id: str
     job_id: str
-    timestamp_ms: Any  # int in wall mode, exact rational in sim mode
+    timestamp_ms: Any  # float in wall mode, exact rational in sim mode
     iterations_done: int
     # the job's real time on its node so far: checkpointing, and all its work
     checkpoint_us: int = 0

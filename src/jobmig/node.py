@@ -16,6 +16,12 @@ CHECKPOINT_TRANSFER carries a 4-byte big-endian length, that many bytes of
 the job's settings as JSON (``job_settings``), then a checkpoint record
 bundle. A node's messages to the supervisor are ``(MSG_*, body)`` pairs in
 both modes, with the body the wire carries as JSON.
+
+A node's timeline rows go to its ``emit``: ``{"t", "event", "job_id",
+"provider", ...}`` with ``t`` its clock in ms, for ``steps`` (``first``,
+``end``: the job stopped running here), ``resume``, ``transfer``, ``result``,
+``withdraw``, ``park_expired``, ``failed`` and ``send_failed``. The daemon's
+CLI prints each row as one JSON line on stdout.
 """
 
 from __future__ import annotations
@@ -268,13 +274,10 @@ def job_settings(obj: dict) -> dict:
 # -- clocks -------------------------------------------------------------------
 
 class WallClock:
-    """Monotonic milliseconds since construction."""
+    """Monotonic milliseconds, on one axis for every process on the host."""
 
-    def __init__(self):
-        self._t0 = time.monotonic_ns()
-
-    def now_ms(self) -> int:
-        return (time.monotonic_ns() - self._t0) // 1_000_000
+    def now_ms(self) -> float:
+        return time.monotonic_ns() / 1e6
 
 
 class VirtualClock:
@@ -334,6 +337,7 @@ class JobExecution:
     proceed_evt: threading.Event = field(default_factory=threading.Event)
     # the job's iteration when this node admitted it
     first_iteration: int = field(default=0, init=False)
+    steps_from: int = field(default=0, init=False)  # the first iteration of its next steps row
     # each field's value and bytes in the last record: what a capture diffs against
     images: ckpt.Images = field(default_factory=dict, init=False)
 
@@ -341,15 +345,14 @@ class JobExecution:
 class NodeRuntime:
     """Provider-side execution engine, independent of the transport."""
 
-    full_every = FULL_EVERY
-
     def __init__(self, provider_id: str, clock, store_dir: str | Path,
                  step_cost_ms: Fraction | None = None,
                  withdraw_at: int | None = None,
                  tune_enabled: bool = False,
-                 on_step: Callable[[str, str, int], None] | None = None):
+                 emit: Callable[[dict], None] | None = None):
         """``step_cost_ms`` is the modeled cost of one step, charged to the
-        (virtual) clock; None means each step costs its measured wall time."""
+        (virtual) clock; None means each step costs its measured wall time.
+        ``emit`` receives the node's timeline rows."""
         if withdraw_at is not None and withdraw_at < 1:
             raise ValueError("withdraw_at must be >= 1")
         self.provider_id = provider_id
@@ -357,12 +360,17 @@ class NodeRuntime:
         self.step_cost_ms = step_cost_ms
         self.withdraw_at = withdraw_at
         self.tune_enabled = tune_enabled
-        self.on_step = on_step
+        self.emit = emit or (lambda row: None)
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
         self.jobs: dict[str, JobExecution] = {}
         self._withdrawn = False
         self._lock = threading.RLock()
+
+    def record(self, event: str, job_id: str, **fields) -> None:
+        """Emit one timeline row about a job on this node, stamped with the clock."""
+        self.emit({"t": self.clock.now_ms(), "event": event, "job_id": job_id,
+                   "provider": self.provider_id, **fields})
 
     # -- job admission ------------------------------------------------------
 
@@ -397,6 +405,7 @@ class NodeRuntime:
         task = workload.from_state(state)
         self._admit(JobExecution(job_id=state.job_id, task=task,
                                  seq_next=records[-1].seq + 1, **settings))
+        self.record("resume", state.job_id, iteration=task.iterations_done)
         restore_ms = (time.perf_counter_ns() - t0) / 1e6
         return {"ok": True, "job_id": state.job_id, "provider_id": self.provider_id,
                 "resumed_at_iteration": task.iterations_done, "restore_ms": restore_ms}
@@ -408,7 +417,7 @@ class NodeRuntime:
             if entry.job_id in self.jobs:
                 raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
             self.jobs[entry.job_id] = entry
-        entry.first_iteration = entry.task.iterations_done
+        entry.first_iteration = entry.steps_from = entry.task.iterations_done
         # initial full snapshot persists before any step runs
         self._capture(entry)
         if entry.sla is not None:
@@ -433,7 +442,7 @@ class NodeRuntime:
     def _capture(self, entry: JobExecution, full: bool = False) -> ckpt.CheckpointRecord:
         t0 = time.perf_counter_ns()
         state = entry.task.state
-        if full or len(entry.lineage) % self.full_every == 0:
+        if full or len(entry.lineage) % FULL_EVERY == 0:
             record = ckpt.capture_full(state, entry.seq_next, entry.images)
             entry.lineage = [record]
         else:
@@ -470,8 +479,6 @@ class NodeRuntime:
             else:
                 entry.step_ns += time.perf_counter_ns() - t0
             iterations = entry.task.iterations_done
-            if self.on_step is not None:
-                self.on_step(self.provider_id, job_id, iterations - 1)
 
             entry.since_checkpoint += 1
             if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
@@ -502,20 +509,28 @@ class NodeRuntime:
                 self._park(entry)
             return msgs
 
+    def stop_running(self, entry: JobExecution, status: str) -> None:
+        """The job stops running here: a steps row covers its iterations since it last started."""
+        entry.status = status
+        self.record("steps", entry.job_id, first=entry.steps_from,
+                    end=entry.task.iterations_done)
+        entry.steps_from = entry.task.iterations_done
+
     def _park(self, entry: JobExecution) -> None:
         if entry.status == ST_RUNNING:
-            entry.status = ST_QUIESCED
+            self.stop_running(entry, ST_QUIESCED)
             entry.proceed_evt.clear()
             if entry.since_checkpoint:
                 self._capture(entry)
 
     def _complete(self, entry: JobExecution) -> tuple[int, dict]:
-        entry.status = ST_DONE
+        self.stop_running(entry, ST_DONE)
         self.analyzer.reset(entry.job_id)
+        digest, iterations = entry.task.digest(), entry.task.iterations_done
+        self.record("result", entry.job_id, iteration=iterations, digest=digest)
         return (MSG_RESULT_RETURN, {
             "job_id": entry.job_id, "provider_id": self.provider_id,
-            "digest": entry.task.digest(), "iterations_done": entry.task.iterations_done,
-            "exec_ms": self._exec_ms(entry)})
+            "digest": digest, "iterations_done": iterations, "exec_ms": self._exec_ms(entry)})
 
     def _exec_ms(self, entry: JobExecution):
         """The job's time on this node: its steps at the modeled cost, or as measured."""
@@ -583,6 +598,7 @@ class NodeRuntime:
         entry = self.job(job_id)
         entry.status = ST_TOMBSTONED
         self.analyzer.reset(job_id)
+        self.record("transfer", job_id, iteration=entry.task.iterations_done)
         entry.proceed_evt.set()
 
     # -- withdrawal -----------------------------------------------------------
@@ -596,6 +612,8 @@ class NodeRuntime:
             self._withdrawn = True
             for entry in self.jobs.values():
                 entry.quiesce_requested = True
+                if entry.status == ST_RUNNING:
+                    self.record("withdraw", entry.job_id, iteration=entry.task.iterations_done)
         return [(MSG_WITHDRAW_NOTICE, {"provider_id": self.provider_id,
                                        "at_ms": self.clock.now_ms()})]
 
@@ -606,19 +624,10 @@ class NodeDaemon(FrameServer):
     """Frame server wrapping a NodeRuntime, with one execution thread per job."""
 
     def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0",
-                 supervisor: str | None = None, quiet: bool = True):
+                 supervisor: str | None = None):
         super().__init__(listen)
         self.runtime = runtime
         self.supervisor = supervisor
-        self.quiet = quiet
-
-    def log(self, line: str) -> None:
-        if not self.quiet:
-            print(line, flush=True)
-
-    def start(self) -> None:
-        super().start()
-        self.log(f"EVENT ready provider={self.runtime.provider_id} address={self.address}")
 
     def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
         payload = json_payload(template_to_dict(template))
@@ -627,7 +636,6 @@ class NodeDaemon(FrameServer):
             try:
                 msg_type, _ = request(self.supervisor, MSG_REGISTER_PROVIDER, payload, timeout=5)
                 if msg_type == MSG_ACK:
-                    self.log(f"EVENT registered provider={self.runtime.provider_id}")
                     return
             except OSError as exc:
                 last = exc
@@ -647,9 +655,7 @@ class NodeDaemon(FrameServer):
 
         if msg_type == MSG_CHECKPOINT_TRANSFER:
             ack = self.runtime.resume_from_bundle(payload)
-            job_id = ack["job_id"]
-            self._start_exec(job_id)
-            self.log(f"EVENT resumed job={job_id} iteration={ack['resumed_at_iteration']}")
+            self._start_exec(ack["job_id"])
             return MSG_ACK, json_payload(ack)
 
         if msg_type == MSG_MIGRATE_REQUEST:
@@ -684,36 +690,30 @@ class NodeDaemon(FrameServer):
             except Exception as exc:
                 if entry.status == ST_TOMBSTONED:
                     return  # migrated away while this thread waited for its turn
-                entry.status = ST_FAILED
-                self.log(f"EVENT job_failed job={job_id} error={type(exc).__name__}")
-                self._send_upstream(MSG_RESULT_RETURN, {
+                rt.stop_running(entry, ST_FAILED)
+                rt.record("failed", job_id, error=type(exc).__name__)
+                self._dispatch(entry, [(MSG_RESULT_RETURN, {
                     "job_id": job_id, "provider_id": rt.provider_id,
-                    "failed": True, "error": type(exc).__name__}, entry.reply_to)
+                    "failed": True, "error": type(exc).__name__})])
                 return
             self._dispatch(entry, msgs)
             if entry.status == ST_QUIESCED and not entry.proceed_evt.wait(PARK_GRACE_S) \
                     and rt.abort_transfer(job_id):
-                self.log(f"EVENT park_expired job={job_id} iteration={entry.task.iterations_done}")
+                rt.record("park_expired", job_id, iteration=entry.task.iterations_done)
             if entry.status in (ST_DONE, ST_TOMBSTONED):
                 return
 
     def _dispatch(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> None:
+        """Send each message upstream: a result to the job's reply address, if it has one."""
         for msg_type, body in msgs:
-            if msg_type == MSG_WITHDRAW_NOTICE:
-                self.log(f"EVENT withdraw provider={self.runtime.provider_id}")
-            elif msg_type == MSG_RESULT_RETURN:
-                self.log(f"EVENT result job={body['job_id']} digest={body['digest']:016x}")
-            self._send_upstream(msg_type, body,
-                                entry.reply_to if msg_type == MSG_RESULT_RETURN else None)
-
-    def _send_upstream(self, msg_type: int, obj: dict, reply_to: str | None) -> None:
-        addr = reply_to or self.supervisor
-        if addr is None:
-            return
-        try:
-            request(addr, msg_type, json_payload(obj), timeout=10)
-        except (OSError, NodeError) as exc:
-            self.log(f"EVENT send_failed type={MSG_NAMES.get(msg_type)} error={exc}")
+            addr = (entry.reply_to if msg_type == MSG_RESULT_RETURN else None) or self.supervisor
+            if addr is None:
+                continue
+            try:
+                request(addr, msg_type, json_payload(body), timeout=10)
+            except (OSError, NodeError) as exc:
+                self.runtime.record("send_failed", entry.job_id,
+                                    message=MSG_NAMES.get(msg_type), error=str(exc))
 
     # -- migration, source side -------------------------------------------------
 
@@ -729,13 +729,9 @@ class NodeDaemon(FrameServer):
             return parse_json(reply)
 
         info, target_ack = self.runtime.hand_off(job_id, send)
-        self.log(f"EVENT transfer_ack job={job_id} iterations={info['iterations_before']}")
-        return {"ok": True, "job_id": job_id,
-                "iterations_before": info["iterations_before"],
-                "time_on_source_ms": float(info["time_on_source_ms"]),
-                "overhead_ms": info["transfer_ms"],
-                "restore_ms": target_ack.get("restore_ms", 0.0),
-                "transfer_ms": info["transfer_ms"]}
+        # info: iterations_before, time_on_source_ms (measured, so a float) and transfer_ms
+        return {"ok": True, "job_id": job_id, "overhead_ms": info["transfer_ms"],
+                "restore_ms": target_ack.get("restore_ms", 0.0), **info}
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -757,10 +753,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     data_dir = args.data_dir or tempfile.mkdtemp(prefix=f"jobmig-{args.id}-")
+    print_lock = threading.Lock()
+
+    def emit(row: dict) -> None:  # each timeline row is one JSON line on stdout
+        line = json.dumps(row, sort_keys=True)
+        with print_lock:
+            print(line, flush=True)
+
     runtime = NodeRuntime(provider_id=args.id, clock=WallClock(), store_dir=data_dir,
-                          withdraw_at=args.withdraw_at, tune_enabled=args.tune)
+                          withdraw_at=args.withdraw_at, tune_enabled=args.tune, emit=emit)
     try:
-        daemon = NodeDaemon(runtime, listen=args.listen, supervisor=args.supervisor, quiet=False)
+        daemon = NodeDaemon(runtime, listen=args.listen, supervisor=args.supervisor)
     except BindFailure as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1

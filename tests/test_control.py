@@ -6,10 +6,8 @@ from jobmig.broker import JobRequirementList, NoMatch, ResourceBroker, ResourceS
 from jobmig.control import (
     ControlError,
     DecisionAction,
-    DecisionLog,
     InvalidTarget,
     JobStatus,
-    MigrationOutcome,
     MigrationRecord,
     SupervisoryAgent,
     TransferFailed,
@@ -45,8 +43,8 @@ class RecordingTransport:
         if self.fail_transfer:
             raise TransferFailed("injected")
         self.migrations.append((source_id, job_id, target_id))
-        return MigrationOutcome(iterations_before=249, time_on_source_ms=27381,
-                                overhead_ms=3620)
+        return MigrationRecord(job_id, source_id, target_id, iterations_before=249,
+                               time_on_source_ms=27381, overhead_ms=3620)
 
     def update_sla(self, provider_id, job_id, sla):
         self.sla_updates.append((provider_id, job_id, sla))
@@ -257,8 +255,8 @@ class TestLocalTune:
         # checkpointing an N=1000 array every 16 steps costs far more than 5% of the
         # run time, so the tuner must raise the interval, never halve it to 1
         config = harness.calibrate_from_table1()
-        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
-                                     tune=True)
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.nodes["server1"].tune_enabled = True
         env.deploy_sort("tuned", 1000, 5, start_on="server1")
         result = env.run_job("tuned")
         node = env.nodes["server1"]
@@ -271,14 +269,14 @@ class TestDecisionLog:
     def test_jsonl_entries(self, tmp_path):
         path = tmp_path / "decisions.jsonl"
         agent, _ = make_agent()
-        agent.log = DecisionLog(path)
+        agent.emit = harness.Timeline(path).emit
         deploy(agent, start_on="server1")
         agent.hub.note_withdrawal("server1", now_ms=1)
         agent.on_report(withdrawal())
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert {e["decision"] for e in lines} >= {"submit", "reschedule", "transfer"}
-        assert all(set(e) == {"ts", "job_id", "report_kind", "decision", "detail"}
-                   for e in lines)
+        assert all(set(e) == {"t", "event", "job_id", "provider", "report_kind", "decision",
+                              "detail"} and e["event"] == "decision" for e in lines)
 
 
 class TestEndToEndFaultInjection:

@@ -129,6 +129,44 @@ class TestScenario2Sim:
             assert outcome.row.scenario2_total_ms < outcome.row.scenario1_total_ms
 
 
+class TestTimeline:
+    def timeline(self, *steps):
+        timeline = harness.Timeline()
+        for t, (provider, first, end) in enumerate(steps):
+            timeline.emit({"t": t, "event": "steps", "job_id": "j", "provider": provider,
+                           "first": first, "end": end})
+        return timeline
+
+    def test_consecutive_stretches_on_one_provider_then_another(self):
+        timeline = self.timeline(("server1", 0, 40), ("server1", 40, 60), ("server2", 60, 100))
+        timeline.assert_single_ownership("j")
+        assert timeline.for_job("j") == [("server1", i) for i in range(60)] \
+            + [("server2", i) for i in range(60, 100)]
+
+    @pytest.mark.parametrize("steps", [
+        pytest.param([("server1", 0, 40), ("server1", 40, 60), ("server2", 40, 60)],
+                     id="lost-ack-overlap"),
+        pytest.param([("server1", 0, 40), ("server2", 50, 100)], id="gap"),
+        pytest.param([("server1", 0, 40), ("server2", 40, 60), ("server1", 60, 100)],
+                     id="return-to-earlier-provider")])
+    def test_single_ownership_violations_raise(self, steps):
+        with pytest.raises(harness.HarnessError):
+            self.timeline(*steps).assert_single_ownership("j")
+
+    def test_rows_are_read_in_time_order(self):
+        timeline = harness.Timeline()
+        for t, first, end in ((5, 40, 80), (2, 0, 40)):  # arrival order differs from time order
+            timeline.emit({"t": t, "event": "steps", "job_id": "j", "provider": "server1",
+                           "first": first, "end": end})
+        timeline.assert_single_ownership("j")
+
+    def test_sim_end_to_end_is_fully_attributed(self, tmp_path):
+        outcome = harness.run_scenario2(120, 3, migrate_at=50, workdir=tmp_path,
+                                        include_scenario1=False)
+        assert outcome.detail["e2e_ms"] == outcome.row.scenario2_total_ms
+        assert outcome.detail["unattributed_ms"] == 0
+
+
 class TestViolationDrivenRescheduling:
     def test_slow_provider_triggers_migration_to_better_one(self, tmp_path):
         config = harness.calibrate_from_table1()
@@ -284,7 +322,68 @@ class TestWallMode:
         assert [e["decision"] for e in entries] == ["submit", "reschedule", "transfer", "done"]
         assert entries[2]["detail"] == "server1->server2 after 80 iterations"
 
+    def test_sim_and_wall_timelines_agree(self, tmp_path):
+        """Each writer (the supervisor, each node) emits the same rows in the same
+        order in both modes. Across writers only causal order is fixed in wall
+        mode: the target runs the job while the supervisor records the transfer."""
+        expected = [("submit", "server1", None, None, None),
+                    ("withdraw", "server1", None, None, 80),
+                    ("steps", "server1", 0, 80, None),
+                    ("reschedule", "server1", None, None, None),
+                    ("resume", "server2", None, None, 80),
+                    ("transfer", "server1", None, None, 80),
+                    ("transfer", "server2", None, None, None),
+                    ("steps", "server2", 80, 200, None),
+                    ("result", "server2", None, None, 200),
+                    ("done", "server2", None, None, None)]
+        timelines = {}
+        for mode in ("sim", "wall"):
+            outcome = harness.run_scenario2(200, 13, migrate_at=80, mode=mode,
+                                            workdir=tmp_path / mode, include_scenario1=False)
+            timelines[mode] = sorted(outcome.step_log.rows, key=lambda r: r["t"])
+        assert [timeline_key(r) for r in timelines["sim"]] == expected
+        assert writer_sequences(timelines["wall"]) == writer_sequences(timelines["sim"])
+
+        position = {timeline_key(r)[:2]: i for i, r in enumerate(timelines["wall"])}
+        assert position["submit", "server1"] < position["withdraw", "server1"] \
+            < position["reschedule", "server1"] < position["resume", "server2"] \
+            < position["transfer", "server1"] < position["transfer", "server2"]
+        assert position["result", "server2"] < position["done", "server2"]
+
+    def test_wall_sla_miss_migrates_then_finishes_on_the_target(self, tmp_path):
+        sla = ServiceLevelAgreement(min_throughput=1e9, window_k=1, sample_period_ms=5)
+        env = harness.WallEnvironment(harness.default_providers(), tmp_path, sla=sla)
+        try:
+            env.start()
+            env.deploy_sort("miss", 3000, 4, start_on="server1")
+            result = env.run_job("miss")
+        finally:
+            env.stop()
+        env.step_log.assert_single_ownership("miss")
+        assert result["provider_id"] == "server2"
+        assert result["digest"] == harness.reference_digest(3000, 4)
+        decisions = [r["decision"] for r in sorted(env.step_log.rows, key=lambda r: r["t"])
+                     if r["event"] == "decision"]
+        assert decisions[:3] == ["submit", "reschedule", "transfer"]
+        assert decisions[-1] == "done"
+        assert set(decisions[3:-1]) <= {"renegotiate_sla"}
+
     def test_wall_scenario1_digest(self, tmp_path):
         outcome = harness.run_scenario1(150, 8, mode="wall", workdir=tmp_path)
         assert outcome.digest == harness.reference_digest(150, 8)
         assert outcome.iterations == 150
+
+
+def timeline_key(row):
+    """What a row says, without its time: comparable across modes."""
+    return (row.get("decision", row["event"]), row["provider"], row.get("first"),
+            row.get("end"), row.get("iteration"))
+
+
+def writer_sequences(rows):
+    """The rows of each writer, the supervisor or one node, in the given order."""
+    sequences = {}
+    for row in rows:
+        writer = "supervisor" if row["event"] == "decision" else row["provider"]
+        sequences.setdefault(writer, []).append(timeline_key(row))
+    return sequences

@@ -149,9 +149,9 @@ class TestSimExecution:
             records = runtime.store.load("jc")
             assert abs(len(records) - math.ceil(n / interval)) <= 1
 
-    def test_full_record_every_mth_checkpoint(self, tmp_path):
+    def test_full_record_every_mth_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nd, "FULL_EVERY", 4)
         runtime = sim_runtime(tmp_path, cost=Fraction(1))
-        runtime.full_every = 4
         runtime.submit_job("jf", "sort", {"n": 40, "seed": 5}, checkpoint_interval=2)
         run_to_completion(runtime, "jf")
         records = runtime.store.load("jf")
@@ -418,11 +418,10 @@ class TestDaemon:
     def test_withdrawn_job_parks_then_resumes_after_grace(self, tmp_path, listener,
                                                          monkeypatch):
         monkeypatch.setattr(nd, "PARK_GRACE_S", 0.5)
+        rows = []
         runtime = nd.NodeRuntime(provider_id="g1", clock=nd.WallClock(),
-                                 store_dir=tmp_path / "g1", withdraw_at=25)
+                                 store_dir=tmp_path / "g1", withdraw_at=25, emit=rows.append)
         d = nd.NodeDaemon(runtime, supervisor=listener.address)
-        events = []
-        d.log = events.append
         d.start()
         try:
             spec = {"job_id": "g", "task_kind": "sort", "params": {"n": 60, "seed": 3}}
@@ -433,7 +432,8 @@ class TestDaemon:
             kinds = [listener.events.get(timeout=10) for _ in range(2)]
             assert [k for k, _ in kinds] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
             assert kinds[1][1]["digest"] == _reference_digest(60, 3)
-            assert "EVENT park_expired job=g iteration=25" in events
+            assert [(r["event"], r.get("iteration")) for r in rows if r["event"] != "steps"] \
+                == [("withdraw", 25), ("park_expired", 25), ("result", 60)]
         finally:
             d.stop()
 
