@@ -1,18 +1,18 @@
 """Resource broker: provider registry and job-to-provider matchmaking.
 
-Providers register capability templates; the broker keeps them in a
-specification table and matches job requirement lists against it, returning
-a deterministically ranked candidate list for the controller to pick from.
+Providers register capability templates; the broker keeps them in its
+registry and matches job requirement lists against it, returning a
+deterministically ranked candidate list for the controller to pick from.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .monitor import ServiceLevelAgreement
@@ -78,30 +78,6 @@ class JobRequirementList:
 
 
 @dataclass(frozen=True)
-class ResourceSpecTable:
-    """Snapshot of all registered templates, in insertion order."""
-
-    entries: tuple[ResourceSpecTemplate, ...]
-
-    def __post_init__(self):
-        ids = [t.provider_id for t in self.entries]
-        if len(ids) != len(set(ids)):
-            raise MalformedTemplate("duplicate provider_id in table")
-
-    def __iter__(self) -> Iterator[ResourceSpecTemplate]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, provider_id: str) -> ResourceSpecTemplate | None:
-        for t in self.entries:
-            if t.provider_id == provider_id:
-                return t
-        return None
-
-
-@dataclass(frozen=True)
 class MatchResult:
     """Eligible providers ranked by score, best first."""
 
@@ -127,7 +103,7 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _eligible(t: ResourceSpecTemplate, jrl: JobRequirementList) -> bool:
+def eligible(t: ResourceSpecTemplate, jrl: JobRequirementList) -> bool:
     return (t.available
             and t.cpu_mhz >= jrl.min_cpu_mhz
             and t.memory_mb >= jrl.min_memory_mb
@@ -138,25 +114,22 @@ def score(t: ResourceSpecTemplate, jrl: JobRequirementList) -> Fraction:
     return (Fraction(t.cpu_mhz, jrl.min_cpu_mhz) + Fraction(t.memory_mb, jrl.min_memory_mb)) / 2
 
 
-def match_job(jrl: JobRequirementList, rst: ResourceSpecTable) -> MatchResult:
+def match_job(jrl: JobRequirementList, templates: Iterable[ResourceSpecTemplate]) -> MatchResult:
     """Rank every provider satisfying all constraints; NoMatch if none do."""
-    scored = [(t.provider_id, score(t, jrl)) for t in rst if _eligible(t, jrl)]
+    scored = [(t.provider_id, score(t, jrl)) for t in templates if eligible(t, jrl)]
     if not scored:
         raise NoMatch(f"no registered provider satisfies job {jrl.job_id!r}")
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return MatchResult(ranked=tuple(scored))
 
 
-def select_provider(result: MatchResult, exclude: Iterable[str] = ()) -> str:
-    excluded = set(exclude)
-    for pid, _ in result.ranked:
-        if pid not in excluded:
-            return pid
-    raise NoMatch("all ranked providers are excluded")
+def select_provider(result: MatchResult) -> str:
+    """The best-ranked provider."""
+    return result.ranked[0][0]
 
 
 class ResourceBroker:
-    """Provider registry; all mutations are serialized, snapshots immutable."""
+    """Provider registry; all mutations are serialized, snapshots are copies."""
 
     def __init__(self):
         self._templates: dict[str, ResourceSpecTemplate] = {}
@@ -175,22 +148,19 @@ class ResourceBroker:
             if current is None:
                 raise UnknownProvider(f"provider {provider_id!r} is not registered")
             if current.available != available:
-                self._templates[provider_id] = ResourceSpecTemplate(
-                    provider_id=current.provider_id, address=current.address,
-                    cpu_mhz=current.cpu_mhz, memory_mb=current.memory_mb,
-                    arch_tags=current.arch_tags, speed_factor=current.speed_factor,
-                    available=available)
+                self._templates[provider_id] = replace(current, available=available)
 
     def get(self, provider_id: str) -> ResourceSpecTemplate | None:
         with self._lock:
             return self._templates.get(provider_id)
 
-    def build_rst(self) -> ResourceSpecTable:
+    def build_rst(self) -> dict[str, ResourceSpecTemplate]:
+        """A copy of the registry, by provider id in registration order."""
         with self._lock:
-            return ResourceSpecTable(entries=tuple(self._templates.values()))
+            return dict(self._templates)
 
     def match(self, jrl: JobRequirementList) -> MatchResult:
-        return match_job(jrl, self.build_rst())
+        return match_job(jrl, self.build_rst().values())
 
 
 def template_from_dict(obj: dict) -> ResourceSpecTemplate:

@@ -19,6 +19,7 @@ from .broker import (
     MatchResult,
     NoMatch,
     ResourceBroker,
+    eligible,
     match_job,
     select_provider,
 )
@@ -50,7 +51,6 @@ class TransferFailed(ControlError):
 
 class JobStatus(enum.Enum):
     RUNNING = "running"
-    MIGRATING = "migrating"
     DONE = "done"
     FAILED = "failed"
 
@@ -86,6 +86,7 @@ class JobEntry:
     status: JobStatus
     excluded: set[str] = field(default_factory=set)
     migrations: list[MigrationRecord] = field(default_factory=list)
+    result: dict | None = None  # the RESULT_RETURN body the job ended with
 
 
 class DecisionAction(enum.Enum):
@@ -113,19 +114,13 @@ class Transport(Protocol):
     def update_sla(self, provider_id: str, job_id: str, sla: ServiceLevelAgreement) -> None: ...
 
 
-@dataclass(frozen=True)
-class TuningAction:
-    kind: str  # "set_checkpoint_interval" | "none"
-    interval: int | None = None
-
-
 CHECKPOINT_INTERVAL_CAP = 128
 TUNE_RAISE_ABOVE = 0.05
 TUNE_LOWER_BELOW = 0.01
 
 
-def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> TuningAction:
-    """Adapt the checkpoint interval to the measured capture overhead.
+def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> int:
+    """The checkpoint interval to use, adapted to the measured capture overhead.
 
     The overhead fraction is the checkpoint time over the job's run time on
     its node across the sample window, both real microseconds from the
@@ -135,24 +130,24 @@ def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> Tu
     their cost and changes nothing.
     """
     if len(samples) < 2:
-        return TuningAction("none")
+        return current_interval
     first, last = samples[0], samples[-1]
     run_us = last.run_us - first.run_us
     ckpt_us = last.checkpoint_us - first.checkpoint_us
     if run_us <= 0 or ckpt_us <= 0:
-        return TuningAction("none")
+        return current_interval
     fraction = ckpt_us / run_us
     if fraction > TUNE_RAISE_ABOVE and current_interval < CHECKPOINT_INTERVAL_CAP:
-        return TuningAction("set_checkpoint_interval",
-                            min(current_interval * 2, CHECKPOINT_INTERVAL_CAP))
+        return min(current_interval * 2, CHECKPOINT_INTERVAL_CAP)
     if fraction < TUNE_LOWER_BELOW and current_interval > 1:
-        return TuningAction("set_checkpoint_interval", max(current_interval // 2, 1))
-    return TuningAction("none")
+        return max(current_interval // 2, 1)
+    return current_interval
 
 
 class SupervisoryAgent:
     """The one global control agent: deploys jobs, reacts to reports,
-    orchestrates migrations through the transport."""
+    orchestrates migrations through the transport, and collects results. It
+    alone knows where each job runs and how it ended."""
 
     def __init__(self, broker: ResourceBroker, hub: MonitorHub, transport: Transport,
                  clock=None, emit: Callable[[dict], None] | None = None):
@@ -169,6 +164,12 @@ class SupervisoryAgent:
         self.emit({"t": self.clock() if t is None else t, "event": "decision",
                    "job_id": job_id, "provider": self.jobs[job_id].current_provider,
                    "report_kind": report_kind, "decision": decision, "detail": detail})
+
+    def jobs_on(self, provider_id: str) -> list[str]:
+        """The running jobs on ``provider_id``, sorted."""
+        return sorted(job_id for job_id, entry in self.jobs.items()
+                      if entry.status is JobStatus.RUNNING
+                      and entry.current_provider == provider_id)
 
     # -- deployment ---------------------------------------------------------
 
@@ -195,7 +196,7 @@ class SupervisoryAgent:
         self.jobs[jrl.job_id] = JobEntry(
             jrl=jrl, sla=jrl.sla, current_provider=chosen, candidates=result,
             status=JobStatus.RUNNING)
-        self.hub.track(jrl.job_id, chosen)
+        self.hub.track(jrl.job_id)
         self._record(jrl.job_id, "deploy", "submit",
                      f"provider={chosen} candidates={list(result.provider_ids)}", t)
         return jrl.job_id
@@ -210,14 +211,12 @@ class SupervisoryAgent:
         if report.kind is ReportKind.NONE:
             return Decision(DecisionAction.CONTINUE, reason="no problem detected")
 
-        rst = self.broker.build_rst()
+        providers = self.broker.build_rst()
         if report.kind is ReportKind.RESOURCE_WITHDRAWN:
             exclude = entry.excluded | {report.provider_id}
             for pid in entry.candidates.provider_ids:
-                if pid in exclude:
-                    continue
-                t = rst.get(pid)
-                if t is not None and t.available:
+                t = providers.get(pid)
+                if pid not in exclude and t is not None and eligible(t, entry.jrl):
                     return Decision(DecisionAction.RESCHEDULE, target=pid,
                                     reason=f"provider {report.provider_id} withdrew")
             return Decision(DecisionAction.FAIL,
@@ -225,7 +224,7 @@ class SupervisoryAgent:
 
         # throughput violation: move only if somewhere strictly better exists
         try:
-            fresh = match_job(entry.jrl, rst)
+            fresh = match_job(entry.jrl, providers.values())
         except NoMatch:
             fresh = None
         current_score = entry.candidates.score_of(entry.current_provider)
@@ -272,22 +271,12 @@ class SupervisoryAgent:
         if to_provider == source:
             raise InvalidTarget("migration target equals the current provider")
         template = self.broker.get(to_provider)
-        if template is None or not template.available:
-            raise InvalidTarget(f"provider {to_provider!r} is not available")
-        if template.cpu_mhz < entry.jrl.min_cpu_mhz or template.memory_mb < entry.jrl.min_memory_mb \
-                or not template.arch_tags >= entry.jrl.arch_tags:
-            raise InvalidTarget(f"provider {to_provider!r} does not satisfy the job requirements")
+        if template is None or not eligible(template, entry.jrl):
+            raise InvalidTarget(f"provider {to_provider!r} is not eligible for {job_id!r}")
 
-        entry.status = JobStatus.MIGRATING
-        try:
-            record = self.transport.migrate(source, job_id, to_provider)
-        except TransferFailed:
-            entry.status = JobStatus.RUNNING
-            raise
-        entry.status = JobStatus.RUNNING
+        record = self.transport.migrate(source, job_id, to_provider)
         entry.current_provider = to_provider
         entry.excluded.add(source)
-        self.hub.track(job_id, to_provider)
         entry.migrations.append(record)
         self._record(job_id, "migrate", "transfer",
                      f"{source}->{to_provider} after {record.iterations_before} iterations")
@@ -295,12 +284,26 @@ class SupervisoryAgent:
 
     # -- completion ---------------------------------------------------------
 
-    def complete(self, job_id: str, digest: int, exec_ms, iterations: int) -> None:
+    def complete(self, result: dict) -> None:
+        """Take a RESULT_RETURN body: the job ends, done or failed, if it is
+        running on the result's sender; any other result is refused."""
+        job_id, sender = result["job_id"], result["provider_id"]
         entry = self.jobs.get(job_id)
         if entry is None:
             raise UnknownJob(f"completion for untracked job {job_id!r}")
+        if entry.status is not JobStatus.RUNNING or sender != entry.current_provider:
+            self._record(job_id, "result", "refuse",
+                         f"result from {sender} for a job {entry.status.value} "
+                         f"on {entry.current_provider}")
+            return
+        entry.result = result
+        self.hub.untrack(job_id)
+        if result.get("failed"):
+            entry.status = JobStatus.FAILED
+            self._record(job_id, "result", "fail", f"error={result.get('error')}")
+            return
         entry.status = JobStatus.DONE
         if entry.migrations and entry.migrations[-1].time_on_target_ms is None:
-            entry.migrations[-1].finalize(exec_ms)
-        self.hub.untrack(job_id)
-        self._record(job_id, "result", "done", f"digest={digest:016x} iterations={iterations}")
+            entry.migrations[-1].finalize(result["exec_ms"])
+        self._record(job_id, "result", "done",
+                     f"digest={result['digest']:016x} iterations={result['iterations_done']}")

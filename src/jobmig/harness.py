@@ -300,7 +300,6 @@ class Environment:
                                             emit=self.step_log.emit)
         self.sla = sla
         self.checkpoint_interval = checkpoint_interval
-        self.results: dict[str, dict] = {}
 
     def start(self) -> None:
         pass
@@ -327,20 +326,17 @@ class Environment:
 
     def route(self, msgs: list[tuple[int, dict]]) -> None:
         """Hand node messages on: a withdrawal becomes a report for every job
-        on that provider, reports go through the hub to the supervisor, and a
-        result completes its job, or raises if the job failed."""
+        the supervisor runs on that provider, reports go through the hub to
+        the supervisor, and a result goes to the supervisor."""
         for msg_type, body in msgs:
             if msg_type == MSG_WITHDRAW_NOTICE:
-                reports = self.hub.note_withdrawal(body["provider_id"], body["at_ms"])
+                pid = body["provider_id"]
+                reports = self.hub.note_withdrawal(pid, body["at_ms"],
+                                                   self.supervisory.jobs_on(pid))
             elif msg_type == MSG_MONITOR_REPORT:
                 reports = [PerformanceReport.from_dict(body)]
-            elif body.get("failed"):
-                raise HarnessError(f"job {body.get('job_id')} failed on "
-                                   f"{body.get('provider_id')}: {body.get('error')}")
             else:
-                self.results[body["job_id"]] = body
-                self.supervisory.complete(body["job_id"], body["digest"],
-                                          body["exec_ms"], body["iterations_done"])
+                self.supervisory.complete(body)
                 continue
             for report in reports:
                 for fwd in self.hub.submit(report):
@@ -416,8 +412,8 @@ class SimEnvironment(Environment):
             node = self.nodes[entry.current_provider]
             self.route(node.run_iteration(job_id))
         if entry.status is JobStatus.FAILED:
-            raise HarnessError(f"job {job_id!r} failed")
-        result = self.results[job_id]
+            raise HarnessError(f"job {job_id!r} failed: {entry.result or 'no provider left'}")
+        result = entry.result
         accounted = result["exec_ms"] + sum(r.time_on_source_ms + r.overhead_ms
                                             for r in entry.migrations)
         if self.clock.now_ms() != accounted:
@@ -584,9 +580,10 @@ class WallEnvironment(Environment):
     # -- orchestration --------------------------------------------------------
 
     def pump_until_complete(self, job_id: str, timeout: float = 60.0) -> dict:
-        """Route the nodes' messages until the job's result arrives."""
+        """Route the nodes' messages until the job ends."""
+        entry = self.supervisory.jobs[job_id]
         deadline = time.monotonic() + timeout
-        while job_id not in self.results:
+        while entry.status is JobStatus.RUNNING:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise HarnessError(f"job {job_id!r} did not complete in time\n{self.dump_logs()}")
@@ -594,19 +591,21 @@ class WallEnvironment(Environment):
                 self.route([self.listener.events.get(timeout=min(remaining, 0.5))])
             except queue.Empty:
                 continue
-        return self.results[job_id]
+        if entry.status is JobStatus.FAILED:
+            raise HarnessError(f"job {job_id!r} failed: {entry.result or 'no provider left'}")
+        return entry.result
 
     run_job = pump_until_complete
 
 
 # -- scenarios ------------------------------------------------------------------------
 
-def _environment(mode: str, config: SimConfig,
-                 providers: Sequence[ResourceSpecTemplate] | None, needed: Sequence[str],
-                 workdir: Path, sla: ServiceLevelAgreement | None, checkpoint_interval: int,
-                 withdraw_at: dict[str, int] | None = None,
+def _environment(mode: str, providers: Sequence[ResourceSpecTemplate] | None,
+                 needed: Sequence[str], workdir: Path, sla: ServiceLevelAgreement | None,
+                 checkpoint_interval: int, withdraw_at: dict[str, int] | None = None,
                  decision_log: str | Path | None = None) -> Environment:
     """The mode's environment over the ``needed`` providers, in that order."""
+    config = calibrate_from_table1()
     pool = {t.provider_id: t for t in (providers or default_providers(config))}
     missing = [p for p in needed if p not in pool]
     if missing:
@@ -634,15 +633,14 @@ def _run(env: Environment, job_id: str, n: int, seed: int, start_on: str) -> dic
 
 
 def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str = "sim",
-                  config: SimConfig | None = None,
                   providers: Sequence[ResourceSpecTemplate] | None = None,
                   sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
                   workdir: str | Path | None = None, job_id: str | None = None,
                   decision_log: str | Path | None = None) -> ScenarioOutcome:
     """Uninterrupted run to completion on one provider."""
     workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix=f"jobmig-{mode}1-"))
-    env = _environment(mode, config or calibrate_from_table1(), providers, [provider],
-                       workdir, sla, checkpoint_interval, decision_log=decision_log)
+    env = _environment(mode, providers, [provider], workdir, sla, checkpoint_interval,
+                       decision_log=decision_log)
     result = _run(env, job_id or f"sort-{n}-{seed}", n, seed, provider)
     return ScenarioOutcome(row=ScenarioRow(n=n, scenario1_total_ms=result["exec_ms"]),
                            digest=result["digest"], iterations=result["iterations_done"],
@@ -651,7 +649,7 @@ def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str 
 
 def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                   target: str = TARGET_PROVIDER, migrate_at: int | None = None,
-                  mode: str = "sim", config: SimConfig | None = None,
+                  mode: str = "sim",
                   providers: Sequence[ResourceSpecTemplate] | None = None,
                   sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
                   workdir: str | Path | None = None, job_id: str | None = None,
@@ -666,10 +664,9 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
     migrate_at = n // 2 if migrate_at is None else migrate_at
     if not 1 <= migrate_at < n:
         raise HarnessError(f"migrate_at must be in [1, {n - 1}], got {migrate_at}")
-    config = config or calibrate_from_table1()
     workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix=f"jobmig-{mode}2-"))
     job_id = job_id or f"sort-{n}-{seed}"
-    env = _environment(mode, config, providers, [source, target], workdir / "scenario2", sla,
+    env = _environment(mode, providers, [source, target], workdir / "scenario2", sla,
                        checkpoint_interval, withdraw_at={source: migrate_at},
                        decision_log=decision_log)
     result = _run(env, job_id, n, seed, source)
@@ -690,8 +687,7 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                               iterations=result["iterations_done"], migration=record,
                               step_log=env.step_log, detail=detail)
     if include_scenario1:
-        ref = run_scenario1(n, seed, provider=source, mode=mode, config=config,
-                            providers=providers, sla=sla,
+        ref = run_scenario1(n, seed, provider=source, mode=mode, providers=providers, sla=sla,
                             checkpoint_interval=checkpoint_interval,
                             workdir=workdir / "scenario1", job_id=job_id)
         if ref.digest != outcome.digest:
@@ -700,22 +696,13 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
     return outcome
 
 
-def reference_digest(n: int, seed: int) -> int:
-    """Digest of a direct, provider-free run: the correctness witness."""
-    task = workload.init_sort(n, seed)
-    while not task.done:
-        task.step()
-    return task.digest()
-
-
 def run_table1(seed: int = 42, workdir: str | Path | None = None) -> list[ScenarioRow]:
     """All five baseline sizes at their recorded migration points, sim mode."""
-    config = calibrate_from_table1()
     workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="jobmig-t1-"))
     rows = []
     for base in TABLE1_BASELINE:
         outcome = run_scenario2(base.n, seed, migrate_at=base.iterations_before,
-                                config=config, workdir=workdir / str(base.n))
+                                workdir=workdir / str(base.n))
         rows.append(outcome.row)
     return rows
 
@@ -724,10 +711,16 @@ def run_table1(seed: int = 42, workdir: str | Path | None = None) -> list[Scenar
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--providers", default=None, help="provider bootstrap JSON file")
     parser.add_argument("--mode", choices=("sim", "wall"), default="sim")
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--workdir", default=None)
+
+
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--start-on", default=SOURCE_PROVIDER)
+    parser.add_argument("--providers", default=None, help="provider bootstrap JSON file")
     parser.add_argument("--decision-log", default=None, help="decisions.jsonl path")
     parser.add_argument("--checkpoint-interval", type=int, default=16)
     parser.add_argument("--sla-floor", type=float, default=None,
@@ -752,15 +745,9 @@ def main(argv: list[str] | None = None) -> int:
                                      description="scenario runner and benchmark table emitter")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("scenario1", help="uninterrupted run on one provider")
-    _add_common(p1)
-    p1.add_argument("--n", type=int, required=True)
-    p1.add_argument("--start-on", default=SOURCE_PROVIDER)
-
+    _add_scenario(sub.add_parser("scenario1", help="uninterrupted run on one provider"))
     p2 = sub.add_parser("scenario2", help="withdrawal-triggered migration run")
-    _add_common(p2)
-    p2.add_argument("--n", type=int, required=True)
-    p2.add_argument("--start-on", default=SOURCE_PROVIDER)
+    _add_scenario(p2)
     p2.add_argument("--target", default=TARGET_PROVIDER)
     p2.add_argument("--migrate-at", type=int, default=None,
                     help="withdrawal iteration (default N//2)")
@@ -769,30 +756,25 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(pt)
 
     args = parser.parse_args(argv)
-    providers = load_providers(args.providers) if args.providers else None
-    sla = _sla_from_args(args)
-
     try:
-        if args.command == "scenario1":
-            outcome = run_scenario1(args.n, args.seed, provider=args.start_on, mode=args.mode,
-                                    providers=providers, sla=sla,
-                                    checkpoint_interval=args.checkpoint_interval,
-                                    workdir=args.workdir, decision_log=args.decision_log)
-            rows = [outcome.row]
-            print(f"digest={outcome.digest:016x}")
-        elif args.command == "scenario2":
-            outcome = run_scenario2(args.n, args.seed, source=args.start_on, target=args.target,
-                                    migrate_at=args.migrate_at, mode=args.mode,
-                                    providers=providers, sla=sla,
-                                    checkpoint_interval=args.checkpoint_interval,
-                                    workdir=args.workdir, decision_log=args.decision_log)
-            rows = [outcome.row]
-            print(f"digest={outcome.digest:016x}")
-            print(f"detail={json.dumps(outcome.detail, sort_keys=True, default=float)}")
-        else:
+        if args.command == "table1":
             if args.mode != "sim":
                 raise HarnessError("table1 runs in sim mode only")
             rows = run_table1(seed=args.seed, workdir=args.workdir)
+        else:
+            common = dict(mode=args.mode, sla=_sla_from_args(args),
+                          providers=load_providers(args.providers) if args.providers else None,
+                          checkpoint_interval=args.checkpoint_interval,
+                          workdir=args.workdir, decision_log=args.decision_log)
+            if args.command == "scenario1":
+                outcome = run_scenario1(args.n, args.seed, provider=args.start_on, **common)
+            else:
+                outcome = run_scenario2(args.n, args.seed, source=args.start_on,
+                                        target=args.target, migrate_at=args.migrate_at, **common)
+            rows = [outcome.row]
+            print(f"digest={outcome.digest:016x}")
+            if outcome.detail:
+                print(f"detail={json.dumps(outcome.detail, sort_keys=True, default=float)}")
         csv_text, aligned = emit_table(rows, out_path=args.out)
         print(aligned, end="")
     except (KeyboardInterrupt, SystemExit):

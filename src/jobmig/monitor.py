@@ -1,9 +1,9 @@
 """Performance monitoring: per-provider analyzers and the global hub.
 
 Local analyzers sample job progress and confirm SLA violations over a
-sliding window of pairwise throughputs; the hub keeps the integrated view,
-handles provider withdrawals, and forwards each actionable report to the
-supervisory controller exactly once.
+sliding window of pairwise throughputs; the hub turns provider withdrawals
+into reports and forwards each actionable report to the supervisory
+controller exactly once.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Protocol, Sequence
+from typing import Any, Sequence
 
-from .broker import ResourceBroker, UnknownProvider
+from .broker import ResourceBroker
 
 
 class MonitorError(Exception):
@@ -111,15 +111,6 @@ class PerformanceReport:
                    evidence=evidence, emitted_at=obj.get("emitted_at", 0))
 
 
-class ProgressSource(Protocol):
-    def progress(self, job_id: str) -> tuple[int, int, int]: ...  # iters, ckpt us, run us
-
-
-def sample(provider_id: str, job_id: str, source: ProgressSource, now_ms) -> MonitorSample:
-    """Snapshot a job's cumulative progress at the current clock."""
-    return MonitorSample(provider_id, job_id, now_ms, *source.progress(job_id))
-
-
 def pair_throughputs(samples: Sequence[MonitorSample]) -> list[float]:
     """Iterations/second over each adjacent sample pair."""
     rates = []
@@ -187,35 +178,29 @@ def _report_key(report: PerformanceReport) -> tuple:
 
 
 class MonitorHub:
-    """Global analyzer: tracks job placement, turns withdrawals into reports,
-    and forwards each actionable report on a tracked job exactly once."""
+    """Global analyzer: turns withdrawals into reports, and forwards each
+    actionable report on a tracked job exactly once."""
 
     def __init__(self, broker: ResourceBroker):
         self.broker = broker
-        self._placement: dict[str, str] = {}
         # keys of the reports forwarded per tracked job; dropped with the job
         self._forwarded: dict[str, set[tuple]] = {}
 
-    def track(self, job_id: str, provider_id: str) -> None:
-        self._placement[job_id] = provider_id
+    def track(self, job_id: str) -> None:
         self._forwarded.setdefault(job_id, set())
 
     def untrack(self, job_id: str) -> None:
-        self._placement.pop(job_id, None)
         self._forwarded.pop(job_id, None)
 
-    def jobs_on(self, provider_id: str) -> list[str]:
-        return sorted(j for j, p in self._placement.items() if p == provider_id)
-
-    def note_withdrawal(self, provider_id: str, now_ms) -> list[PerformanceReport]:
-        """Mark the provider unavailable and report every job running on it."""
-        if self.broker.get(provider_id) is None:
-            raise UnknownProvider(f"provider {provider_id!r} is not registered")
-        self.broker.set_available(provider_id, False)
-        event = WithdrawalEvent(provider_id=provider_id, at_ms=now_ms)
+    def note_withdrawal(self, provider_id: str, at_ms,
+                        job_ids: Sequence[str]) -> list[PerformanceReport]:
+        """Mark the provider unavailable and report each of ``job_ids``, the
+        jobs running on it."""
+        self.broker.set_available(provider_id, False)  # UnknownProvider if it is not registered
+        event = WithdrawalEvent(provider_id=provider_id, at_ms=at_ms)
         return [PerformanceReport(kind=ReportKind.RESOURCE_WITHDRAWN, provider_id=provider_id,
-                                  job_id=job_id, evidence=(event,), emitted_at=now_ms)
-                for job_id in self.jobs_on(provider_id)]
+                                  job_id=job_id, evidence=(event,), emitted_at=at_ms)
+                for job_id in job_ids]
 
     def submit(self, report: PerformanceReport) -> list[PerformanceReport]:
         """The report if it is actionable, on a tracked job, and not forwarded

@@ -46,10 +46,10 @@ from . import workload
 from .broker import ResourceSpecTemplate, template_to_dict
 from .monitor import (
     LocalAnalyzer,
+    MonitorSample,
     ReportKind,
     ServiceLevelAgreement,
     UnknownJob,
-    sample as take_sample,
 )
 from .control import TransferFailed, tune_decision
 
@@ -328,7 +328,6 @@ class JobExecution:
     lineage: list[ckpt.CheckpointRecord] = field(default_factory=list)
     checkpoint_us: int = 0
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
-    step_ns: int = 0  # real time spent stepping on this node
     next_sample_ms: Any = None
     quiesce_requested: bool = False
     # held by each iteration and by a whole hand-off: both see a yield point
@@ -431,12 +430,6 @@ class NodeRuntime:
                 entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
             entry.sla = sla
 
-    # -- progress source -----------------------------------------------------
-
-    def progress(self, job_id: str) -> tuple[int, int, int]:
-        entry = self.job(job_id)
-        return entry.task.iterations_done, entry.checkpoint_us, entry.run_ns // 1000
-
     # -- checkpoint cadence ----------------------------------------------------
 
     def _capture(self, entry: JobExecution, full: bool = False) -> ckpt.CheckpointRecord:
@@ -476,8 +469,6 @@ class NodeRuntime:
             entry.task.step()
             if self.step_cost_ms is not None:
                 self.clock.advance(self.step_cost_ms)
-            else:
-                entry.step_ns += time.perf_counter_ns() - t0
             iterations = entry.task.iterations_done
 
             entry.since_checkpoint += 1
@@ -492,15 +483,14 @@ class NodeRuntime:
             if entry.sla is not None and not entry.task.done:
                 now = self.clock.now_ms()
                 if now >= entry.next_sample_ms:
-                    s = take_sample(self.provider_id, job_id, self, now)
+                    s = MonitorSample(self.provider_id, job_id, now, iterations,
+                                      entry.checkpoint_us, entry.run_ns // 1000)
                     report = self.analyzer.observe(s, entry.sla)
                     if report.kind is not ReportKind.NONE:
                         msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
                     if self.tune_enabled:
-                        action = tune_decision(self.analyzer.window(job_id),
-                                               entry.checkpoint_interval)
-                        if action.kind == "set_checkpoint_interval":
-                            entry.checkpoint_interval = action.interval
+                        entry.checkpoint_interval = tune_decision(self.analyzer.window(job_id),
+                                                                  entry.checkpoint_interval)
                     entry.next_sample_ms = now + entry.sla.sample_period_ms
 
             if entry.task.done:
@@ -533,9 +523,9 @@ class NodeRuntime:
             "digest": digest, "iterations_done": iterations, "exec_ms": self._exec_ms(entry)})
 
     def _exec_ms(self, entry: JobExecution):
-        """The job's time on this node: its steps at the modeled cost, or as measured."""
+        """The job's time on this node: its steps at the modeled cost, or its run_ns."""
         if self.step_cost_ms is None:
-            return entry.step_ns / 1e6
+            return entry.run_ns / 1e6
         return self.step_cost_ms * (entry.task.iterations_done - entry.first_iteration)
 
     # -- migration, source side ---------------------------------------------

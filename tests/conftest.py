@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from jobmig import workload
 from jobmig.checkpoint import TaskState, capture_full
 from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ServiceLevelAgreement
@@ -27,6 +28,14 @@ def images_of(state: TaskState) -> dict:
     images: dict = {}
     capture_full(state, 0, images)
     return images
+
+
+def reference_digest(n: int, seed: int) -> int:
+    """Digest of a direct, provider-free run: the correctness witness."""
+    task = workload.init_sort(n, seed)
+    while not task.done:
+        task.step()
+    return task.digest()
 
 
 def make_blob_state(job_id="blob-1", counter=0, values=(1, 2, 3), payload=b"xyz", done=0):

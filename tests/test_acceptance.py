@@ -17,11 +17,11 @@ import pytest
 
 from jobmig import checkpoint as cp
 from jobmig import harness, node as nd, workload
-from jobmig.broker import NoMatch, ResourceSpecTable, match_job
+from jobmig.broker import NoMatch, match_job
 from jobmig.monitor import LocalAnalyzer, MonitorSample, ReportKind, ServiceLevelAgreement
 from jobmig.node import NodeDaemon, NodeRuntime, WallClock
 
-from conftest import DEFAULT_TEST_SLA, make_blob_state
+from conftest import DEFAULT_TEST_SLA, make_blob_state, reference_digest
 from test_broker import oracle_eligible, random_instance
 
 
@@ -75,7 +75,7 @@ def test_c3_semantic_transparency_sim_and_wall(tmp_path_factory):
         rng = random.Random(1234)
         seeds = [rng.getrandbits(32) for _ in range(10)]
         cases = [(n, seed) for n in (500, 1000) for seed in seeds]
-        references = {(n, seed): harness.reference_digest(n, seed) for n, seed in cases}
+        references = {(n, seed): reference_digest(n, seed) for n, seed in cases}
 
         sim_root = tmp_path_factory.mktemp("c3-sim")
         for n, seed in cases:
@@ -166,7 +166,7 @@ def test_c5_broker_oracle_equivalence():
             req, providers = random_instance(rng)
             expected = oracle_eligible(req, providers)
             try:
-                result = match_job(req, ResourceSpecTable(entries=tuple(providers)))
+                result = match_job(req, providers)
                 got = set(result.provider_ids)
             except NoMatch:
                 result = None
@@ -175,7 +175,7 @@ def test_c5_broker_oracle_equivalence():
             if result is not None:
                 shuffled = providers[:]
                 rng.shuffle(shuffled)
-                assert match_job(req, ResourceSpecTable(entries=tuple(shuffled))) == result
+                assert match_job(req, shuffled) == result
             checked += 1
         assert checked == 200
 
@@ -239,7 +239,7 @@ def test_c8_crash_safety_after_transfer_ack(tmp_path_factory):
                 job_id = env.deploy_sort(f"crash-{rep}", n, seed, start_on="server1")
                 result = env.pump_until_complete(job_id, timeout=45)
                 assert killed.wait(timeout=10), f"rep {rep}: source never killed"
-                assert result["digest"] == harness.reference_digest(n, seed), f"rep {rep}"
+                assert result["digest"] == reference_digest(n, seed), f"rep {rep}"
                 assert result["provider_id"] == "server2", f"rep {rep}"
             finally:
                 env.stop()

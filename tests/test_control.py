@@ -24,6 +24,8 @@ from jobmig.monitor import (
 )
 from jobmig import harness
 
+from conftest import reference_digest
+
 SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
 
 
@@ -64,6 +66,12 @@ def make_agent(transport=None):
 def deploy(agent, job_id="job-1", start_on=None):
     jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=2800, min_memory_mb=512, sla=SLA)
     return agent.deploy(jrl, "sort", {"n": 500, "seed": 42}, start_on=start_on)
+
+
+def result(provider, job="job-1", exec_ms=100):
+    """A RESULT_RETURN body from ``provider``."""
+    return {"job_id": job, "provider_id": provider, "digest": 0xDEAD, "iterations_done": 500,
+            "exec_ms": exec_ms}
 
 
 def withdrawal(provider="server1", job="job-1"):
@@ -115,7 +123,7 @@ class TestOnReport:
     def test_withdrawal_reschedules_to_surviving_candidate(self):
         agent, transport = make_agent()
         deploy(agent, start_on="server1")
-        agent.hub.note_withdrawal("server1", now_ms=1)
+        agent.hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
         decision = agent.on_report(withdrawal())
         assert decision.action is DecisionAction.RESCHEDULE
         assert decision.target == "server2"
@@ -127,8 +135,8 @@ class TestOnReport:
     def test_withdrawal_with_no_alternative_fails_job(self):
         agent, _ = make_agent()
         deploy(agent, start_on="server1")
-        agent.hub.note_withdrawal("server2", now_ms=0)
-        agent.hub.note_withdrawal("server1", now_ms=1)
+        agent.hub.note_withdrawal("server2", 0, agent.jobs_on("server2"))
+        agent.hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
         decision = agent.on_report(withdrawal())
         assert decision.action is DecisionAction.FAIL
         assert agent.jobs["job-1"].status is JobStatus.FAILED
@@ -157,7 +165,7 @@ class TestOnReport:
     def test_decide_is_deterministic(self):
         agent, _ = make_agent()
         deploy(agent, start_on="server1")
-        agent.hub.note_withdrawal("server1", now_ms=1)
+        agent.hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
         assert agent.decide(withdrawal()) == agent.decide(withdrawal())
 
 
@@ -191,10 +199,56 @@ class TestMigrate:
         record = agent.migrate("job-1", "server2")
         assert record.iterations_before == 249
         assert record.time_on_target_ms is None
-        agent.complete("job-1", digest=0xDEAD, exec_ms=25421, iterations=500)
+        agent.complete(result("server2", exec_ms=25421))
         assert record.time_on_target_ms == 25421
         assert record.total_ms == 27381 + 25421 + 3620 == 56422
         record.check_identity()
+
+
+class TestPlacement:
+    def test_jobs_on_lists_the_running_jobs_on_a_provider(self):
+        agent, _ = make_agent()
+        for job_id, provider in (("j2", "server1"), ("j1", "server1"), ("j3", "server2"),
+                                 ("j4", "server1")):
+            deploy(agent, job_id, start_on=provider)
+        agent.complete(result("server1", job="j4"))
+        assert agent.jobs_on("server1") == ["j1", "j2"]
+        assert agent.jobs_on("server2") == ["j3"]
+
+
+class TestComplete:
+    def agent_with_rows(self):
+        agent, _ = make_agent()
+        rows = []
+        agent.emit = rows.append
+        deploy(agent, start_on="server1")
+        return agent, rows
+
+    def test_result_from_another_provider_is_refused(self):
+        agent, rows = self.agent_with_rows()
+        agent.complete(result("server2"))
+        entry = agent.jobs["job-1"]
+        assert (entry.status, entry.result) == (JobStatus.RUNNING, None)
+        agent.complete(result("server1"))
+        assert entry.status is JobStatus.DONE
+        assert [(r["report_kind"], r["decision"]) for r in rows] == \
+            [("deploy", "submit"), ("result", "refuse"), ("result", "done")]
+
+    def test_second_result_is_refused(self):
+        agent, rows = self.agent_with_rows()
+        first = result("server1")
+        agent.complete(first)
+        agent.complete(result("server1", exec_ms=1))
+        assert agent.jobs["job-1"].result is first
+        assert [r["decision"] for r in rows] == ["submit", "done", "refuse"]
+
+    def test_failed_result_fails_the_job(self):
+        agent, rows = self.agent_with_rows()
+        agent.complete({"job_id": "job-1", "provider_id": "server1", "failed": True,
+                        "error": "InvalidState"})
+        assert agent.jobs["job-1"].status is JobStatus.FAILED
+        assert agent.jobs_on("server1") == []
+        assert rows[-1]["decision"] == "fail"
 
 
 class TestMigrationRecordIdentity:
@@ -216,40 +270,34 @@ class TestLocalTune:
 
     def test_high_overhead_doubles_interval(self):
         # 8% of 10s spent checkpointing
-        action = tune_decision(self.sample_pair(10_000, 800_000), current_interval=4)
-        assert action.kind == "set_checkpoint_interval"
-        assert action.interval == 8
+        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=4) == 8
 
     def test_inside_hysteresis_band_no_change(self):
-        action = tune_decision(self.sample_pair(10_000, 300_000), current_interval=4)  # 3%
-        assert action.kind == "none"
+        assert tune_decision(self.sample_pair(10_000, 300_000), current_interval=4) == 4  # 3%
 
     def test_cap_respected(self):
-        action = tune_decision(self.sample_pair(10_000, 800_000), current_interval=128)
-        assert action.kind == "none"
+        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=128) == 128
+        # an interval set above the cap is left as it is, not lowered to the cap
+        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=1024) == 1024
 
     def test_low_overhead_halves_interval(self):
-        action = tune_decision(self.sample_pair(10_000, 10_000), current_interval=8)  # 0.1%
-        assert action.kind == "set_checkpoint_interval"
-        assert action.interval == 4
+        assert tune_decision(self.sample_pair(10_000, 10_000), current_interval=8) == 4  # 0.1%
 
     def test_floor_of_one(self):
         for ckpt_us in (0, 10_000):  # 0% and 0.1%
-            action = tune_decision(self.sample_pair(10_000, ckpt_us), current_interval=1)
-            assert action.kind == "none"
+            assert tune_decision(self.sample_pair(10_000, ckpt_us), current_interval=1) == 1
 
     def test_sample_clock_does_not_enter_the_fraction(self):
         # 8% of the run time, whatever the sample timestamps (virtual in sim)
         a = MonitorSample("p", "j", 0, 0, checkpoint_us=0, run_us=0)
         b = MonitorSample("p", "j", 10**9, 10, checkpoint_us=800, run_us=10_000)
-        assert tune_decision([a, b], current_interval=4).interval == 8
+        assert tune_decision([a, b], current_interval=4) == 8
 
     def test_window_without_run_or_capture_changes_nothing(self):
-        assert tune_decision(self.sample_pair(0, 0), current_interval=4).kind == "none"
+        assert tune_decision(self.sample_pair(0, 0), current_interval=4) == 4
         # no capture fell in the window, which says nothing about their cost
-        assert tune_decision(self.sample_pair(10_000, 0), current_interval=8).kind == "none"
-        assert tune_decision(self.sample_pair(10_000, 800_000)[1:], current_interval=4).kind \
-            == "none"
+        assert tune_decision(self.sample_pair(10_000, 0), current_interval=8) == 8
+        assert tune_decision(self.sample_pair(10_000, 800_000)[1:], current_interval=4) == 4
 
     def test_tuned_sim_job_keeps_its_interval_up(self, tmp_path):
         # checkpointing an N=1000 array every 16 steps costs far more than 5% of the
@@ -262,7 +310,7 @@ class TestLocalTune:
         node = env.nodes["server1"]
         assert len(node.store.load("tuned")) <= 63  # the untuned job's count at interval 16
         assert node.job("tuned").checkpoint_interval >= 16
-        assert result["digest"] == harness.reference_digest(1000, 5)
+        assert result["digest"] == reference_digest(1000, 5)
 
 
 class TestDecisionLog:
@@ -271,7 +319,7 @@ class TestDecisionLog:
         agent, _ = make_agent()
         agent.emit = harness.Timeline(path).emit
         deploy(agent, start_on="server1")
-        agent.hub.note_withdrawal("server1", now_ms=1)
+        agent.hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
         agent.on_report(withdrawal())
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert {e["decision"] for e in lines} >= {"submit", "reschedule", "transfer"}
@@ -306,7 +354,7 @@ class TestEndToEndFaultInjection:
     def test_failed_transfer_job_completes_on_source_with_reference_digest(self, tmp_path):
         env = self.cut_first_transfer(tmp_path)
         result = env.run_job("j-fault")
-        assert result["digest"] == harness.reference_digest(40, 9)
+        assert result["digest"] == reference_digest(40, 9)
         env.step_log.assert_single_ownership("j-fault")
 
     def test_migration_retried_after_a_failed_transfer_lands(self, tmp_path):
@@ -317,5 +365,5 @@ class TestEndToEndFaultInjection:
         assert record.iterations_before == 14
         result = env.run_job("j-fault")
         assert result["provider_id"] == "server2"
-        assert result["digest"] == harness.reference_digest(40, 9)
+        assert result["digest"] == reference_digest(40, 9)
         env.step_log.assert_single_ownership("j-fault")

@@ -8,6 +8,9 @@ from jobmig import harness
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
 from jobmig.control import DecisionAction, JobStatus, SupervisoryAgent
 from jobmig.monitor import MonitorHub, PerformanceReport, ReportKind, ServiceLevelAgreement
+from jobmig.node import MSG_RESULT_RETURN
+
+from conftest import reference_digest
 
 
 class TestBaselineRows:
@@ -98,7 +101,7 @@ class TestScenario2Sim:
     def test_digest_equals_scenario1(self, tmp_path):
         outcome = harness.run_scenario2(300, 11, migrate_at=150, workdir=tmp_path)
         ref = harness.run_scenario1(300, 11, workdir=tmp_path / "ref")
-        assert outcome.digest == ref.digest == harness.reference_digest(300, 11)
+        assert outcome.digest == ref.digest == reference_digest(300, 11)
 
     def test_single_ownership_and_no_replayed_work(self, tmp_path):
         outcome = harness.run_scenario2(120, 3, migrate_at=50, workdir=tmp_path)
@@ -167,6 +170,22 @@ class TestTimeline:
         assert outcome.detail["unattributed_ms"] == 0
 
 
+class TestStaleResult:
+    def test_result_from_a_provider_not_running_the_job_is_refused(self, tmp_path):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.deploy_sort("stale", 60, 3, start_on="server1")
+        for _ in range(10):
+            env.route(env.nodes["server1"].run_iteration("stale"))
+        env.route([(MSG_RESULT_RETURN, {"job_id": "stale", "provider_id": "server2",
+                                        "digest": 1, "iterations_done": 60, "exec_ms": 0})])
+        assert env.supervisory.jobs["stale"].status is JobStatus.RUNNING
+        result = env.run_job("stale")
+        assert result["digest"] == reference_digest(60, 3)
+        assert [r["decision"] for r in env.step_log.rows if r["event"] == "decision"] \
+            == ["submit", "refuse", "done"]
+
+
 class TestViolationDrivenRescheduling:
     def test_slow_provider_triggers_migration_to_better_one(self, tmp_path):
         config = harness.calibrate_from_table1()
@@ -186,7 +205,7 @@ class TestViolationDrivenRescheduling:
         assert entry.migrations, "expected a violation-driven migration"
         assert entry.migrations[0].from_provider == "server1"
         assert entry.migrations[0].to_provider == "server2"
-        assert result["digest"] == harness.reference_digest(200, 21)
+        assert result["digest"] == reference_digest(200, 21)
 
     def test_without_better_provider_the_floor_is_renegotiated(self, tmp_path):
         config = harness.calibrate_from_table1()
@@ -300,13 +319,21 @@ class TestCli:
         code = harness.main(["table1", "--mode", "wall", "--workdir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("option", [
+        ["--checkpoint-interval", "4"], ["--decision-log", "d.jsonl"], ["--sla-floor", "1e9"],
+        ["--providers", "p.json"], ["--window-k", "2"], ["--sample-period", "5"]])
+    def test_table1_refuses_scenario_options(self, tmp_path, option):
+        with pytest.raises(SystemExit) as exc:  # table1 would ignore them
+            harness.main(["table1", "--workdir", str(tmp_path), *option])
+        assert exc.value.code == 2
+
 
 @pytest.mark.slow
 class TestWallMode:
     def test_wall_scenario2_digest_and_accounting(self, tmp_path):
         outcome = harness.run_scenario2(200, 13, migrate_at=80, mode="wall",
                                         workdir=tmp_path, include_scenario1=False)
-        assert outcome.digest == harness.reference_digest(200, 13)
+        assert outcome.digest == reference_digest(200, 13)
         outcome.row.check_identity()
         assert outcome.row.iterations_before == 80
         assert outcome.detail.get("transfer_ms") is not None
@@ -361,16 +388,29 @@ class TestWallMode:
             env.stop()
         env.step_log.assert_single_ownership("miss")
         assert result["provider_id"] == "server2"
-        assert result["digest"] == harness.reference_digest(3000, 4)
+        assert result["digest"] == reference_digest(3000, 4)
         decisions = [r["decision"] for r in sorted(env.step_log.rows, key=lambda r: r["t"])
                      if r["event"] == "decision"]
         assert decisions[:3] == ["submit", "reschedule", "transfer"]
         assert decisions[-1] == "done"
         assert set(decisions[3:-1]) <= {"renegotiate_sla"}
 
+    def test_wall_job_with_no_provider_left_fails(self, tmp_path):
+        # the job stays parked on its withdrawn node; the pump stops on the FAILED status
+        env = harness.WallEnvironment(harness.default_providers()[:1], tmp_path,
+                                      withdraw_at={"server1": 50})
+        try:
+            env.start()
+            env.deploy_sort("orphan", 200, 1, start_on="server1")
+            with pytest.raises(harness.HarnessError, match="failed"):
+                env.run_job("orphan")
+        finally:
+            env.stop()
+        assert env.supervisory.jobs["orphan"].status is JobStatus.FAILED
+
     def test_wall_scenario1_digest(self, tmp_path):
         outcome = harness.run_scenario1(150, 8, mode="wall", workdir=tmp_path)
-        assert outcome.digest == harness.reference_digest(150, 8)
+        assert outcome.digest == reference_digest(150, 8)
         assert outcome.iterations == 150
 
 

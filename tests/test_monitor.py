@@ -10,11 +10,9 @@ from jobmig.monitor import (
     PerformanceReport,
     ReportKind,
     ServiceLevelAgreement,
-    UnknownJob,
     WithdrawalEvent,
     analyze_local,
     pair_throughputs,
-    sample,
 )
 
 SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
@@ -22,16 +20,6 @@ SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=100
 
 def s(ts, iters, provider="p1", job="j1"):
     return MonitorSample(provider, job, ts, iters)
-
-
-class FakeSource:
-    def __init__(self, jobs):
-        self.jobs = jobs
-
-    def progress(self, job_id):
-        if job_id not in self.jobs:
-            raise UnknownJob(job_id)
-        return self.jobs[job_id], 0, 0
 
 
 class TestSla:
@@ -45,24 +33,6 @@ class TestSla:
 
     def test_dict_round_trip(self):
         assert ServiceLevelAgreement.from_dict(SLA.to_dict()) == SLA
-
-
-class TestSample:
-    def test_snapshot_of_progress(self):
-        src = FakeSource({"j1": 249})
-        got = sample("p1", "j1", src, now_ms=5000)
-        assert got.iterations_done == 249
-        assert got.timestamp_ms == 5000
-
-    def test_consecutive_timestamps_increase(self):
-        src = FakeSource({"j1": 1})
-        a = sample("p1", "j1", src, now_ms=10)
-        b = sample("p1", "j1", src, now_ms=11)
-        assert b.timestamp_ms > a.timestamp_ms
-
-    def test_unknown_job(self):
-        with pytest.raises(UnknownJob):
-            sample("p1", "ghost", FakeSource({}), now_ms=0)
 
 
 class TestAnalyzeLocal:
@@ -163,7 +133,7 @@ def tracking_hub(*jobs):
         provider_id="p1", address="a:1", cpu_mhz=2800, memory_mb=512))
     hub = MonitorHub(broker)
     for job in jobs:
-        hub.track(job, "p1")
+        hub.track(job)
     return hub
 
 
@@ -219,7 +189,7 @@ class TestAggregator:
         assert hub.submit(report) == []
         assert set(hub._forwarded) == {"j2"}
         # tracked again, the job starts a fresh stream: the duplicate is forwarded once
-        hub.track("j1", "p1")
+        hub.track("j1")
         assert forward(hub, [report, report]) == [report]
 
 
@@ -234,28 +204,25 @@ class TestMonitorHub:
 
     def test_withdrawal_reports_every_local_job(self):
         broker, hub = self.make_hub()
-        hub.track("j1", "server1")
-        hub.track("j2", "server1")
-        hub.track("j3", "server2")
-        reports = hub.note_withdrawal("server1", now_ms=42)
-        assert sorted(r.job_id for r in reports) == ["j1", "j2"]
+        reports = hub.note_withdrawal("server1", 42, ["j1", "j2"])
+        assert [r.job_id for r in reports] == ["j1", "j2"]
+        assert all(r.evidence == (WithdrawalEvent("server1", 42),) for r in reports)
         assert all(r.kind is ReportKind.RESOURCE_WITHDRAWN for r in reports)
         assert broker.get("server1").available is False
 
     def test_withdrawal_with_no_jobs_still_flips_availability(self):
         broker, hub = self.make_hub()
-        assert hub.note_withdrawal("server2", now_ms=0) == []
+        assert hub.note_withdrawal("server2", 0, []) == []
         assert broker.get("server2").available is False
 
     def test_unknown_provider(self):
         _, hub = self.make_hub()
         with pytest.raises(UnknownProvider):
-            hub.note_withdrawal("ghost", now_ms=0)
+            hub.note_withdrawal("ghost", 0, [])
 
     def test_report_json_round_trip(self):
         _, hub = self.make_hub()
-        hub.track("j1", "server1")
-        report = hub.note_withdrawal("server1", now_ms=10)[0]
+        report = hub.note_withdrawal("server1", 10, ["j1"])[0]
         again = PerformanceReport.from_dict(report.to_dict())
         assert again.kind is ReportKind.RESOURCE_WITHDRAWN
         assert again.job_id == "j1"

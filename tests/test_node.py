@@ -12,7 +12,7 @@ from jobmig import workload
 from jobmig.control import TransferFailed
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import DEFAULT_TEST_SLA, images_of, wait_until
+from conftest import DEFAULT_TEST_SLA, images_of, reference_digest, wait_until
 
 
 def read_back(data: bytes) -> tuple[int, bytes]:
@@ -199,9 +199,9 @@ class TestSimExecution:
 
 
 class TestTransfer:
-    def migrate_bundle(self, tmp_path, n=500, until=249):
+    def migrate_bundle(self, tmp_path, n=500, until=249, sla=None):
         source = sim_runtime(tmp_path)
-        source.submit_job("jm", "sort", {"n": n, "seed": 42}, checkpoint_interval=16)
+        source.submit_job("jm", "sort", {"n": n, "seed": 42}, sla=sla, checkpoint_interval=16)
         for _ in range(until):
             source.run_iteration("jm")
         source.request_quiesce("jm")
@@ -219,14 +219,15 @@ class TestTransfer:
             target.run_iteration("jm")
             steps += 1
         assert steps == 251
-        assert entry.task.digest() == _reference_digest(500, 42)
+        assert entry.task.digest() == reference_digest(500, 42)
 
     def test_first_sample_after_resume_reflects_carried_progress(self, tmp_path):
-        bundle, _ = self.migrate_bundle(tmp_path)
+        bundle, _ = self.migrate_bundle(tmp_path, sla=DEFAULT_TEST_SLA)
         target = sim_runtime(tmp_path / "t")
         target.resume_from_bundle(bundle)
-        iterations, _, _ = target.progress("jm")
-        assert iterations >= 249
+        target.run_iteration("jm")  # one step outlasts the sample period: it takes a sample
+        first = target.analyzer.window("jm")[0]
+        assert (first.provider_id, first.iterations_done) == ("sim1", 250)
 
     def test_corrupted_bundle_leaves_node_unchanged(self, tmp_path):
         bundle, _ = self.migrate_bundle(tmp_path, n=50, until=10)
@@ -269,7 +270,7 @@ class TestTransfer:
         target.resume_from_bundle(bundle)
         msgs = target.run_iteration("done1")
         assert msgs[0][0] == nd.MSG_RESULT_RETURN
-        assert msgs[0][1]["digest"] == _reference_digest(5, 1)
+        assert msgs[0][1]["digest"] == reference_digest(5, 1)
         assert target.job("done1").status == nd.ST_DONE
 
     def test_abort_transfer_resumes_source(self, tmp_path):
@@ -283,7 +284,7 @@ class TestTransfer:
         entry = source.job("ja")
         assert entry.status == nd.ST_RUNNING
         run_to_completion(source, "ja")
-        assert entry.task.digest() == _reference_digest(30, 6)
+        assert entry.task.digest() == reference_digest(30, 6)
 
     def test_hand_off_after_a_failed_send(self, tmp_path):
         source = sim_runtime(tmp_path)
@@ -302,7 +303,7 @@ class TestTransfer:
         info, ack = source.hand_off("jr", target.resume_from_bundle)
         assert info["iterations_before"] == ack["resumed_at_iteration"] == 14
         run_to_completion(target, "jr")
-        assert target.job("jr").task.digest() == _reference_digest(60, 8)
+        assert target.job("jr").task.digest() == reference_digest(60, 8)
 
 
 def transfer_payload(bundle: bytes, settings: bytes = b"{}") -> bytes:
@@ -319,13 +320,6 @@ def forged_bundle(iteration, done):
     task.state.fields[workload.FIELD_ITER] = iteration
     task.state.fields[workload.FIELD_DONE] = done
     return transfer_payload(cp.encode(cp.capture_full(task.state, 0)))
-
-
-def _reference_digest(n, seed):
-    task = workload.init_sort(n, seed)
-    while not task.done:
-        task.step()
-    return task.digest()
 
 
 BAD_TRAILER_BUNDLE = cp.encode(cp.capture_full(workload.init_sort(30, 4, job_id="bad-trailer")
@@ -346,7 +340,7 @@ class TestDaemon:
         assert msg_type == nd.MSG_ACK
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert body["digest"] == _reference_digest(40, 5)
+        assert body["digest"] == reference_digest(40, 5)
         assert body["iterations_done"] == 40
 
     def test_two_concurrent_jobs_progress_independently(self, daemon, listener):
@@ -359,7 +353,7 @@ class TestDaemon:
         for _ in range(2):
             _, body = listener.events.get(timeout=10)
             results[body["job_id"]] = body["digest"]
-        assert results == {"c1": _reference_digest(200, 1), "c2": _reference_digest(150, 2)}
+        assert results == {"c1": reference_digest(200, 1), "c2": reference_digest(150, 2)}
 
     def test_transfer_over_the_wire(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src")
@@ -374,7 +368,7 @@ class TestDaemon:
         assert nd.parse_json(payload)["resumed_at_iteration"] == 20
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert body["digest"] == _reference_digest(60, 9)
+        assert body["digest"] == reference_digest(60, 9)
 
     def test_migrated_job_keeps_its_settings(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src")
@@ -398,7 +392,7 @@ class TestDaemon:
         # the daemon has no supervisor: the result can only come back through reply_to
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
-        assert body["digest"] == _reference_digest(60, 9)
+        assert body["digest"] == reference_digest(60, 9)
         iterations = [dict((d.field_id, d.new_value) for d in r.deltas)[workload.FIELD_ITER]
                       for r in daemon.runtime.store.load("ks")]
         assert iterations == [20, 28, 36, 44, 52]
@@ -431,7 +425,7 @@ class TestDaemon:
             assert runtime.job("g").task.iterations_done == 25
             kinds = [listener.events.get(timeout=10) for _ in range(2)]
             assert [k for k, _ in kinds] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
-            assert kinds[1][1]["digest"] == _reference_digest(60, 3)
+            assert kinds[1][1]["digest"] == reference_digest(60, 3)
             assert [(r["event"], r.get("iteration")) for r in rows if r["event"] != "steps"] \
                 == [("withdraw", 25), ("park_expired", 25), ("result", 60)]
         finally:
