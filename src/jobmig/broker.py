@@ -1,8 +1,8 @@
 """Resource broker: provider registry and job-to-provider matchmaking.
 
 Providers register capability templates; the broker keeps them in its
-registry and matches job requirement lists against it, returning a
-deterministically ranked candidate list for the controller to pick from.
+registry and matches job requirement lists against it, returning the
+eligible providers deterministically ranked for the controller to pick from.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ class MatchResult:
     def provider_ids(self) -> tuple[str, ...]:
         return tuple(pid for pid, _ in self.ranked)
 
-    def score_of(self, provider_id: str) -> Fraction | None:
-        for pid, score in self.ranked:
-            if pid == provider_id:
-                return score
-        return None
-
 
 def _as_fraction(x) -> Fraction:
     # str round-trip keeps JSON decimals exact (1.18 -> 59/50, not a binary float)
@@ -121,11 +115,6 @@ def match_job(jrl: JobRequirementList, templates: Iterable[ResourceSpecTemplate]
         raise NoMatch(f"no registered provider satisfies job {jrl.job_id!r}")
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return MatchResult(ranked=tuple(scored))
-
-
-def select_provider(result: MatchResult) -> str:
-    """The best-ranked provider."""
-    return result.ranked[0][0]
 
 
 class ResourceBroker:

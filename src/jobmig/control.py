@@ -1,30 +1,29 @@
 """Job control: the supervisory agent and the local tuning rule.
 
-The supervisory agent deploys jobs through the broker, keeps the per-job
-candidate provider list, and turns performance reports into decisions:
-continue, reschedule to another provider, or renegotiate the SLA. A
-migration carries the job's checkpointed state to the new provider. Each
-decision goes to its ``emit`` as a timeline row ``{"t", "event": "decision",
-"job_id", "provider", "report_kind", "decision", "detail"}``.
+The supervisory agent deploys jobs through the broker, acts on a node's
+result or report only while the job runs on that node, and turns each report,
+once, into a decision: continue, reschedule to the best-ranked provider, or
+renegotiate the SLA. A migration carries the job's checkpointed state to the
+new provider. Each decision goes to its ``emit`` as a timeline row ``{"t",
+"event": "decision", "job_id", "provider", "report_kind", "decision", "detail"}``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Any, Callable, Protocol, Sequence
 
 from .broker import (
     JobRequirementList,
-    MatchResult,
     NoMatch,
     ResourceBroker,
     eligible,
     match_job,
-    select_provider,
+    score,
 )
 from .monitor import (
-    MonitorHub,
     MonitorSample,
     PerformanceReport,
     ReportKind,
@@ -66,15 +65,13 @@ class MigrationRecord:
     time_on_source_ms: Any
     time_on_target_ms: Any = None
     overhead_ms: Any = 0
-    total_ms: Any = None
 
-    def finalize(self, time_on_target_ms) -> None:
-        self.time_on_target_ms = time_on_target_ms
-        self.total_ms = self.time_on_source_ms + time_on_target_ms + self.overhead_ms
-
-    def check_identity(self) -> None:
-        if self.total_ms != self.time_on_source_ms + self.time_on_target_ms + self.overhead_ms:
-            raise ControlError(f"accounting identity violated for job {self.job_id!r}")
+    @property
+    def total_ms(self):
+        """None until the job's result sets ``time_on_target_ms``."""
+        if self.time_on_target_ms is None:
+            return None
+        return self.time_on_source_ms + self.time_on_target_ms + self.overhead_ms
 
 
 @dataclass
@@ -82,11 +79,11 @@ class JobEntry:
     jrl: JobRequirementList
     sla: ServiceLevelAgreement
     current_provider: str
-    candidates: MatchResult
     status: JobStatus
     excluded: set[str] = field(default_factory=set)
     migrations: list[MigrationRecord] = field(default_factory=list)
     result: dict | None = None  # the RESULT_RETURN body the job ended with
+    reports: set[PerformanceReport] = field(default_factory=set)  # those acted on
 
 
 class DecisionAction(enum.Enum):
@@ -149,10 +146,9 @@ class SupervisoryAgent:
     orchestrates migrations through the transport, and collects results. It
     alone knows where each job runs and how it ended."""
 
-    def __init__(self, broker: ResourceBroker, hub: MonitorHub, transport: Transport,
+    def __init__(self, broker: ResourceBroker, transport: Transport,
                  clock=None, emit: Callable[[dict], None] | None = None):
         self.broker = broker
-        self.hub = hub
         self.transport = transport
         self.clock = clock or (lambda: 0)
         self.emit = emit or (lambda row: None)
@@ -165,6 +161,18 @@ class SupervisoryAgent:
                    "job_id": job_id, "provider": self.jobs[job_id].current_provider,
                    "report_kind": report_kind, "decision": decision, "detail": detail})
 
+    def _acts_on(self, job_id: str, sender: str, kind: str) -> JobEntry | None:
+        """The job's entry if a ``kind`` message from ``sender`` applies to it: the
+        job runs, on ``sender``. Any other message gets a ``refuse`` row and None."""
+        entry = self.jobs.get(job_id)
+        if entry is None:
+            raise UnknownJob(f"{kind} for untracked job {job_id!r}")
+        if entry.status is JobStatus.RUNNING and sender == entry.current_provider:
+            return entry
+        self._record(job_id, kind, "refuse", f"{kind} from {sender} for a job "
+                     f"{entry.status.value} on {entry.current_provider}")
+        return None
+
     def jobs_on(self, provider_id: str) -> list[str]:
         """The running jobs on ``provider_id``, sorted."""
         return sorted(job_id for job_id, entry in self.jobs.items()
@@ -174,9 +182,9 @@ class SupervisoryAgent:
     # -- deployment ---------------------------------------------------------
 
     def deploy(self, jrl: JobRequirementList, task_kind: str, params: dict,
-               start_on: str | None = None, checkpoint_interval: int = 16,
+               start_on: str | None = None, checkpoint_interval: int | None = None,
                reply_to: str | None = None) -> str:
-        """Match, pick a provider (or honor a forced placement), and submit."""
+        """Match, pick the best provider (or honor a forced placement), and submit."""
         if jrl.job_id in self.jobs:
             raise ControlError(f"job {jrl.job_id!r} already submitted")
         if jrl.sla is None:
@@ -187,66 +195,70 @@ class SupervisoryAgent:
                 raise NoMatch(f"forced provider {start_on!r} is not eligible for {jrl.job_id!r}")
             chosen = start_on
         else:
-            chosen = select_provider(result)
+            chosen = result.provider_ids[0]
         spec = {"job_id": jrl.job_id, "task_kind": task_kind, "params": params,
-                "sla": jrl.sla.to_dict(), "checkpoint_interval": checkpoint_interval,
-                "reply_to": reply_to}
+                "sla": jrl.sla.to_dict(), "reply_to": reply_to}
+        if checkpoint_interval is not None:  # else the node's default
+            spec["checkpoint_interval"] = checkpoint_interval
         t = self.clock()  # the job's timeline starts before its node can step it
         self.transport.submit(chosen, spec)
         self.jobs[jrl.job_id] = JobEntry(
-            jrl=jrl, sla=jrl.sla, current_provider=chosen, candidates=result,
-            status=JobStatus.RUNNING)
-        self.hub.track(jrl.job_id)
+            jrl=jrl, sla=jrl.sla, current_provider=chosen, status=JobStatus.RUNNING)
         self._record(jrl.job_id, "deploy", "submit",
-                     f"provider={chosen} candidates={list(result.provider_ids)}", t)
+                     f"provider={chosen} ranked={list(result.provider_ids)}", t)
         return jrl.job_id
 
     # -- report handling ----------------------------------------------------
 
+    def targets(self, entry: JobEntry) -> list[tuple[str, Fraction]]:
+        """Where the job may move, best first, with scores: the eligible providers
+        in the registry as it is now, less the job's current and former ones."""
+        try:
+            ranked = match_job(entry.jrl, self.broker.build_rst().values()).ranked
+        except NoMatch:
+            return []
+        skip = entry.excluded | {entry.current_provider}
+        return [(pid, pscore) for pid, pscore in ranked if pid not in skip]
+
     def decide(self, report: PerformanceReport) -> Decision:
         """Pure decision function of (report, state, broker snapshot)."""
-        entry = self.jobs.get(report.job_id)
-        if entry is None:
-            raise UnknownJob(f"report for untracked job {report.job_id!r}")
+        entry = self.jobs[report.job_id]
         if report.kind is ReportKind.NONE:
             return Decision(DecisionAction.CONTINUE, reason="no problem detected")
 
-        providers = self.broker.build_rst()
+        targets = self.targets(entry)
         if report.kind is ReportKind.RESOURCE_WITHDRAWN:
-            exclude = entry.excluded | {report.provider_id}
-            for pid in entry.candidates.provider_ids:
-                t = providers.get(pid)
-                if pid not in exclude and t is not None and eligible(t, entry.jrl):
-                    return Decision(DecisionAction.RESCHEDULE, target=pid,
-                                    reason=f"provider {report.provider_id} withdrew")
+            if targets:
+                return Decision(DecisionAction.RESCHEDULE, target=targets[0][0],
+                                reason=f"provider {report.provider_id} withdrew")
             return Decision(DecisionAction.FAIL,
                             reason="no alternative provider after withdrawal")
 
         # throughput violation: move only if somewhere strictly better exists
-        try:
-            fresh = match_job(entry.jrl, providers.values())
-        except NoMatch:
-            fresh = None
-        current_score = entry.candidates.score_of(entry.current_provider)
-        if fresh is not None:
-            for pid, pscore in fresh.ranked:
-                if pid in entry.excluded or pid == entry.current_provider:
-                    continue
-                if current_score is None or pscore > current_score:
-                    return Decision(DecisionAction.RESCHEDULE, target=pid,
-                                    reason="strictly better provider available")
+        current_score = score(self.broker.get(entry.current_provider), entry.jrl)
+        for pid, pscore in targets:
+            if pscore > current_score:
+                return Decision(DecisionAction.RESCHEDULE, target=pid,
+                                reason="strictly better provider available")
         new_sla = replace(entry.sla, min_throughput=entry.sla.min_throughput * RENEGOTIATE_FACTOR)
         return Decision(DecisionAction.RENEGOTIATE_SLA, new_sla=new_sla,
                         reason="no better provider; relaxing throughput floor")
 
-    def on_report(self, report: PerformanceReport) -> Decision:
-        """Decide and apply: migrate, record the new SLA, or fail the job."""
+    def on_report(self, report: PerformanceReport) -> Decision | None:
+        """Decide and apply a report the first time it comes: migrate, record the
+        new SLA, or fail the job. A refused or repeated report gets no decision."""
+        entry = self._acts_on(report.job_id, report.provider_id, report.kind.value)
+        if entry is None or report in entry.reports:
+            return None
+        entry.reports.add(report)
         decision = self.decide(report)
-        entry = self.jobs[report.job_id]
         self._record(report.job_id, report.kind.value, decision.action.value,
                      decision.reason + (f" target={decision.target}" if decision.target else ""))
         if decision.action is DecisionAction.RESCHEDULE:
-            self.migrate(report.job_id, decision.target)
+            try:
+                self.migrate(report.job_id, decision.target)
+            except TransferFailed as exc:
+                self._record(report.job_id, "migrate", "transfer_failed", str(exc))
         elif decision.action is DecisionAction.RENEGOTIATE_SLA:
             self.transport.update_sla(entry.current_provider, report.job_id, decision.new_sla)
             entry.sla = decision.new_sla
@@ -262,9 +274,7 @@ class SupervisoryAgent:
         All-or-nothing from the job's perspective: on TransferFailed the job
         keeps running on the source provider.
         """
-        entry = self.jobs.get(job_id)
-        if entry is None:
-            raise UnknownJob(f"cannot migrate untracked job {job_id!r}")
+        entry = self.jobs[job_id]
         if entry.status is not JobStatus.RUNNING:
             raise ControlError(f"job {job_id!r} is {entry.status.value}, not running")
         source = entry.current_provider
@@ -287,23 +297,17 @@ class SupervisoryAgent:
     def complete(self, result: dict) -> None:
         """Take a RESULT_RETURN body: the job ends, done or failed, if it is
         running on the result's sender; any other result is refused."""
-        job_id, sender = result["job_id"], result["provider_id"]
-        entry = self.jobs.get(job_id)
+        job_id = result["job_id"]
+        entry = self._acts_on(job_id, result["provider_id"], "result")
         if entry is None:
-            raise UnknownJob(f"completion for untracked job {job_id!r}")
-        if entry.status is not JobStatus.RUNNING or sender != entry.current_provider:
-            self._record(job_id, "result", "refuse",
-                         f"result from {sender} for a job {entry.status.value} "
-                         f"on {entry.current_provider}")
             return
         entry.result = result
-        self.hub.untrack(job_id)
         if result.get("failed"):
             entry.status = JobStatus.FAILED
             self._record(job_id, "result", "fail", f"error={result.get('error')}")
             return
         entry.status = JobStatus.DONE
-        if entry.migrations and entry.migrations[-1].time_on_target_ms is None:
-            entry.migrations[-1].finalize(result["exec_ms"])
+        if entry.migrations:  # the gate lets one result through: the last move's target time
+            entry.migrations[-1].time_on_target_ms = result["exec_ms"]
         self._record(job_id, "result", "done",
                      f"digest={result['digest']:016x} iterations={result['iterations_done']}")

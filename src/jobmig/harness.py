@@ -55,6 +55,7 @@ from .node import (
     MSG_SLA_UPDATE,
     MSG_WITHDRAW_NOTICE,
     FrameServer,
+    MalformedPayload,
     NodeError,
     NodeRuntime,
     UnsupportedMessage,
@@ -64,6 +65,7 @@ from .node import (
     json_payload,
     parse_json,
     request,
+    require,
 )
 
 
@@ -291,12 +293,12 @@ class Environment:
     reply_to: str | None = None  # where nodes send results; None means their supervisor
 
     def __init__(self, broker: ResourceBroker, transport, clock, sla: ServiceLevelAgreement,
-                 checkpoint_interval: int, decision_log: str | Path | None):
+                 checkpoint_interval: int | None, decision_log: str | Path | None):
         self.broker = broker
         self.hub = MonitorHub(broker)
         self.transport = transport
         self.step_log = Timeline(decision_log)  # the run's timeline, under the benchmark's name
-        self.supervisory = SupervisoryAgent(broker, self.hub, transport, clock=clock,
+        self.supervisory = SupervisoryAgent(broker, transport, clock=clock,
                                             emit=self.step_log.emit)
         self.sla = sla
         self.checkpoint_interval = checkpoint_interval
@@ -340,10 +342,7 @@ class Environment:
                 continue
             for report in reports:
                 for fwd in self.hub.submit(report):
-                    try:
-                        self.supervisory.on_report(fwd)
-                    except TransferFailed:
-                        pass  # the job stays intact on its source; its result still comes
+                    self.supervisory.on_report(fwd)
 
 
 class SimTransport:
@@ -382,7 +381,7 @@ class SimEnvironment(Environment):
 
     def __init__(self, config: SimConfig, providers: Sequence[ResourceSpecTemplate],
                  workdir: str | Path, sla: ServiceLevelAgreement = DEFAULT_SIM_SLA,
-                 checkpoint_interval: int = 16,
+                 checkpoint_interval: int | None = None,
                  withdraw_at: dict[str, int] | None = None,
                  decision_log: str | Path | None = None):
         self.config = config
@@ -421,9 +420,27 @@ class SimEnvironment(Environment):
         return result
 
 
+def check_message(msg_type: int, body: dict) -> None:
+    """Raise MalformedPayload unless the node message has what ``route`` and
+    ``SupervisoryAgent.complete`` read from it."""
+    if msg_type == MSG_MONITOR_REPORT:
+        try:
+            PerformanceReport.from_dict(body)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedPayload(f"bad report: {exc!r}") from exc
+    elif msg_type == MSG_WITHDRAW_NOTICE:
+        require(body, "provider_id", "at_ms")
+    elif body.get("failed"):
+        require(body, "job_id", "provider_id")
+    else:
+        digest = require(body, "digest", "job_id", "provider_id", "iterations_done", "exec_ms")[0]
+        if type(digest) is not int:
+            raise MalformedPayload("a result's digest must be an integer")
+
+
 class SupervisoryListener(FrameServer):
     """Frame endpoint for node-originated messages: registrations go to the
-    broker; withdrawals, reports and results to ``events``."""
+    broker; withdrawals, reports and results that route can act on to ``events``."""
 
     def __init__(self, broker: ResourceBroker):
         super().__init__()
@@ -435,7 +452,9 @@ class SupervisoryListener(FrameServer):
         if msg_type == MSG_REGISTER_PROVIDER:
             self.broker.register_provider(template_from_dict(parse_json(payload)))
         elif msg_type in (MSG_WITHDRAW_NOTICE, MSG_MONITOR_REPORT, MSG_RESULT_RETURN):
-            self.events.put((msg_type, parse_json(payload)))
+            body = parse_json(payload)
+            check_message(msg_type, body)
+            self.events.put((msg_type, body))
         else:
             raise UnsupportedMessage(f"the supervisor does not serve "
                                      f"{MSG_NAMES.get(msg_type, hex(msg_type))} messages")
@@ -498,7 +517,8 @@ class WallEnvironment(Environment):
     """Spawns real node processes and orchestrates them over TCP."""
 
     def __init__(self, providers: Sequence[ResourceSpecTemplate], workdir: str | Path,
-                 sla: ServiceLevelAgreement = DEFAULT_WALL_SLA, checkpoint_interval: int = 16,
+                 sla: ServiceLevelAgreement = DEFAULT_WALL_SLA,
+                 checkpoint_interval: int | None = None,
                  withdraw_at: dict[str, int] | None = None,
                  decision_log: str | Path | None = None):
         self.providers = list(providers)
@@ -602,7 +622,7 @@ class WallEnvironment(Environment):
 
 def _environment(mode: str, providers: Sequence[ResourceSpecTemplate] | None,
                  needed: Sequence[str], workdir: Path, sla: ServiceLevelAgreement | None,
-                 checkpoint_interval: int, withdraw_at: dict[str, int] | None = None,
+                 checkpoint_interval: int | None, withdraw_at: dict[str, int] | None = None,
                  decision_log: str | Path | None = None) -> Environment:
     """The mode's environment over the ``needed`` providers, in that order."""
     config = calibrate_from_table1()
@@ -634,7 +654,7 @@ def _run(env: Environment, job_id: str, n: int, seed: int, start_on: str) -> dic
 
 def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str = "sim",
                   providers: Sequence[ResourceSpecTemplate] | None = None,
-                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
+                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int | None = None,
                   workdir: str | Path | None = None, job_id: str | None = None,
                   decision_log: str | Path | None = None) -> ScenarioOutcome:
     """Uninterrupted run to completion on one provider."""
@@ -651,7 +671,7 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                   target: str = TARGET_PROVIDER, migrate_at: int | None = None,
                   mode: str = "sim",
                   providers: Sequence[ResourceSpecTemplate] | None = None,
-                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
+                  sla: ServiceLevelAgreement | None = None, checkpoint_interval: int | None = None,
                   workdir: str | Path | None = None, job_id: str | None = None,
                   decision_log: str | Path | None = None,
                   include_scenario1: bool = True) -> ScenarioOutcome:
@@ -674,7 +694,6 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
     if not entry.migrations:
         raise HarnessError(f"scenario2 completed without migrating\n{env.dump_logs()}".rstrip())
     record = entry.migrations[-1]
-    record.check_identity()
     rows = {(r["event"], r.get("decision")): r for r in env.step_log.rows if r["job_id"] == job_id}
     e2e_ms = rows["result", None]["t"] - rows["decision", "submit"]["t"]
     detail = {**env.migrate_detail, "e2e_ms": e2e_ms, "unattributed_ms": e2e_ms - record.total_ms}
@@ -722,7 +741,7 @@ def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--start-on", default=SOURCE_PROVIDER)
     parser.add_argument("--providers", default=None, help="provider bootstrap JSON file")
     parser.add_argument("--decision-log", default=None, help="decisions.jsonl path")
-    parser.add_argument("--checkpoint-interval", type=int, default=16)
+    parser.add_argument("--checkpoint-interval", type=int, help="default: the node's")
     parser.add_argument("--sla-floor", type=float, default=None,
                         help="min throughput (iterations/s)")
     parser.add_argument("--window-k", type=int, default=3)

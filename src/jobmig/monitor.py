@@ -2,8 +2,8 @@
 
 Local analyzers sample job progress and confirm SLA violations over a
 sliding window of pairwise throughputs; the hub turns provider withdrawals
-into reports and forwards each actionable report to the supervisory
-controller exactly once.
+into reports and passes each actionable report on to the supervisory
+controller, which judges whether it still applies and acts on it once.
 """
 
 from __future__ import annotations
@@ -172,25 +172,12 @@ class LocalAnalyzer:
         return list(self._windows.get(job_id, ()))
 
 
-def _report_key(report: PerformanceReport) -> tuple:
-    return (report.kind.value, report.provider_id, report.job_id, report.emitted_at,
-            report.evidence)
-
-
 class MonitorHub:
-    """Global analyzer: turns withdrawals into reports, and forwards each
-    actionable report on a tracked job exactly once."""
+    """Global analyzer: turns withdrawals into reports, and passes on each
+    actionable report."""
 
     def __init__(self, broker: ResourceBroker):
         self.broker = broker
-        # keys of the reports forwarded per tracked job; dropped with the job
-        self._forwarded: dict[str, set[tuple]] = {}
-
-    def track(self, job_id: str) -> None:
-        self._forwarded.setdefault(job_id, set())
-
-    def untrack(self, job_id: str) -> None:
-        self._forwarded.pop(job_id, None)
 
     def note_withdrawal(self, provider_id: str, at_ms,
                         job_ids: Sequence[str]) -> list[PerformanceReport]:
@@ -203,14 +190,5 @@ class MonitorHub:
                 for job_id in job_ids]
 
     def submit(self, report: PerformanceReport) -> list[PerformanceReport]:
-        """The report if it is actionable, on a tracked job, and not forwarded
-        before; otherwise nothing. A report on an untracked job (finished, or
-        never deployed) has nothing left to act on."""
-        forwarded = self._forwarded.get(report.job_id)
-        if report.kind is ReportKind.NONE or forwarded is None:
-            return []
-        key = _report_key(report)
-        if key in forwarded:
-            return []
-        forwarded.add(key)
-        return [report]
+        """The report, unless it reports no problem."""
+        return [] if report.kind is ReportKind.NONE else [report]

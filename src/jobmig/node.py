@@ -84,6 +84,7 @@ PARK_GRACE_S = 5.0
 
 # every FULL_EVERY-th checkpoint record of a job is a full one
 FULL_EVERY = 16
+DEFAULT_CHECKPOINT_INTERVAL = 16  # iterations between checkpoints, unless a job sets its own
 
 
 class NodeError(Exception):
@@ -264,7 +265,7 @@ def job_settings(obj: dict) -> dict:
             sla = ServiceLevelAgreement.from_dict(obj["sla"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad sla: {exc}") from exc
-    interval = obj.get("checkpoint_interval", 16)
+    interval = obj.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL)
     reply_to = obj.get("reply_to")
     if type(interval) is not int or not isinstance(reply_to, (str, type(None))):
         raise MalformedPayload("checkpoint_interval must be an integer, reply_to a string")
@@ -319,9 +320,9 @@ ST_FAILED = "failed"
 class JobExecution:
     job_id: str
     task: workload.SortTask
-    sla: ServiceLevelAgreement | None = None
-    checkpoint_interval: int = 16
-    reply_to: str | None = None
+    sla: ServiceLevelAgreement | None
+    checkpoint_interval: int
+    reply_to: str | None
     status: str = ST_RUNNING
     seq_next: int = 0
     since_checkpoint: int = 0
@@ -380,7 +381,8 @@ class NodeRuntime:
             raise UnknownJob(f"job {job_id!r} is not on provider {self.provider_id!r}") from None
 
     def submit_job(self, job_id: str, task_kind: str, params: dict,
-                   sla: ServiceLevelAgreement | None = None, checkpoint_interval: int = 16,
+                   sla: ServiceLevelAgreement | None = None,
+                   checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
                    reply_to: str | None = None) -> dict:
         if not job_id:
             raise MalformedPayload("job_id must be non-empty")
@@ -453,51 +455,57 @@ class NodeRuntime:
     def run_iteration(self, job_id: str) -> list[tuple[int, dict]]:
         """One yield-point-to-yield-point unit of work; returns outbound messages.
         A quiesce request parks the job at its next yield point and takes the
-        final capture there, ahead of the hand-off that will need it."""
+        final capture there, ahead of the hand-off. A job that raises fails here."""
         entry = self.job(job_id)
         with entry.lock:
             if entry.status in (ST_TOMBSTONED, ST_DONE, ST_FAILED):
                 raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
-            if entry.quiesce_requested:
-                self._park(entry)
-                return []
-            if entry.task.done:  # a transferred state may already be complete
-                return [self._complete(entry)]
+            try:
+                if entry.quiesce_requested:
+                    self._park(entry)
+                    return []
+                if entry.task.done:  # a transferred state may already be complete
+                    return [self._complete(entry)]
 
-            msgs: list[tuple[int, dict]] = []
-            t0 = time.perf_counter_ns()
-            entry.task.step()
-            if self.step_cost_ms is not None:
-                self.clock.advance(self.step_cost_ms)
-            iterations = entry.task.iterations_done
+                msgs: list[tuple[int, dict]] = []
+                t0 = time.perf_counter_ns()
+                entry.task.step()
+                if self.step_cost_ms is not None:
+                    self.clock.advance(self.step_cost_ms)
+                iterations = entry.task.iterations_done
 
-            entry.since_checkpoint += 1
-            if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
-                self._capture(entry)
-            entry.run_ns += time.perf_counter_ns() - t0
+                entry.since_checkpoint += 1
+                if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
+                    self._capture(entry)
+                entry.run_ns += time.perf_counter_ns() - t0
 
-            if self.withdraw_at is not None and iterations >= self.withdraw_at \
-                    and not self._withdrawn:
-                msgs.extend(self.withdraw())
+                if self.withdraw_at is not None and iterations >= self.withdraw_at \
+                        and not self._withdrawn:
+                    msgs.extend(self.withdraw())
 
-            if entry.sla is not None and not entry.task.done:
-                now = self.clock.now_ms()
-                if now >= entry.next_sample_ms:
-                    s = MonitorSample(self.provider_id, job_id, now, iterations,
-                                      entry.checkpoint_us, entry.run_ns // 1000)
-                    report = self.analyzer.observe(s, entry.sla)
-                    if report.kind is not ReportKind.NONE:
-                        msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
-                    if self.tune_enabled:
-                        entry.checkpoint_interval = tune_decision(self.analyzer.window(job_id),
-                                                                  entry.checkpoint_interval)
-                    entry.next_sample_ms = now + entry.sla.sample_period_ms
+                if entry.sla is not None and not entry.task.done:
+                    now = self.clock.now_ms()
+                    if now >= entry.next_sample_ms:
+                        s = MonitorSample(self.provider_id, job_id, now, iterations,
+                                          entry.checkpoint_us, entry.run_ns // 1000)
+                        report = self.analyzer.observe(s, entry.sla)
+                        if report.kind is not ReportKind.NONE:
+                            msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
+                        if self.tune_enabled:
+                            entry.checkpoint_interval = tune_decision(self.analyzer.window(job_id),
+                                                                      entry.checkpoint_interval)
+                        entry.next_sample_ms = now + entry.sla.sample_period_ms
 
-            if entry.task.done:
-                msgs.append(self._complete(entry))
-            elif entry.quiesce_requested:  # withdrawn during this iteration
-                self._park(entry)
-            return msgs
+                if entry.task.done:
+                    msgs.append(self._complete(entry))
+                elif entry.quiesce_requested:  # withdrawn during this iteration
+                    self._park(entry)
+                return msgs
+            except Exception as exc:  # the job fails here, and its supervisor hears of it
+                self.stop_running(entry, ST_FAILED)
+                self.record("failed", job_id, error=type(exc).__name__)
+                return [(MSG_RESULT_RETURN, {"job_id": job_id, "provider_id": self.provider_id,
+                                             "failed": True, "error": type(exc).__name__})]
 
     def stop_running(self, entry: JobExecution, status: str) -> None:
         """The job stops running here: a steps row covers its iterations since it last started."""
@@ -537,7 +545,8 @@ class NodeRuntime:
         entry = self.job(job_id)
         with entry.lock:
             try:
-                self.request_quiesce(job_id)
+                entry.quiesce_requested = True
+                self._park(entry)  # the final capture: if it fails, the job resumes here
                 payload, info = self.prepare_transfer(job_id)
                 t0 = time.perf_counter_ns()
                 ack = send(payload)
@@ -547,11 +556,6 @@ class NodeRuntime:
                 raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
             self.finish_transfer(job_id)
         return info, ack
-
-    def request_quiesce(self, job_id: str) -> None:
-        """Park the job at its next yield point; returns once it is parked."""
-        self.job(job_id).quiesce_requested = True
-        self.run_iteration(job_id)  # with the request set, this parks the job
 
     def prepare_transfer(self, job_id: str) -> tuple[bytes, dict]:
         """Compose the parked job's lineage, check it against the live state, and
@@ -674,24 +678,15 @@ class NodeDaemon(FrameServer):
     def _exec_loop(self, job_id: str) -> None:
         rt = self.runtime
         entry = rt.job(job_id)
-        while not self._stop.is_set():
+        while entry.status not in (ST_DONE, ST_FAILED, ST_TOMBSTONED) and not self._stop.is_set():
             try:
                 msgs = rt.run_iteration(job_id)
-            except Exception as exc:
-                if entry.status == ST_TOMBSTONED:
-                    return  # migrated away while this thread waited for its turn
-                rt.stop_running(entry, ST_FAILED)
-                rt.record("failed", job_id, error=type(exc).__name__)
-                self._dispatch(entry, [(MSG_RESULT_RETURN, {
-                    "job_id": job_id, "provider_id": rt.provider_id,
-                    "failed": True, "error": type(exc).__name__})])
-                return
+            except InvalidJobState:
+                return  # migrated away while this thread waited for its turn
             self._dispatch(entry, msgs)
             if entry.status == ST_QUIESCED and not entry.proceed_evt.wait(PARK_GRACE_S) \
                     and rt.abort_transfer(job_id):
                 rt.record("park_expired", job_id, iteration=entry.task.iterations_done)
-            if entry.status in (ST_DONE, ST_TOMBSTONED):
-                return
 
     def _dispatch(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> None:
         """Send each message upstream: a result to the job's reply address, if it has one."""

@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 from jobmig.broker import (
     JobRequirementList,
     MalformedTemplate,
-    MatchResult,
     NoMatch,
     ResourceBroker,
     ResourceSpecTemplate,
     UnknownProvider,
     load_providers,
     match_job,
-    select_provider,
 )
 from jobmig.monitor import MonitorHub, ServiceLevelAgreement
 
@@ -100,8 +98,8 @@ class TestMatchJob:
         result = match_job(jrl(), rst)
         assert result.provider_ids == ("server2", "server1")
         # hand-applied score: 0.5*(3000/2800) + 0.5*(1024/512)
-        assert result.score_of("server2") == Fraction(43, 28)
-        assert result.score_of("server1") == Fraction(1)
+        assert dict(result.ranked)["server2"] == Fraction(43, 28)
+        assert dict(result.ranked)["server1"] == Fraction(1)
 
     def test_empty_table_no_match(self):
         with pytest.raises(NoMatch):
@@ -125,12 +123,6 @@ class TestMatchJob:
         twin_b = server1(provider_id="a-twin")
         result = match_job(jrl(), (twin_a, twin_b))
         assert result.provider_ids == ("a-twin", "b-twin")
-
-
-class TestSelectProvider:
-    def test_head_of_list(self):
-        result = MatchResult(ranked=(("server2", Fraction(2)), ("server1", Fraction(1))))
-        assert select_provider(result) == "server2"
 
 
 def random_instance(rng):
@@ -182,7 +174,7 @@ class TestOracleEquivalence:
                 result = match_job(req, providers)
             except NoMatch:
                 continue
-            assert select_provider(result) in oracle_eligible(req, providers)
+            assert result.provider_ids[0] in oracle_eligible(req, providers)
 
 
 class TestRankStability:

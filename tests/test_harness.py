@@ -1,3 +1,4 @@
+import errno
 import json
 from fractions import Fraction
 
@@ -7,8 +8,15 @@ import pytest
 from jobmig import harness
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
 from jobmig.control import DecisionAction, JobStatus, SupervisoryAgent
-from jobmig.monitor import MonitorHub, PerformanceReport, ReportKind, ServiceLevelAgreement
-from jobmig.node import MSG_RESULT_RETURN
+from jobmig.monitor import PerformanceReport, ReportKind, ServiceLevelAgreement
+from jobmig.node import (
+    MSG_ERROR,
+    MSG_MONITOR_REPORT,
+    MSG_RESULT_RETURN,
+    json_payload,
+    parse_json,
+    request,
+)
 
 from conftest import reference_digest
 
@@ -186,6 +194,63 @@ class TestStaleResult:
             == ["submit", "refuse", "done"]
 
 
+class TestStaleReport:
+    def test_report_from_the_provider_a_job_left_is_refused(self, tmp_path):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     withdraw_at={"server1": 20})
+        env.deploy_sort("late", 60, 3, start_on="server1")
+        entry = env.supervisory.jobs["late"]
+        while entry.current_provider == "server1":
+            env.route(env.nodes["server1"].run_iteration("late"))
+        late = PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="server1",
+                                 job_id="late", emitted_at=1)
+        env.route([(MSG_MONITOR_REPORT, late.to_dict())])
+        assert entry.sla.min_throughput == env.nodes["server2"].job("late").sla.min_throughput \
+            == 2.0
+        rows = [r for r in env.step_log.rows if r["event"] == "decision"]
+        assert [r["decision"] for r in rows] == ["submit", "reschedule", "transfer", "refuse"]
+        assert rows[-1]["detail"] == "throughput_violation from server1 for a job running on server2"
+        assert env.run_job("late")["digest"] == reference_digest(60, 3)
+
+
+class TestNodeFault:
+    def test_a_failing_store_append_fails_the_job(self, tmp_path):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.deploy_sort("full", 80, 2, start_on="server1")
+        store = env.nodes["server1"].store
+        appends = []
+
+        def third_fails(record):
+            appends.append(record.seq)
+            if len(appends) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            store.__class__.append(store, record)
+
+        store.append = third_fails
+        with pytest.raises(harness.HarnessError, match="failed"):
+            env.run_job("full")
+        assert env.supervisory.jobs["full"].status is JobStatus.FAILED
+        assert env.nodes["server1"].job("full").status == "failed"
+        assert [(r.get("decision", r["event"]), r.get("first"), r.get("end"), r.get("error"))
+                for r in env.step_log.rows] == [
+            ("submit", None, None, None), ("steps", 0, 48, None), ("failed", None, None, "OSError"),
+            ("fail", None, None, None)]
+
+
+class TestSupervisoryListener:
+    @pytest.mark.parametrize("msg_type,body", [
+        pytest.param(MSG_MONITOR_REPORT, {}, id="report-without-kind"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "bogus", "provider_id": "server1",
+                                          "job_id": "j"}, id="report-of-no-kind"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j"}, id="result-without-provider")])
+    def test_a_body_route_cannot_act_on_is_refused(self, listener, msg_type, body):
+        reply_type, reply = request(listener.address, msg_type, json_payload(body))
+        assert (reply_type, parse_json(reply)["error"]) == (MSG_ERROR, "MalformedPayload")
+        assert listener.events.empty()
+
+
 class TestViolationDrivenRescheduling:
     def test_slow_provider_triggers_migration_to_better_one(self, tmp_path):
         config = harness.calibrate_from_table1()
@@ -230,7 +295,7 @@ class TestWallTransport:
         broker = ResourceBroker()
         broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
                                                       cpu_mhz=2800, memory_mb=512))
-        agent = SupervisoryAgent(broker, MonitorHub(broker), harness.WallTransport(broker))
+        agent = SupervisoryAgent(broker, harness.WallTransport(broker))
         sla = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
         agent.deploy(JobRequirementList(job_id="sla", min_cpu_mhz=2800, min_memory_mb=512,
                                         sla=sla), "sort", {"n": 2000, "seed": 3})
@@ -389,11 +454,15 @@ class TestWallMode:
         env.step_log.assert_single_ownership("miss")
         assert result["provider_id"] == "server2"
         assert result["digest"] == reference_digest(3000, 4)
-        decisions = [r["decision"] for r in sorted(env.step_log.rows, key=lambda r: r["t"])
-                     if r["event"] == "decision"]
+        rows = [r for r in sorted(env.step_log.rows, key=lambda r: r["t"])
+                if r["event"] == "decision"]
+        decisions = [r["decision"] for r in rows]
         assert decisions[:3] == ["submit", "reschedule", "transfer"]
         assert decisions[-1] == "done"
-        assert set(decisions[3:-1]) <= {"renegotiate_sla"}
+        assert set(decisions[3:-1]) <= {"renegotiate_sla", "refuse"}
+        # a report the source sent before it handed the job off is refused
+        assert all(r["detail"].startswith("throughput_violation from server1 ")
+                   for r in rows[3:-1] if r["decision"] == "refuse")
 
     def test_wall_job_with_no_provider_left_fails(self, tmp_path):
         # the job stays parked on its withdrawn node; the pump stops on the FAILED status

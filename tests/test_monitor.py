@@ -127,18 +127,16 @@ def forward(hub, reports):
     return [fwd for report in reports for fwd in hub.submit(report)]
 
 
-def tracking_hub(*jobs):
+def plain_hub():
     broker = ResourceBroker()
     broker.register_provider(ResourceSpecTemplate(
         provider_id="p1", address="a:1", cpu_mhz=2800, memory_mb=512))
-    hub = MonitorHub(broker)
-    for job in jobs:
-        hub.track(job)
-    return hub
+    return MonitorHub(broker)
 
 
 class TestAggregator:
-    """The hub's report stream: what reaches the supervisor, and how often."""
+    """The hub's report stream: what reaches the supervisor. The supervisor acts
+    on each report once (``test_control``)."""
 
     def violation(self, emitted_at=1000, job="j1", provider="p1"):
         return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id=provider,
@@ -154,43 +152,23 @@ class TestAggregator:
                                  emitted_at=at)
 
     def test_none_reports_are_not_forwarded(self):
-        forwarded = forward(tracking_hub("j1"),
+        forwarded = forward(plain_hub(),
                             [self.none_report(), self.none_report(), self.violation()])
         assert len(forwarded) == 1
         assert forwarded[0].kind is ReportKind.THROUGHPUT_VIOLATION
 
     def test_violation_then_withdrawal_both_forwarded_in_order(self):
-        forwarded = forward(tracking_hub("j1"), [self.violation(), self.withdrawal()])
+        forwarded = forward(plain_hub(), [self.violation(), self.withdrawal()])
         assert [r.kind for r in forwarded] == [ReportKind.THROUGHPUT_VIOLATION,
                                                ReportKind.RESOURCE_WITHDRAWN]
-
-    def test_duplicate_report_forwarded_once(self):
-        hub = tracking_hub("j1")
-        report = self.violation()
-        assert hub.submit(report) == [report]
-        assert hub.submit(report) == []
 
     def test_replay_yields_identical_forwarded_sequence(self):
         stream = [self.none_report(), self.violation(1000), self.violation(2000),
                   self.withdrawal()]
-        a = forward(tracking_hub("j1"), list(stream))
-        b = forward(tracking_hub("j1"), list(stream))
+        a = forward(plain_hub(), list(stream))
+        b = forward(plain_hub(), list(stream))
         assert a == b
         assert len(a) == 3
-
-    def test_no_dedupe_state_outlives_tracking(self):
-        hub = tracking_hub("j1", "j2")
-        report = self.violation()
-        assert forward(hub, [report, report, self.violation(job="j2")]) == \
-            [report, self.violation(job="j2")]
-        hub.untrack("j1")
-        assert set(hub._forwarded) == {"j2"}
-        # a late report on the finished job has nothing to act on and leaves no state
-        assert hub.submit(report) == []
-        assert set(hub._forwarded) == {"j2"}
-        # tracked again, the job starts a fresh stream: the duplicate is forwarded once
-        hub.track("j1")
-        assert forward(hub, [report, report]) == [report]
 
 
 class TestMonitorHub:

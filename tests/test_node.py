@@ -1,3 +1,4 @@
+import errno
 import math
 import socket
 import struct
@@ -87,6 +88,12 @@ def sim_runtime(tmp_path, cost=Fraction(57306, 500), speed=Fraction(1), **kw):
                           store_dir=tmp_path / "sim1", step_cost_ms=cost / speed, **kw)
 
 
+def park(runtime, job_id):
+    """Park the job at its next yield point, as a withdrawal does."""
+    runtime.job(job_id).quiesce_requested = True
+    runtime.run_iteration(job_id)
+
+
 def run_to_completion(runtime, job_id):
     msgs = []
     entry = runtime.job(job_id)
@@ -123,7 +130,7 @@ class TestSimExecution:
         runtime.submit_job("j1", "sort", {"n": 20, "seed": 3})
         for _ in range(7):
             runtime.run_iteration("j1")
-        runtime.request_quiesce("j1")
+        park(runtime, "j1")
         entry = runtime.job("j1")
         assert entry.status == nd.ST_QUIESCED
         assert entry.task.iterations_done == 7
@@ -134,7 +141,7 @@ class TestSimExecution:
         runtime = sim_runtime(tmp_path)
         runtime.submit_job("j1", "sort", {"n": 20, "seed": 3})
         runtime.run_iteration("j1")
-        runtime.request_quiesce("j1")
+        park(runtime, "j1")
         runtime.prepare_transfer("j1")
         runtime.finish_transfer("j1")
         with pytest.raises(nd.InvalidJobState):
@@ -204,7 +211,7 @@ class TestTransfer:
         source.submit_job("jm", "sort", {"n": n, "seed": 42}, sla=sla, checkpoint_interval=16)
         for _ in range(until):
             source.run_iteration("jm")
-        source.request_quiesce("jm")
+        park(source, "jm")
         return source.prepare_transfer("jm")
 
     def test_resume_executes_exactly_remaining_iterations(self, tmp_path):
@@ -278,12 +285,30 @@ class TestTransfer:
         source.submit_job("ja", "sort", {"n": 30, "seed": 6})
         for _ in range(10):
             source.run_iteration("ja")
-        source.request_quiesce("ja")
+        park(source, "ja")
         source.prepare_transfer("ja")
         source.abort_transfer("ja")
         entry = source.job("ja")
         assert entry.status == nd.ST_RUNNING
         run_to_completion(source, "ja")
+        assert entry.task.digest() == reference_digest(30, 6)
+
+    def test_failed_final_capture_leaves_the_job_running(self, tmp_path):
+        source = sim_runtime(tmp_path)
+        source.submit_job("jp", "sort", {"n": 30, "seed": 6})
+        for _ in range(5):
+            source.run_iteration("jp")
+
+        def full(record):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        source.store.append = full
+        with pytest.raises(TransferFailed):
+            source.hand_off("jp", lambda payload: pytest.fail("a payload was sent"))
+        del source.store.append
+        entry = source.job("jp")
+        assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 5)
+        run_to_completion(source, "jp")
         assert entry.task.digest() == reference_digest(30, 6)
 
     def test_hand_off_after_a_failed_send(self, tmp_path):
@@ -360,7 +385,7 @@ class TestDaemon:
         source.submit_job("wt", "sort", {"n": 60, "seed": 9})
         for _ in range(20):
             source.run_iteration("wt")
-        source.request_quiesce("wt")
+        park(source, "wt")
         bundle, info = source.prepare_transfer("wt")
         daemon.supervisor = listener.address
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, bundle)
