@@ -28,7 +28,6 @@ from .monitor import (
     PerformanceReport,
     ReportKind,
     ServiceLevelAgreement,
-    UnknownJob,
 )
 
 
@@ -155,22 +154,22 @@ class SupervisoryAgent:
         self.jobs: dict[str, JobEntry] = {}
 
     def _record(self, job_id: str, report_kind: str, decision: str, detail: str,
-                t=None) -> None:
-        """One decision row, stamped now unless ``t`` is given."""
+                t=None, provider: str | None = None) -> None:
+        """One decision row, stamped ``t`` or now, about ``provider`` or the job's current one."""
         self.emit({"t": self.clock() if t is None else t, "event": "decision",
-                   "job_id": job_id, "provider": self.jobs[job_id].current_provider,
+                   "job_id": job_id, "provider": provider or self.jobs[job_id].current_provider,
                    "report_kind": report_kind, "decision": decision, "detail": detail})
 
     def _acts_on(self, job_id: str, sender: str, kind: str) -> JobEntry | None:
         """The job's entry if a ``kind`` message from ``sender`` applies to it: the
         job runs, on ``sender``. Any other message gets a ``refuse`` row and None."""
         entry = self.jobs.get(job_id)
-        if entry is None:
-            raise UnknownJob(f"{kind} for untracked job {job_id!r}")
-        if entry.status is JobStatus.RUNNING and sender == entry.current_provider:
+        if entry and entry.status is JobStatus.RUNNING and sender == entry.current_provider:
             return entry
-        self._record(job_id, kind, "refuse", f"{kind} from {sender} for a job "
-                     f"{entry.status.value} on {entry.current_provider}")
+        where = (f"{entry.status.value} on {entry.current_provider}" if entry
+                 else "never deployed")
+        self._record(job_id, kind, "refuse", f"{kind} from {sender} for a job {where}",
+                     provider=None if entry else sender)
         return None
 
     def jobs_on(self, provider_id: str) -> list[str]:

@@ -5,10 +5,11 @@ migration transfers, and can withdraw its services. The same runtime drives
 both modes: in sim mode a shared virtual clock advances by the modeled
 per-iteration cost, in wall mode a real daemon executes jobs in threads and
 talks length-prefixed frames over TCP (``FrameServer``, which the
-supervisor's listener also uses). Both modes migrate through
-``NodeRuntime.hand_off``. A withdrawal parks every running job at its next
-yield point, where it waits for its migration, or for ``PARK_GRACE_S``
-seconds before it resumes on this node.
+supervisor's listener also uses). Both modes answer every request to a node in
+``NodeRuntime.serve`` and migrate through ``NodeRuntime.hand_off``. A
+withdrawal parks every running job at its next yield point, where it waits
+for its migration, or for ``PARK_GRACE_S`` seconds before it resumes on this
+node.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -119,6 +120,10 @@ class InvalidJobState(NodeError):
     pass
 
 
+class RequestRefused(NodeError):
+    """The peer answered a request with an ERROR reply."""
+
+
 # -- framing -----------------------------------------------------------------
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -170,6 +175,19 @@ def request(addr: str, msg_type: int, payload: bytes, timeout: float = 10.0) -> 
         sock.settimeout(timeout)
         send_frame(sock, msg_type, payload)
         return recv_frame(sock)
+
+
+def call(addr: str, msg_type: int, body: dict | bytes, timeout: float | None = None) -> dict:
+    """One request whose reply must be an ACK: its JSON body; an ERROR reply raises
+    RequestRefused. ``body`` is a JSON object, or a CHECKPOINT_TRANSFER's payload
+    bytes, which get 15 s: less than the 30 s of the MIGRATE_REQUEST sending them."""
+    transfer = msg_type == MSG_CHECKPOINT_TRANSFER
+    reply_type, reply = request(addr, msg_type, body if transfer else json_payload(body),
+                                timeout=timeout or (15.0 if transfer else 30.0))
+    obj = parse_json(reply)
+    if reply_type != MSG_ACK:
+        raise RequestRefused(f"{obj.get('error')}: {obj.get('detail')}")
+    return obj
 
 
 class FrameServer:
@@ -349,10 +367,11 @@ class NodeRuntime:
                  step_cost_ms: Fraction | None = None,
                  withdraw_at: int | None = None,
                  tune_enabled: bool = False,
-                 emit: Callable[[dict], None] | None = None):
+                 emit: Callable[[dict], None] | None = None,
+                 send: Callable[[str, int, dict | bytes], dict] = call):
         """``step_cost_ms`` is the modeled cost of one step, charged to the
         (virtual) clock; None means each step costs its measured wall time.
-        ``emit`` receives the node's timeline rows."""
+        ``emit`` takes the node's timeline rows, ``send`` its requests to other nodes."""
         if withdraw_at is not None and withdraw_at < 1:
             raise ValueError("withdraw_at must be >= 1")
         self.provider_id = provider_id
@@ -361,6 +380,7 @@ class NodeRuntime:
         self.withdraw_at = withdraw_at
         self.tune_enabled = tune_enabled
         self.emit = emit or (lambda row: None)
+        self.send = send
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
         self.jobs: dict[str, JobExecution] = {}
@@ -372,7 +392,7 @@ class NodeRuntime:
         self.emit({"t": self.clock.now_ms(), "event": event, "job_id": job_id,
                    "provider": self.provider_id, **fields})
 
-    # -- job admission ------------------------------------------------------
+    # -- requests and job admission -------------------------------------------
 
     def job(self, job_id: str) -> JobExecution:
         try:
@@ -403,7 +423,7 @@ class NodeRuntime:
         if records[0].kind != ckpt.KIND_FULL:
             raise ckpt.LineageBroken("transfer bundle must start with a full record")
         state = ckpt.compose(records[0], records[1:])
-        task = workload.from_state(state)
+        task = workload.SortTask(state)
         self._admit(JobExecution(job_id=state.job_id, task=task,
                                  seq_next=records[-1].seq + 1, **settings))
         self.record("resume", state.job_id, iteration=task.iterations_done)
@@ -424,13 +444,34 @@ class NodeRuntime:
         if entry.sla is not None:
             entry.next_sample_ms = self.clock.now_ms() + entry.sla.sample_period_ms
 
-    def update_sla(self, job_id: str, sla: ServiceLevelAgreement) -> None:
-        """A renegotiated SLA: the job's later samples are judged against it."""
-        entry = self.job(job_id)
-        with entry.lock:
-            if entry.next_sample_ms is None:
-                entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
-            entry.sla = sla
+    def serve(self, msg_type: int, body: dict | bytes) -> dict:
+        """Answer one request in either mode: the ACK body, or an exception that refuses
+        it. A CHECKPOINT_TRANSFER body is the payload bytes, any other a JSON object."""
+        if msg_type == MSG_JOB_SUBMIT:
+            job_id, task_kind = require(body, "job_id", "task_kind")
+            return self.submit_job(job_id, task_kind, body.get("params", {}),
+                                   **job_settings(body))
+        if msg_type == MSG_CHECKPOINT_TRANSFER:
+            return self.resume_from_bundle(body)
+        if msg_type == MSG_MIGRATE_REQUEST:
+            job_id, target_id, target_addr = require(body, "job_id", "target_id", "target_addr")
+            if target_id == self.provider_id:
+                raise InvalidJobState("migration target equals the source node")
+            info, ack = self.hand_off(job_id, target_addr)
+            return {"ok": True, "job_id": job_id, "restore_ms": ack["restore_ms"], **info}
+        if msg_type == MSG_SLA_UPDATE:
+            (job_id,) = require(body, "job_id")
+            sla = job_settings(body)["sla"]
+            if sla is None:
+                raise MalformedPayload("an SLA update needs an sla")
+            entry = self.job(job_id)
+            with entry.lock:  # a renegotiated SLA: the job's later samples are judged against it
+                if entry.next_sample_ms is None:
+                    entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
+                entry.sla = sla
+            return {"ok": True, "job_id": job_id}
+        raise UnsupportedMessage(
+            f"node does not serve {MSG_NAMES.get(msg_type, hex(msg_type))} messages")
 
     # -- checkpoint cadence ----------------------------------------------------
 
@@ -538,19 +579,20 @@ class NodeRuntime:
 
     # -- migration, source side ---------------------------------------------
 
-    def hand_off(self, job_id: str, send: Callable[[bytes], dict]) -> tuple[dict, dict]:
+    def hand_off(self, job_id: str, target_addr: str) -> tuple[dict, dict]:
         """The source side of a migration: park the job, prepare the payload and
-        ``send`` it (``send`` returns the target's ACK or raises). An ACK tombstones
-        the local copy; any failure resumes the job here and raises TransferFailed."""
+        send it to the node at ``target_addr``. Its ACK tombstones the local copy;
+        any failure resumes the job here and raises TransferFailed. Returns the ACK
+        and the move's figures; ``overhead_ms`` is the clock's advance across the send."""
         entry = self.job(job_id)
         with entry.lock:
             try:
-                entry.quiesce_requested = True
                 self._park(entry)  # the final capture: if it fails, the job resumes here
                 payload, info = self.prepare_transfer(job_id)
-                t0 = time.perf_counter_ns()
-                ack = send(payload)
+                t0, start_ms = time.perf_counter_ns(), self.clock.now_ms()
+                ack = self.send(target_addr, MSG_CHECKPOINT_TRANSFER, payload)
                 info["transfer_ms"] = (time.perf_counter_ns() - t0) / 1e6
+                info["overhead_ms"] = self.clock.now_ms() - start_ms
             except Exception as exc:
                 self.abort_transfer(job_id)
                 raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
@@ -624,13 +666,12 @@ class NodeDaemon(FrameServer):
         self.supervisor = supervisor
 
     def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
-        payload = json_payload(template_to_dict(template))
+        body = template_to_dict(template)
         last: Exception | None = None
         for _ in range(50):
             try:
-                msg_type, _ = request(self.supervisor, MSG_REGISTER_PROVIDER, payload, timeout=5)
-                if msg_type == MSG_ACK:
-                    return
+                call(self.supervisor, MSG_REGISTER_PROVIDER, body, timeout=5)
+                return
             except OSError as exc:
                 last = exc
             time.sleep(0.1)
@@ -639,41 +680,15 @@ class NodeDaemon(FrameServer):
     # -- requests ----------------------------------------------------------------
 
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        if msg_type == MSG_JOB_SUBMIT:
-            obj = parse_json(payload)
-            job_id, task_kind = require(obj, "job_id", "task_kind")
-            ack = self.runtime.submit_job(job_id, task_kind, obj.get("params", {}),
-                                          **job_settings(obj))
-            self._start_exec(job_id)
-            return MSG_ACK, json_payload(ack)
-
-        if msg_type == MSG_CHECKPOINT_TRANSFER:
-            ack = self.runtime.resume_from_bundle(payload)
-            self._start_exec(ack["job_id"])
-            return MSG_ACK, json_payload(ack)
-
-        if msg_type == MSG_MIGRATE_REQUEST:
-            job_id, target_addr = require(parse_json(payload), "job_id", "target_addr")
-            info = self._migrate_out(job_id, target_addr)
-            return MSG_ACK, json_payload(info)
-
-        if msg_type == MSG_SLA_UPDATE:
-            obj = parse_json(payload)
-            (job_id,) = require(obj, "job_id")
-            sla = job_settings(obj)["sla"]
-            if sla is None:
-                raise MalformedPayload("an SLA update needs an sla")
-            self.runtime.update_sla(job_id, sla)
-            return MSG_ACK, json_payload({"ok": True, "job_id": job_id})
-
-        raise UnsupportedMessage(
-            f"node does not serve {MSG_NAMES.get(msg_type, hex(msg_type))} messages")
+        """The runtime serves the request; a job it admits runs on its own thread."""
+        body = payload if msg_type == MSG_CHECKPOINT_TRANSFER else parse_json(payload)
+        ack = self.runtime.serve(msg_type, body)
+        if msg_type in (MSG_JOB_SUBMIT, MSG_CHECKPOINT_TRANSFER):
+            threading.Thread(target=self._exec_loop, args=(ack["job_id"],),
+                             name=f"exec-{ack['job_id']}", daemon=True).start()
+        return MSG_ACK, json_payload(ack)
 
     # -- execution threads -----------------------------------------------------
-
-    def _start_exec(self, job_id: str) -> None:
-        threading.Thread(target=self._exec_loop, args=(job_id,),
-                         name=f"exec-{job_id}", daemon=True).start()
 
     def _exec_loop(self, job_id: str) -> None:
         rt = self.runtime
@@ -695,28 +710,10 @@ class NodeDaemon(FrameServer):
             if addr is None:
                 continue
             try:
-                request(addr, msg_type, json_payload(body), timeout=10)
+                call(addr, msg_type, body, timeout=10)
             except (OSError, NodeError) as exc:
                 self.runtime.record("send_failed", entry.job_id,
                                     message=MSG_NAMES.get(msg_type), error=str(exc))
-
-    # -- migration, source side -------------------------------------------------
-
-    def _migrate_out(self, job_id: str, target_addr: str) -> dict:
-        if target_addr == self.address:
-            raise InvalidJobState("migration target equals the source node")
-
-        def send(payload: bytes) -> dict:
-            reply_type, reply = request(target_addr, MSG_CHECKPOINT_TRANSFER, payload, timeout=15)
-            if reply_type != MSG_ACK:
-                raise TransferFailed(f"target rejected the transfer: "
-                                     f"{parse_json(reply).get('error', 'unknown')}")
-            return parse_json(reply)
-
-        info, target_ack = self.runtime.hand_off(job_id, send)
-        # info: iterations_before, time_on_source_ms (measured, so a float) and transfer_ms
-        return {"ok": True, "job_id": job_id, "overhead_ms": info["transfer_ms"],
-                "restore_ms": target_ack.get("restore_ms", 0.0), **info}
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -134,11 +134,6 @@ def init_sort(n: int, seed: int, job_id: str | None = None) -> SortTask:
     return SortTask(state)
 
 
-def from_state(state: TaskState) -> SortTask:
-    """Rebuild a runnable task from a (composed) state, which must be a valid sort."""
-    return SortTask(state)
-
-
 def create_task(job_id: str, task_kind: str, params: dict) -> SortTask:
     """Instantiate a task from a JOB_SUBMIT payload (`task_kind` + params)."""
     if task_kind != SORT_KIND:

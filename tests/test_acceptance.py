@@ -115,7 +115,7 @@ def test_c4_checkpoint_equivalence_suite():
             task = workload.init_sort(n, seed, job_id="u")
             for _ in range(k):
                 task.step()
-            resumed = workload.from_state(cp.compose(cp.capture_full(task.state, k), []))
+            resumed = workload.SortTask(cp.compose(cp.capture_full(task.state, k), []))
             while not resumed.done:
                 resumed.step()
             ref = uninterrupted(n, seed)
@@ -133,7 +133,7 @@ def test_c4_checkpoint_equivalence_suite():
             for seq in range(1, k + 1):
                 task.step()
                 incrementals.append(cp.capture_incremental(task.state, images, seq))
-            resumed = workload.from_state(cp.compose(full, incrementals))
+            resumed = workload.SortTask(cp.compose(full, incrementals))
             while not resumed.done:
                 resumed.step()
             ref = uninterrupted(n, seed)

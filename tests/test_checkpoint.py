@@ -71,7 +71,7 @@ class TestCaptureFull:
         composed = cp.compose(cp.capture_full(state, 0), [])
         assert composed == state
         with pytest.raises(workload.UnknownWorkload):
-            workload.from_state(composed)
+            workload.SortTask(composed)
 
 
 class TestCaptureIncremental:
@@ -182,7 +182,7 @@ class TestCompose:
             task.step()
         composed = cp.compose(cp.capture_full(task.state, 0), [])
         assert composed == task.state
-        assert workload.from_state(composed).done is True
+        assert workload.SortTask(composed).done is True
 
     @pytest.mark.parametrize("vt,raw", [(0x03, b"\x00" * 8), (0x02, struct.pack(">q", 5))])
     def test_delta_changing_value_type_rejected(self, vt, raw):

@@ -19,7 +19,6 @@ from jobmig.monitor import (
     PerformanceReport,
     ReportKind,
     ServiceLevelAgreement,
-    UnknownJob,
     WithdrawalEvent,
 )
 from jobmig import harness
@@ -198,8 +197,15 @@ class TestOnReport:
 
     def test_unknown_job_rejected(self):
         agent, _ = make_agent()
-        with pytest.raises(UnknownJob):
-            agent.on_report(violation(job="ghost"))
+        deploy(agent, start_on="server1")
+        rows = []
+        agent.emit = rows.append
+        jobs = dict(agent.jobs)
+        assert agent.on_report(violation(provider="server2", job="ghost")) is None
+        assert agent.jobs == jobs
+        assert [(r["job_id"], r["provider"], r["report_kind"], r["decision"], r["detail"])
+                for r in rows] == [("ghost", "server2", "throughput_violation", "refuse",
+                                    "throughput_violation from server2 for a job never deployed")]
 
     def test_decide_is_deterministic(self):
         agent, _ = make_agent()

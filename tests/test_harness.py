@@ -7,7 +7,7 @@ import pytest
 
 from jobmig import harness
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
-from jobmig.control import DecisionAction, JobStatus, SupervisoryAgent
+from jobmig.control import DecisionAction, JobStatus, SubmitTimeout, SupervisoryAgent
 from jobmig.monitor import PerformanceReport, ReportKind, ServiceLevelAgreement
 from jobmig.node import (
     MSG_ERROR,
@@ -244,7 +244,12 @@ class TestSupervisoryListener:
         pytest.param(MSG_MONITOR_REPORT, {}, id="report-without-kind"),
         pytest.param(MSG_MONITOR_REPORT, {"kind": "bogus", "provider_id": "server1",
                                           "job_id": "j"}, id="report-of-no-kind"),
-        pytest.param(MSG_RESULT_RETURN, {"job_id": "j"}, id="result-without-provider")])
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j"}, id="result-without-provider"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": ["x"]}, id="report-with-a-list-id"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": ["x"], "provider_id": "server1", "digest": 1,
+                                         "iterations_done": 1, "exec_ms": 0},
+                     id="result-with-a-list-id")])
     def test_a_body_route_cannot_act_on_is_refused(self, listener, msg_type, body):
         reply_type, reply = request(listener.address, msg_type, json_payload(body))
         assert (reply_type, parse_json(reply)["error"]) == (MSG_ERROR, "MalformedPayload")
@@ -290,30 +295,68 @@ class TestViolationDrivenRescheduling:
         assert "renegotiate_sla" in decisions
 
 
-class TestWallTransport:
-    def test_renegotiated_sla_reaches_the_node(self, daemon):
-        broker = ResourceBroker()
-        broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
-                                                      cpu_mhz=2800, memory_mb=512))
-        agent = SupervisoryAgent(broker, harness.WallTransport(broker))
+@pytest.fixture(params=["sim", "wall"])
+def node_transport(request, tmp_path):
+    """One mode's transport to a node ``d1``, and that node's runtime."""
+    if request.param == "sim":
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, [ResourceSpecTemplate(
+            provider_id="d1", address="127.0.0.1:7001", cpu_mhz=2800, memory_mb=512)], tmp_path)
+        return env.transport, env.nodes["d1"]
+    daemon = request.getfixturevalue("daemon")
+    broker = ResourceBroker()
+    broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
+                                                  cpu_mhz=2800, memory_mb=512))
+    return harness.WallTransport(broker), daemon.runtime
+
+
+class TestTransport:
+    def test_renegotiated_sla_reaches_the_node(self, node_transport):
+        transport, node = node_transport
+        agent = SupervisoryAgent(transport.broker, transport)
         sla = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
         agent.deploy(JobRequirementList(job_id="sla", min_cpu_mhz=2800, min_memory_mb=512,
                                         sla=sla), "sort", {"n": 2000, "seed": 3})
-        assert daemon.runtime.job("sla").sla == sla
+        assert node.job("sla").sla == sla
         decision = agent.on_report(PerformanceReport(
             kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="d1", job_id="sla", emitted_at=1))
         assert decision.action is DecisionAction.RENEGOTIATE_SLA  # d1 is the only provider
         assert decision.new_sla.min_throughput == pytest.approx(4.0)
-        assert daemon.runtime.job("sla").sla == decision.new_sla == agent.jobs["sla"].sla
+        assert node.job("sla").sla == decision.new_sla == agent.jobs["sla"].sla
 
-    def test_refused_sla_update_raises(self, daemon):
-        broker = ResourceBroker()
-        broker.register_provider(ResourceSpecTemplate(provider_id="d1", address=daemon.address,
-                                                      cpu_mhz=2800, memory_mb=512))
-        transport = harness.WallTransport(broker)
+    def test_refused_sla_update_raises(self, node_transport):
+        transport, _ = node_transport
         with pytest.raises(harness.HarnessError, match="UnknownJob"):
             transport.update_sla("d1", "ghost", ServiceLevelAgreement(
                 min_throughput=1.0, window_k=3, sample_period_ms=50))
+
+    def test_refused_submit_raises(self, node_transport):
+        transport, node = node_transport
+        with pytest.raises(SubmitTimeout, match="UnknownWorkload"):
+            transport.submit("d1", {"job_id": "odd", "task_kind": "matrix", "params": {}})
+        assert node.jobs == {}
+
+
+class TestGhostJob:
+    @pytest.mark.parametrize("msg_type,body", [
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation",
+                                          "provider_id": "server1", "job_id": "ghost"},
+                     id="report"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "ghost", "provider_id": "server1", "digest": 1,
+                                         "iterations_done": 60, "exec_ms": 0}, id="result")])
+    def test_a_message_for_a_job_never_deployed_is_refused(self, tmp_path, msg_type, body):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.deploy_sort("real", 60, 3, start_on="server1")
+        env.route([(msg_type, body)])
+        kind = "result" if msg_type == MSG_RESULT_RETURN else "throughput_violation"
+        assert [(r["job_id"], r["provider"], r["report_kind"], r["decision"], r["detail"])
+                for r in env.step_log.rows if r["event"] == "decision"] == [
+            ("real", "server1", "deploy", "submit",
+             "provider=server1 ranked=['server2', 'server1']"),
+            ("ghost", "server1", kind, "refuse", f"{kind} from server1 for a job never deployed")]
+        assert list(env.supervisory.jobs) == ["real"]
+        assert env.run_job("real")["digest"] == reference_digest(60, 3)
 
 
 class TestEmitTable:

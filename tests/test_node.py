@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from jobmig import checkpoint as cp
 from jobmig import node as nd
 from jobmig import workload
+from jobmig.broker import ResourceSpecTemplate
 from jobmig.control import TransferFailed
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
@@ -198,8 +199,9 @@ class TestSimExecution:
         for _ in range(10):
             assert runtime.run_iteration("j1") == []
         # 1 iteration per 100 virtual ms misses a floor of 1000 iterations/s
-        runtime.update_sla("j1", ServiceLevelAgreement(min_throughput=1000.0, window_k=2,
-                                                       sample_period_ms=200))
+        sla = ServiceLevelAgreement(min_throughput=1000.0, window_k=2, sample_period_ms=200)
+        assert runtime.serve(nd.MSG_SLA_UPDATE, {"job_id": "j1", "sla": sla.to_dict()}) \
+            == {"ok": True, "job_id": "j1"}
         reports = [m[1] for m in run_to_completion(runtime, "j1")
                    if m[0] == nd.MSG_MONITOR_REPORT]
         assert reports
@@ -294,7 +296,7 @@ class TestTransfer:
         assert entry.task.digest() == reference_digest(30, 6)
 
     def test_failed_final_capture_leaves_the_job_running(self, tmp_path):
-        source = sim_runtime(tmp_path)
+        source = sim_runtime(tmp_path, send=lambda *request: pytest.fail("a payload was sent"))
         source.submit_job("jp", "sort", {"n": 30, "seed": 6})
         for _ in range(5):
             source.run_iteration("jp")
@@ -304,7 +306,7 @@ class TestTransfer:
 
         source.store.append = full
         with pytest.raises(TransferFailed):
-            source.hand_off("jp", lambda payload: pytest.fail("a payload was sent"))
+            source.hand_off("jp", "127.0.0.1:7002")
         del source.store.append
         entry = source.job("jp")
         assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 5)
@@ -312,23 +314,37 @@ class TestTransfer:
         assert entry.task.digest() == reference_digest(30, 6)
 
     def test_hand_off_after_a_failed_send(self, tmp_path):
-        source = sim_runtime(tmp_path)
+        def cut(addr, msg_type, body):
+            raise ConnectionResetError("wire cut")
+
+        source = sim_runtime(tmp_path, send=cut)
         source.submit_job("jr", "sort", {"n": 60, "seed": 8}, checkpoint_interval=2)
         for _ in range(10):
             source.run_iteration("jr")
-
-        def cut(payload):
-            raise ConnectionResetError("wire cut")
-
         with pytest.raises(TransferFailed):
-            source.hand_off("jr", cut)
+            source.hand_off("jr", "127.0.0.1:7002")
         for _ in range(4):
             source.run_iteration("jr")
         target = sim_runtime(tmp_path / "t")
-        info, ack = source.hand_off("jr", target.resume_from_bundle)
+        source.send = lambda addr, msg_type, body: target.serve(msg_type, body)
+        info, ack = source.hand_off("jr", "127.0.0.1:7002")
         assert info["iterations_before"] == ack["resumed_at_iteration"] == 14
         run_to_completion(target, "jr")
         assert target.job("jr").task.digest() == reference_digest(60, 8)
+
+    def test_migrate_request_to_the_source_itself_is_refused(self, tmp_path):
+        source = sim_runtime(tmp_path, send=lambda *request: pytest.fail("a payload was sent"))
+        source.submit_job("js", "sort", {"n": 30, "seed": 6})
+        for _ in range(5):
+            source.run_iteration("js")
+        with pytest.raises(nd.InvalidJobState):
+            source.serve(nd.MSG_MIGRATE_REQUEST,
+                         {"job_id": "js", "target_id": "sim1", "target_addr": "127.0.0.1:7002"})
+        entry = source.job("js")
+        assert (entry.status, entry.quiesce_requested, entry.task.iterations_done) \
+            == (nd.ST_RUNNING, False, 5)
+        run_to_completion(source, "js")
+        assert entry.task.digest() == reference_digest(30, 6)
 
 
 def transfer_payload(bundle: bytes, settings: bytes = b"{}") -> bytes:
@@ -353,6 +369,21 @@ BAD_TRAILER_BUNDLE = cp.encode(cp.capture_full(workload.init_sort(30, 4, job_id=
 
 def send_request(address, msg_type, payload, timeout=10.0):
     return nd.request(address, msg_type, payload, timeout=timeout)
+
+
+class RefusingSupervisor(nd.FrameServer):
+    """A supervisor endpoint that answers every frame with an ERROR."""
+
+    def handle(self, msg_type, payload):
+        raise ValueError("refused by stub")
+
+
+@pytest.fixture
+def refusing_supervisor():
+    stub = RefusingSupervisor()
+    stub.start()
+    yield stub
+    stub.stop()
 
 
 class TestDaemon:
@@ -401,13 +432,7 @@ class TestDaemon:
                           checkpoint_interval=8, reply_to=listener.address)
         for _ in range(20):
             source.run_iteration("ks")
-
-        def send(payload):
-            msg_type, reply = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, payload)
-            assert msg_type == nd.MSG_ACK
-            return nd.parse_json(reply)
-
-        info, ack = source.hand_off("ks", send)
+        info, ack = source.hand_off("ks", daemon.address)  # sent with the default, nd.call
         assert info["iterations_before"] == ack["resumed_at_iteration"] == 20
         assert source.job("ks").status == nd.ST_TOMBSTONED
         entry = daemon.runtime.job("ks")
@@ -453,6 +478,35 @@ class TestDaemon:
             assert kinds[1][1]["digest"] == reference_digest(60, 3)
             assert [(r["event"], r.get("iteration")) for r in rows if r["event"] != "steps"] \
                 == [("withdraw", 25), ("park_expired", 25), ("result", 60)]
+        finally:
+            d.stop()
+
+    def test_a_refused_result_leaves_a_row(self, tmp_path, refusing_supervisor):
+        rows = []
+        runtime = nd.NodeRuntime(provider_id="r1", clock=nd.WallClock(),
+                                 store_dir=tmp_path / "r1", emit=rows.append)
+        d = nd.NodeDaemon(runtime, supervisor=refusing_supervisor.address)
+        d.start()
+        try:
+            spec = {"job_id": "r", "task_kind": "sort", "params": {"n": 20, "seed": 3}}
+            assert send_request(d.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))[0] \
+                == nd.MSG_ACK
+            assert wait_until(lambda: any(r["event"] == "send_failed" for r in rows), timeout=5)
+            assert [(r["event"], r.get("message"), r.get("error")) for r in rows
+                    if r["event"] != "steps"] == [
+                ("result", None, None),
+                ("send_failed", "RESULT_RETURN", "ValueError: refused by stub")]
+        finally:
+            d.stop()
+
+    def test_a_refused_registration_stops_at_once(self, tmp_path, refusing_supervisor):
+        runtime = nd.NodeRuntime(provider_id="r2", clock=nd.WallClock(), store_dir=tmp_path / "r2")
+        d = nd.NodeDaemon(runtime, supervisor=refusing_supervisor.address)
+        template = ResourceSpecTemplate(provider_id="r2", address=d.address,
+                                        cpu_mhz=2800, memory_mb=512)
+        try:
+            with pytest.raises(nd.RequestRefused, match="refused by stub"):
+                d.register_with_supervisor(template)
         finally:
             d.stop()
 

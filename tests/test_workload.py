@@ -71,7 +71,7 @@ class TestStep:
                              fields={workload.FIELD_ITER: 0,
                                      workload.FIELD_ARRAY: [3, 1, 2],
                                      workload.FIELD_DONE: 0})
-        task = workload.from_state(state)
+        task = workload.SortTask(state)
         task.step()
         assert state.fields[workload.FIELD_ARRAY] == [1, 3, 2]
         assert state.fields[workload.FIELD_ITER] == 1
@@ -144,7 +144,7 @@ class TestProperties:
         task = workload.init_sort(n, seed, job_id="t")
         for _ in range(k):
             task.step()
-        resumed = workload.from_state(cp.compose(cp.capture_full(task.state, 0), []))
+        resumed = workload.SortTask(cp.compose(cp.capture_full(task.state, 0), []))
         while not resumed.done:
             resumed.step()
 
@@ -173,13 +173,13 @@ class TestFromState:
         task = workload.init_sort(10, 3, job_id="rt")
         for _ in range(4):
             task.step()
-        again = workload.from_state(task.state)
+        again = workload.SortTask(task.state)
         assert again.iterations_done == 4
 
     def test_wrong_kind_rejected(self):
         state = cp.TaskState(job_id="x", fields={0: 1})
         with pytest.raises(workload.UnknownWorkload):
-            workload.from_state(state)
+            workload.SortTask(state)
 
     @pytest.mark.parametrize("it,done", [(0, 1), (3, 1), (5, 0), (6, 0), (6, 1), (-1, 0)])
     def test_iteration_and_done_flag_must_agree(self, it, done):
@@ -187,7 +187,7 @@ class TestFromState:
         state.fields[workload.FIELD_ITER] = it
         state.fields[workload.FIELD_DONE] = done
         with pytest.raises(workload.InvalidState):
-            workload.from_state(state)
+            workload.SortTask(state)
 
     @pytest.mark.parametrize("field_id,value", [
         (workload.FIELD_ITER, b"\x00"), (workload.FIELD_ARRAY, b"\x01\x02"),
@@ -196,14 +196,14 @@ class TestFromState:
         state = workload.init_sort(5, 1, job_id="bad").state
         state.fields[field_id] = value
         with pytest.raises(workload.InvalidState):
-            workload.from_state(state)
+            workload.SortTask(state)
 
     def test_layout_bounds_accepted(self):
         task = workload.init_sort(4, 2, job_id="ok")
-        assert not workload.from_state(task.state).done
+        assert not workload.SortTask(task.state).done
         while not task.done:
             task.step()
-        assert workload.from_state(task.state).done
+        assert workload.SortTask(task.state).done
 
     def test_create_task_validates_params(self):
         with pytest.raises(workload.UnknownWorkload):
