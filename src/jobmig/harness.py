@@ -17,16 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import workload
 from .broker import (
@@ -289,7 +287,7 @@ class ScenarioOutcome:
 class Environment:
     """One mode's providers under one broker, monitor hub and supervisory
     agent. Subclasses add ``run_job`` (a deployed job to its result); in both
-    modes node messages reach the hub and the supervisor through ``route``."""
+    modes each node message reaches the hub and the supervisor through ``route``."""
 
     reply_to: str | None = None  # where nodes send results; None means their supervisor
 
@@ -303,6 +301,7 @@ class Environment:
                                             emit=self.step_log.emit)
         self.sla = sla
         self.checkpoint_interval = checkpoint_interval
+        self.changed = threading.Condition()  # held while the supervisor acts, notified after
 
     def start(self) -> None:
         pass
@@ -322,17 +321,23 @@ class Environment:
         jrl = JobRequirementList(job_id=job_id, min_cpu_mhz=DEFAULT_MIN_CPU_MHZ,
                                  min_memory_mb=DEFAULT_MIN_MEMORY_MB,
                                  arch_tags=frozenset(), sla=self.sla)
-        return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
-                                       start_on=start_on,
-                                       checkpoint_interval=self.checkpoint_interval,
-                                       reply_to=self.reply_to)
+        with self.changed:  # the job's entry exists before a message about it is routed
+            return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
+                                           start_on=start_on,
+                                           checkpoint_interval=self.checkpoint_interval,
+                                           reply_to=self.reply_to)
 
-    def route(self, msgs: list[tuple[int, dict]]) -> None:
-        """Hand node messages on: a withdrawal becomes a report for every job
-        the supervisor runs on that provider, reports go through the hub to
-        the supervisor, and a result goes to the supervisor."""
-        for msg_type, body in msgs:
-            if msg_type == MSG_WITHDRAW_NOTICE:
+    def route(self, msg_type: int, body: dict) -> None:
+        """Act on one node message under the lock, before its sender goes on: a registration
+        goes to the broker, a withdrawal becomes a report for every job the supervisor runs
+        on that provider, reports go through the hub to it, and a result goes to it."""
+        if msg_type != MSG_REGISTER_PROVIDER:  # template_from_dict checks a registration
+            check_message(msg_type, body)
+        with self.changed:
+            reports = []
+            if msg_type == MSG_REGISTER_PROVIDER:
+                self.broker.register_provider(template_from_dict(body))
+            elif msg_type == MSG_WITHDRAW_NOTICE:
                 pid = body["provider_id"]
                 reports = self.hub.note_withdrawal(pid, body["at_ms"],
                                                    self.supervisory.jobs_on(pid))
@@ -340,10 +345,10 @@ class Environment:
                 reports = [PerformanceReport.from_dict(body)]
             else:
                 self.supervisory.complete(body)
-                continue
             for report in reports:
                 for fwd in self.hub.submit(report):
                     self.supervisory.on_report(fwd)
+            self.changed.notify_all()
 
 
 class NodeTransport:
@@ -404,6 +409,7 @@ class SimEnvironment(Environment):
                  withdraw_at: dict[str, int] | None = None,
                  decision_log: str | Path | None = None):
         self.config = config
+        self.supervisor = "sim:supervisor"  # the address the nodes send their messages to
         self.clock = VirtualClock()
         self.nodes: dict[str, NodeRuntime] = {}
         self._at: dict[str, NodeRuntime] = {}  # the nodes by address
@@ -420,12 +426,14 @@ class SimEnvironment(Environment):
                 store_dir=Path(workdir) / template.provider_id,
                 step_cost_ms=config.per_iteration_cost_ms / template.speed_factor,
                 withdraw_at=withdraw_at.get(template.provider_id), emit=self.step_log.emit,
-                send=self.send)
+                send=self.send, supervisor=self.supervisor)
 
-    def send(self, addr: str, msg_type: int, body: dict | bytes) -> dict:
-        """One request to the node at ``addr``, refused on its exception as by a wall
-        node's ERROR. A transfer's ACK charges the migration overhead to the clock;
-        a transfer cut before it lands costs no virtual time."""
+    def send(self, addr: str, msg_type: int, body: dict | bytes) -> dict | None:
+        """To ``route`` if ``addr`` is the supervisor's, else a request to the node there,
+        refused on its exception as by a wall node's ERROR. A transfer's ACK charges the
+        migration overhead to the clock; one cut before it lands costs no virtual time."""
+        if addr == self.supervisor:
+            return self.route(msg_type, body)
         node = self._at.get(addr)
         if node is None:
             raise ConnectionRefusedError(f"no node at {addr}")
@@ -448,8 +456,7 @@ class SimEnvironment(Environment):
             if budget <= 0:
                 raise HarnessError(f"job {job_id!r} did not finish within the step budget")
             budget -= 1
-            node = self.nodes[entry.current_provider]
-            self.route(node.run_iteration(job_id))
+            self.nodes[entry.current_provider].step(job_id)
         if entry.status is JobStatus.FAILED:
             raise HarnessError(f"job {job_id!r} failed: {entry.result or 'no provider left'}")
         result = entry.result
@@ -462,7 +469,7 @@ class SimEnvironment(Environment):
 
 def check_message(msg_type: int, body: dict) -> None:
     """Raise MalformedPayload unless the node message has what ``route`` and
-    ``SupervisoryAgent.complete`` read from it."""
+    ``SupervisoryAgent.complete`` read from it, and UnsupportedMessage for another type."""
     if msg_type == MSG_MONITOR_REPORT:
         try:
             PerformanceReport.from_dict(body)
@@ -470,36 +477,31 @@ def check_message(msg_type: int, body: dict) -> None:
             raise MalformedPayload(f"bad report: {exc!r}") from exc
     elif msg_type == MSG_WITHDRAW_NOTICE:
         require(body, "provider_id", "at_ms")
+    elif msg_type != MSG_RESULT_RETURN:
+        raise UnsupportedMessage(f"the supervisor takes no {MSG_NAMES.get(msg_type, msg_type)}")
     elif body.get("failed"):
         require(body, "job_id", "provider_id")
     else:
         digest = require(body, "digest", "job_id", "provider_id", "iterations_done", "exec_ms")[0]
         if type(digest) is not int:
             raise MalformedPayload("a result's digest must be an integer")
+    if type(body["provider_id"]) is not str:
+        raise MalformedPayload("a provider_id must be a string")
     if msg_type != MSG_WITHDRAW_NOTICE and type(body["job_id"]) is not str:
         raise MalformedPayload("a job_id must be a string")
 
 
 class SupervisoryListener(FrameServer):
-    """Frame endpoint for node-originated messages: registrations go to the
-    broker; withdrawals, reports and results that route can act on to ``events``."""
+    """Frame endpoint for node-originated messages: ``route`` acts on each
+    before the reply, and an exception it raises becomes the ERROR reply."""
 
-    def __init__(self, broker: ResourceBroker):
+    def __init__(self, route: Callable[[int, dict], None]):
         super().__init__()
-        self.broker = broker
-        self.events: "queue.Queue[tuple[int, dict]]" = queue.Queue()
+        self.route = route
         self.start()
 
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        if msg_type == MSG_REGISTER_PROVIDER:
-            self.broker.register_provider(template_from_dict(parse_json(payload)))
-        elif msg_type in (MSG_WITHDRAW_NOTICE, MSG_MONITOR_REPORT, MSG_RESULT_RETURN):
-            body = parse_json(payload)
-            check_message(msg_type, body)
-            self.events.put((msg_type, body))
-        else:
-            raise UnsupportedMessage(f"the supervisor does not serve "
-                                     f"{MSG_NAMES.get(msg_type, hex(msg_type))} messages")
+        self.route(msg_type, parse_json(payload))
         return MSG_ACK, json_payload({"ok": True})
 
 
@@ -520,10 +522,10 @@ class WallEnvironment(Environment):
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.withdraw_at = withdraw_at or {}
         broker = ResourceBroker()
-        self.listener = SupervisoryListener(broker)
-        self.reply_to = self.listener.address
         super().__init__(broker, WallTransport(broker), WallClock().now_ms, sla,
                          checkpoint_interval, decision_log)
+        self.listener = SupervisoryListener(self.route)
+        self.reply_to = self.listener.address
         self.procs: dict[str, subprocess.Popen] = {}
         self.node_logs: dict[str, list[str]] = {}  # what nodes print besides their rows
         self.readers: list[threading.Thread] = []
@@ -533,15 +535,11 @@ class WallEnvironment(Environment):
     def start(self) -> None:
         for template in self.providers:
             self._spawn(template)
-        deadline = time.monotonic() + NODE_STARTUP_S
-        pending = {t.provider_id for t in self.providers}
-        while pending:
-            pending = {p for p in pending if self.broker.get(p) is None}
-            if not pending:
-                break
-            if time.monotonic() > deadline:
-                raise HarnessError(f"nodes never registered: {sorted(pending)}\n{self.dump_logs()}")
-            time.sleep(0.02)
+        ids = [t.provider_id for t in self.providers]
+        with self.changed:
+            if not self.changed.wait_for(lambda: all(map(self.broker.get, ids)), NODE_STARTUP_S):
+                missing = [p for p in ids if self.broker.get(p) is None]
+                raise HarnessError(f"nodes never registered: {missing}\n{self.dump_logs()}")
 
     def _spawn(self, template: ResourceSpecTemplate) -> None:
         pid = template.provider_id
@@ -594,17 +592,11 @@ class WallEnvironment(Environment):
     # -- orchestration --------------------------------------------------------
 
     def pump_until_complete(self, job_id: str, timeout: float = 60.0) -> dict:
-        """Route the nodes' messages until the job ends."""
+        """Wait until the job ends; the listener routes the nodes' messages as they come."""
         entry = self.supervisory.jobs[job_id]
-        deadline = time.monotonic() + timeout
-        while entry.status is JobStatus.RUNNING:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        with self.changed:
+            if not self.changed.wait_for(lambda: entry.status is not JobStatus.RUNNING, timeout):
                 raise HarnessError(f"job {job_id!r} did not complete in time\n{self.dump_logs()}")
-            try:
-                self.route([self.listener.events.get(timeout=min(remaining, 0.5))])
-            except queue.Empty:
-                continue
         if entry.status is JobStatus.FAILED:
             raise HarnessError(f"job {job_id!r} failed: {entry.result or 'no provider left'}")
         return entry.result

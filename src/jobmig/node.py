@@ -6,10 +6,10 @@ both modes: in sim mode a shared virtual clock advances by the modeled
 per-iteration cost, in wall mode a real daemon executes jobs in threads and
 talks length-prefixed frames over TCP (``FrameServer``, which the
 supervisor's listener also uses). Both modes answer every request to a node in
-``NodeRuntime.serve`` and migrate through ``NodeRuntime.hand_off``. A
-withdrawal parks every running job at its next yield point, where it waits
-for its migration, or for ``PARK_GRACE_S`` seconds before it resumes on this
-node.
+``NodeRuntime.serve``, migrate through ``NodeRuntime.hand_off`` and step a
+job with ``NodeRuntime.step``. A withdrawal parks every running job at its
+next yield point, where it waits for its migration, or for ``PARK_GRACE_S``
+seconds before it resumes on this node.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -192,9 +192,9 @@ def call(addr: str, msg_type: int, body: dict | bytes, timeout: float | None = N
 
 class FrameServer:
     """TCP endpoint answering each request frame with one reply frame, one
-    thread per connection. Subclasses supply ``handle``; an exception it
-    raises becomes a typed ERROR reply, and a frame that cannot be read gets
-    an ERROR reply and a closed connection."""
+    thread per connection. Subclasses supply ``handle``: the reply, then any
+    callables to run once it is written. An exception it raises becomes a typed
+    ERROR reply; a frame that cannot be read, an ERROR reply and a closed connection."""
 
     def __init__(self, listen: str = "127.0.0.1:0"):
         host, port = parse_hostport(listen)
@@ -243,14 +243,16 @@ class FrameServer:
                         pass
                     return
                 try:
-                    reply_type, reply = self.handle(msg_type, payload)
+                    reply_type, reply, *then = self.handle(msg_type, payload)
                 except Exception as exc:  # typed reply, never a server crash
-                    reply_type = MSG_ERROR
+                    reply_type, then = MSG_ERROR, []
                     reply = json_payload({"error": type(exc).__name__, "detail": str(exc)})
                 try:
                     send_frame(conn, reply_type, reply)
                 except OSError:
                     return
+                for follow_up in then:
+                    follow_up()
 
 
 def json_payload(obj: dict) -> bytes:
@@ -368,10 +370,11 @@ class NodeRuntime:
                  withdraw_at: int | None = None,
                  tune_enabled: bool = False,
                  emit: Callable[[dict], None] | None = None,
-                 send: Callable[[str, int, dict | bytes], dict] = call):
+                 send: Callable[[str, int, dict | bytes], dict] = call,
+                 supervisor: str | None = None):
         """``step_cost_ms`` is the modeled cost of one step, charged to the
         (virtual) clock; None means each step costs its measured wall time.
-        ``emit`` takes the node's timeline rows, ``send`` its requests to other nodes."""
+        ``emit`` takes the node's timeline rows; ``send`` reaches other nodes and ``supervisor``."""
         if withdraw_at is not None and withdraw_at < 1:
             raise ValueError("withdraw_at must be >= 1")
         self.provider_id = provider_id
@@ -381,6 +384,7 @@ class NodeRuntime:
         self.tune_enabled = tune_enabled
         self.emit = emit or (lambda row: None)
         self.send = send
+        self.supervisor = supervisor
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
         self.jobs: dict[str, JobExecution] = {}
@@ -548,6 +552,22 @@ class NodeRuntime:
                 return [(MSG_RESULT_RETURN, {"job_id": job_id, "provider_id": self.provider_id,
                                              "failed": True, "error": type(exc).__name__})]
 
+    def step(self, job_id: str) -> None:
+        """One ``run_iteration``, then each message it returns sent through ``send``: a
+        result to the job's reply address if it has one, all else to the supervisor. A
+        failed or refused send leaves a ``send_failed`` row. It sends with the job's lock
+        released and ``serve`` never waits on the supervisor, so the supervisor may hold
+        its own lock across its requests to this node."""
+        reply_to = self.job(job_id).reply_to
+        for msg_type, body in self.run_iteration(job_id):
+            addr = (reply_to if msg_type == MSG_RESULT_RETURN else None) or self.supervisor
+            if addr is None:
+                continue
+            try:
+                self.send(addr, msg_type, body)
+            except (OSError, NodeError) as exc:
+                self.record("send_failed", job_id, message=MSG_NAMES[msg_type], error=str(exc))
+
     def stop_running(self, entry: JobExecution, status: str) -> None:
         """The job stops running here: a steps row covers its iterations since it last started."""
         entry.status = status
@@ -659,33 +679,33 @@ class NodeRuntime:
 class NodeDaemon(FrameServer):
     """Frame server wrapping a NodeRuntime, with one execution thread per job."""
 
-    def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0",
-                 supervisor: str | None = None):
+    def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0"):
         super().__init__(listen)
         self.runtime = runtime
-        self.supervisor = supervisor
 
     def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
         body = template_to_dict(template)
         last: Exception | None = None
         for _ in range(50):
             try:
-                call(self.supervisor, MSG_REGISTER_PROVIDER, body, timeout=5)
+                call(self.runtime.supervisor, MSG_REGISTER_PROVIDER, body, timeout=5)
                 return
             except OSError as exc:
                 last = exc
             time.sleep(0.1)
-        raise NodeError(f"could not register with supervisor {self.supervisor}: {last}")
+        raise NodeError(f"could not register with {self.runtime.supervisor}: {last}")
 
     # -- requests ----------------------------------------------------------------
 
-    def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        """The runtime serves the request; a job it admits runs on its own thread."""
+    def handle(self, msg_type: int, payload: bytes) -> tuple:
+        """The runtime serves the request; a job it admits runs on its own thread once
+        the ACK is written."""
         body = payload if msg_type == MSG_CHECKPOINT_TRANSFER else parse_json(payload)
         ack = self.runtime.serve(msg_type, body)
         if msg_type in (MSG_JOB_SUBMIT, MSG_CHECKPOINT_TRANSFER):
-            threading.Thread(target=self._exec_loop, args=(ack["job_id"],),
-                             name=f"exec-{ack['job_id']}", daemon=True).start()
+            return MSG_ACK, json_payload(ack), threading.Thread(
+                target=self._exec_loop, args=(ack["job_id"],), name=f"exec-{ack['job_id']}",
+                daemon=True).start
         return MSG_ACK, json_payload(ack)
 
     # -- execution threads -----------------------------------------------------
@@ -695,25 +715,12 @@ class NodeDaemon(FrameServer):
         entry = rt.job(job_id)
         while entry.status not in (ST_DONE, ST_FAILED, ST_TOMBSTONED) and not self._stop.is_set():
             try:
-                msgs = rt.run_iteration(job_id)
+                rt.step(job_id)
             except InvalidJobState:
                 return  # migrated away while this thread waited for its turn
-            self._dispatch(entry, msgs)
             if entry.status == ST_QUIESCED and not entry.proceed_evt.wait(PARK_GRACE_S) \
                     and rt.abort_transfer(job_id):
                 rt.record("park_expired", job_id, iteration=entry.task.iterations_done)
-
-    def _dispatch(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> None:
-        """Send each message upstream: a result to the job's reply address, if it has one."""
-        for msg_type, body in msgs:
-            addr = (entry.reply_to if msg_type == MSG_RESULT_RETURN else None) or self.supervisor
-            if addr is None:
-                continue
-            try:
-                call(addr, msg_type, body, timeout=10)
-            except (OSError, NodeError) as exc:
-                self.runtime.record("send_failed", entry.job_id,
-                                    message=MSG_NAMES.get(msg_type), error=str(exc))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -743,9 +750,10 @@ def main(argv: list[str] | None = None) -> int:
             print(line, flush=True)
 
     runtime = NodeRuntime(provider_id=args.id, clock=WallClock(), store_dir=data_dir,
-                          withdraw_at=args.withdraw_at, tune_enabled=args.tune, emit=emit)
+                          withdraw_at=args.withdraw_at, tune_enabled=args.tune, emit=emit,
+                          supervisor=args.supervisor)
     try:
-        daemon = NodeDaemon(runtime, listen=args.listen, supervisor=args.supervisor)
+        daemon = NodeDaemon(runtime, listen=args.listen)
     except BindFailure as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,6 @@
+import queue
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,10 +58,10 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def listener():
-    """Supervisory-side frame sink collecting node-originated messages."""
-    from jobmig.broker import ResourceBroker
-    lst = SupervisoryListener(ResourceBroker())
-    yield lst
+    """Supervisory-side frame endpoint whose route collects the node messages in ``events``."""
+    events = queue.Queue()
+    lst = SupervisoryListener(lambda msg_type, body: events.put((msg_type, body)))
+    yield SimpleNamespace(address=lst.address, events=events)
     lst.stop()
 
 

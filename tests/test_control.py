@@ -368,7 +368,7 @@ class TestEndToEndFaultInjection:
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
         env.deploy_sort("j-fault", 40, 9, start_on="server1")
         for _ in range(10):
-            env.route(env.nodes["server1"].run_iteration("j-fault"))
+            env.nodes["server1"].step("j-fault")
         target = env.nodes["server2"]
 
         def cut(payload):  # fails once; then the node's own method serves again
@@ -410,7 +410,7 @@ class TestEndToEndFaultInjection:
     def test_migration_retried_after_a_failed_transfer_lands(self, tmp_path):
         env = self.cut_first_transfer(tmp_path)
         for _ in range(4):
-            env.route(env.nodes["server1"].run_iteration("j-fault"))
+            env.nodes["server1"].step("j-fault")
         record = env.supervisory.migrate("j-fault", "server2")
         assert record.iterations_before == 14
         result = env.run_job("j-fault")

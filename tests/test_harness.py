@@ -13,6 +13,7 @@ from jobmig.node import (
     MSG_ERROR,
     MSG_MONITOR_REPORT,
     MSG_RESULT_RETURN,
+    MSG_WITHDRAW_NOTICE,
     json_payload,
     parse_json,
     request,
@@ -184,9 +185,9 @@ class TestStaleResult:
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
         env.deploy_sort("stale", 60, 3, start_on="server1")
         for _ in range(10):
-            env.route(env.nodes["server1"].run_iteration("stale"))
-        env.route([(MSG_RESULT_RETURN, {"job_id": "stale", "provider_id": "server2",
-                                        "digest": 1, "iterations_done": 60, "exec_ms": 0})])
+            env.nodes["server1"].step("stale")
+        env.route(MSG_RESULT_RETURN, {"job_id": "stale", "provider_id": "server2",
+                                      "digest": 1, "iterations_done": 60, "exec_ms": 0})
         assert env.supervisory.jobs["stale"].status is JobStatus.RUNNING
         result = env.run_job("stale")
         assert result["digest"] == reference_digest(60, 3)
@@ -202,10 +203,10 @@ class TestStaleReport:
         env.deploy_sort("late", 60, 3, start_on="server1")
         entry = env.supervisory.jobs["late"]
         while entry.current_provider == "server1":
-            env.route(env.nodes["server1"].run_iteration("late"))
+            env.nodes["server1"].step("late")
         late = PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="server1",
                                  job_id="late", emitted_at=1)
-        env.route([(MSG_MONITOR_REPORT, late.to_dict())])
+        env.route(MSG_MONITOR_REPORT, late.to_dict())
         assert entry.sla.min_throughput == env.nodes["server2"].job("late").sla.min_throughput \
             == 2.0
         rows = [r for r in env.step_log.rows if r["event"] == "decision"]
@@ -249,11 +250,49 @@ class TestSupervisoryListener:
                                           "job_id": ["x"]}, id="report-with-a-list-id"),
         pytest.param(MSG_RESULT_RETURN, {"job_id": ["x"], "provider_id": "server1", "digest": 1,
                                          "iterations_done": 1, "exec_ms": 0},
-                     id="result-with-a-list-id")])
-    def test_a_body_route_cannot_act_on_is_refused(self, listener, msg_type, body):
-        reply_type, reply = request(listener.address, msg_type, json_payload(body))
+                     id="result-with-a-list-id"),
+        pytest.param(MSG_WITHDRAW_NOTICE, {"provider_id": ["x"], "at_ms": 1},
+                     id="withdrawal-with-a-list-provider"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": ["x"],
+                                          "job_id": "j"}, id="report-with-a-list-provider"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": ["x"], "digest": 1,
+                                         "iterations_done": 1, "exec_ms": 0},
+                     id="result-with-a-list-provider"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": ["x"], "failed": True},
+                     id="failed-result-with-a-list-provider")])
+    def test_a_body_route_cannot_act_on_is_refused(self, tmp_path, msg_type, body):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.deploy_sort("j", 60, 3, start_on="server1")
+        listener = harness.SupervisoryListener(env.route)
+        try:
+            reply_type, reply = request(listener.address, msg_type, json_payload(body))
+        finally:
+            listener.stop()
         assert (reply_type, parse_json(reply)["error"]) == (MSG_ERROR, "MalformedPayload")
-        assert listener.events.empty()
+        assert [r["decision"] for r in env.step_log.rows] == ["submit"]
+        assert env.broker.get("server1").available
+
+
+class TestSimIntake:
+    def test_a_message_check_message_refuses_leaves_a_send_failed_row(self, tmp_path):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env.deploy_sort("j", 60, 3, start_on="server1")
+        node = env.nodes["server1"]
+
+        def with_a_bad_report(job_id):  # the first iteration only
+            del node.run_iteration
+            return node.run_iteration(job_id) + [
+                (MSG_MONITOR_REPORT, {"kind": "throughput_violation", "job_id": job_id})]
+
+        node.run_iteration = with_a_bad_report
+        assert env.run_job("j")["digest"] == reference_digest(60, 3)
+        assert [(r["event"], r["job_id"], r["provider"], r["message"], r["error"])
+                for r in env.step_log.rows if r["event"] == "send_failed"] == [
+            ("send_failed", "j", "server1", "MONITOR_REPORT", "bad report: KeyError('provider_id')")]
+        assert [r["decision"] for r in env.step_log.rows if r["event"] == "decision"] \
+            == ["submit", "done"]
 
 
 class TestViolationDrivenRescheduling:
@@ -348,7 +387,7 @@ class TestGhostJob:
         config = harness.calibrate_from_table1()
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
         env.deploy_sort("real", 60, 3, start_on="server1")
-        env.route([(msg_type, body)])
+        env.route(msg_type, body)
         kind = "result" if msg_type == MSG_RESULT_RETURN else "throughput_violation"
         assert [(r["job_id"], r["provider"], r["report_kind"], r["decision"], r["detail"])
                 for r in env.step_log.rows if r["event"] == "decision"] == [
@@ -502,10 +541,55 @@ class TestWallMode:
         decisions = [r["decision"] for r in rows]
         assert decisions[:3] == ["submit", "reschedule", "transfer"]
         assert decisions[-1] == "done"
-        assert set(decisions[3:-1]) <= {"renegotiate_sla", "refuse"}
-        # a report the source sent before it handed the job off is refused
-        assert all(r["detail"].startswith("throughput_violation from server1 ")
-                   for r in rows[3:-1] if r["decision"] == "refuse")
+        # the source waits for the supervisor to act on its report: it sends no other
+        assert set(decisions[3:-1]) <= {"renegotiate_sla"}
+
+    def test_wall_sla_move_lands_at_the_reported_iteration(self, tmp_path):
+        sla = ServiceLevelAgreement(min_throughput=1e9, window_k=1, sample_period_ms=5)
+        env = harness.WallEnvironment(harness.default_providers(), tmp_path, sla=sla)
+        decide, reported = env.supervisory.decide, {}
+
+        def first_report_of_each_job(report):
+            reported.setdefault(report.job_id, report.evidence[-1].iterations_done)
+            return decide(report)
+
+        env.supervisory.decide = first_report_of_each_job
+        try:
+            env.start()
+            for seed in range(10):
+                env.deploy_sort(f"sla-{seed}", 1000, seed, start_on="server1")
+                assert env.run_job(f"sla-{seed}")["provider_id"] == "server2"
+        finally:
+            env.stop()
+        moved = {job_id: entry.migrations[0].iterations_before
+                 for job_id, entry in env.supervisory.jobs.items()}
+        assert len(moved) == 10 and moved == reported
+
+    def test_a_ghost_withdrawal_is_refused_and_the_job_goes_on(self, tmp_path):
+        env = harness.WallEnvironment(harness.default_providers(), tmp_path,
+                                      withdraw_at={"server1": 1000})
+        try:
+            env.start()
+            env.deploy_sort("g", 2000, 5, start_on="server1")
+            reply_type, reply = request(env.listener.address, MSG_WITHDRAW_NOTICE,
+                                        json_payload({"provider_id": "ghost", "at_ms": 1}))
+            result = env.run_job("g")
+        finally:
+            env.stop()
+        assert (reply_type, parse_json(reply)["error"]) == (MSG_ERROR, "UnknownProvider")
+        assert (result["provider_id"], result["digest"]) == ("server2", reference_digest(2000, 5))
+
+    def test_wall_single_iteration_job(self, tmp_path):
+        # guard: the result can come back before deploy returns
+        outcome = harness.run_scenario1(1, 5, mode="wall", workdir=tmp_path)
+        assert (outcome.digest, outcome.iterations) == (reference_digest(1, 5), 1)
+
+    def test_wall_end_to_end_covers_its_parts(self, tmp_path):
+        # the benchmark's wall check job_s >= source + target + overhead, on the program side
+        for seed in range(10):
+            outcome = harness.run_scenario2(2500, seed, migrate_at=1250, mode="wall",
+                                            workdir=tmp_path / str(seed), include_scenario1=False)
+            assert outcome.detail["unattributed_ms"] >= 0, outcome.detail
 
     def test_wall_job_with_no_provider_left_fails(self, tmp_path):
         # the job stays parked on its withdrawn node; the pump stops on the FAILED status

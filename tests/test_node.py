@@ -2,6 +2,7 @@ import errno
 import math
 import socket
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,28 @@ class TestDaemon:
         assert body["digest"] == reference_digest(40, 5)
         assert body["iterations_done"] == 40
 
+    def test_a_job_runs_only_after_its_ack_is_written(self, daemon, monkeypatch):
+        events = []
+        write, run_iteration = nd.send_frame, daemon.runtime.run_iteration
+
+        def slow_ack(sock, msg_type, payload):
+            if msg_type == nd.MSG_ACK:
+                time.sleep(0.05)
+            write(sock, msg_type, payload)
+            events.append(nd.MSG_NAMES[msg_type])
+
+        def iteration(job_id):
+            events.append("run_iteration")
+            return run_iteration(job_id)
+
+        monkeypatch.setattr(nd, "send_frame", slow_ack)
+        monkeypatch.setattr(daemon.runtime, "run_iteration", iteration)
+        spec = {"job_id": "a", "task_kind": "sort", "params": {"n": 20, "seed": 1}}
+        assert send_request(daemon.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))[0] \
+            == nd.MSG_ACK
+        assert wait_until(lambda: daemon.runtime.job("a").status == nd.ST_DONE, timeout=5)
+        assert events[:3] == ["JOB_SUBMIT", "ACK", "run_iteration"]
+
     def test_two_concurrent_jobs_progress_independently(self, daemon, listener):
         for job_id, n, seed in (("c1", 200, 1), ("c2", 150, 2)):
             spec = {"job_id": job_id, "task_kind": "sort", "params": {"n": n, "seed": seed},
@@ -418,7 +441,7 @@ class TestDaemon:
             source.run_iteration("wt")
         park(source, "wt")
         bundle, info = source.prepare_transfer("wt")
-        daemon.supervisor = listener.address
+        daemon.runtime.supervisor = listener.address
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, bundle)
         assert msg_type == nd.MSG_ACK
         assert nd.parse_json(payload)["resumed_at_iteration"] == 20
@@ -464,8 +487,9 @@ class TestDaemon:
         monkeypatch.setattr(nd, "PARK_GRACE_S", 0.5)
         rows = []
         runtime = nd.NodeRuntime(provider_id="g1", clock=nd.WallClock(),
-                                 store_dir=tmp_path / "g1", withdraw_at=25, emit=rows.append)
-        d = nd.NodeDaemon(runtime, supervisor=listener.address)
+                                 store_dir=tmp_path / "g1", withdraw_at=25, emit=rows.append,
+                                 supervisor=listener.address)
+        d = nd.NodeDaemon(runtime)
         d.start()
         try:
             spec = {"job_id": "g", "task_kind": "sort", "params": {"n": 60, "seed": 3}}
@@ -484,8 +508,9 @@ class TestDaemon:
     def test_a_refused_result_leaves_a_row(self, tmp_path, refusing_supervisor):
         rows = []
         runtime = nd.NodeRuntime(provider_id="r1", clock=nd.WallClock(),
-                                 store_dir=tmp_path / "r1", emit=rows.append)
-        d = nd.NodeDaemon(runtime, supervisor=refusing_supervisor.address)
+                                 store_dir=tmp_path / "r1", emit=rows.append,
+                                 supervisor=refusing_supervisor.address)
+        d = nd.NodeDaemon(runtime)
         d.start()
         try:
             spec = {"job_id": "r", "task_kind": "sort", "params": {"n": 20, "seed": 3}}
@@ -500,8 +525,9 @@ class TestDaemon:
             d.stop()
 
     def test_a_refused_registration_stops_at_once(self, tmp_path, refusing_supervisor):
-        runtime = nd.NodeRuntime(provider_id="r2", clock=nd.WallClock(), store_dir=tmp_path / "r2")
-        d = nd.NodeDaemon(runtime, supervisor=refusing_supervisor.address)
+        runtime = nd.NodeRuntime(provider_id="r2", clock=nd.WallClock(), store_dir=tmp_path / "r2",
+                                 supervisor=refusing_supervisor.address)
+        d = nd.NodeDaemon(runtime)
         template = ResourceSpecTemplate(provider_id="r2", address=d.address,
                                         cpu_mhz=2800, memory_mb=512)
         try:
