@@ -181,8 +181,7 @@ class SupervisoryAgent:
     # -- deployment ---------------------------------------------------------
 
     def deploy(self, jrl: JobRequirementList, task_kind: str, params: dict,
-               start_on: str | None = None, checkpoint_interval: int | None = None,
-               reply_to: str | None = None) -> str:
+               start_on: str | None = None, checkpoint_interval: int | None = None) -> str:
         """Match, pick the best provider (or honor a forced placement), and submit."""
         if jrl.job_id in self.jobs:
             raise ControlError(f"job {jrl.job_id!r} already submitted")
@@ -196,7 +195,7 @@ class SupervisoryAgent:
         else:
             chosen = result.provider_ids[0]
         spec = {"job_id": jrl.job_id, "task_kind": task_kind, "params": params,
-                "sla": jrl.sla.to_dict(), "reply_to": reply_to}
+                "sla": jrl.sla.to_dict()}
         if checkpoint_interval is not None:  # else the node's default
             spec["checkpoint_interval"] = checkpoint_interval
         t = self.clock()  # the job's timeline starts before its node can step it

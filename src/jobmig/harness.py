@@ -35,6 +35,7 @@ from .broker import (
     template_from_dict,
 )
 from .control import (
+    DecisionAction,
     JobStatus,
     MigrationRecord,
     SubmitTimeout,
@@ -289,8 +290,6 @@ class Environment:
     agent. Subclasses add ``run_job`` (a deployed job to its result); in both
     modes each node message reaches the hub and the supervisor through ``route``."""
 
-    reply_to: str | None = None  # where nodes send results; None means their supervisor
-
     def __init__(self, broker: ResourceBroker, transport, clock, sla: ServiceLevelAgreement,
                  checkpoint_interval: int | None, decision_log: str | Path | None):
         self.broker = broker
@@ -324,17 +323,17 @@ class Environment:
         with self.changed:  # the job's entry exists before a message about it is routed
             return self.supervisory.deploy(jrl, workload.SORT_KIND, {"n": n, "seed": seed},
                                            start_on=start_on,
-                                           checkpoint_interval=self.checkpoint_interval,
-                                           reply_to=self.reply_to)
+                                           checkpoint_interval=self.checkpoint_interval)
 
-    def route(self, msg_type: int, body: dict) -> None:
+    def route(self, msg_type: int, body: dict) -> dict:
         """Act on one node message under the lock, before its sender goes on: a registration
         goes to the broker, a withdrawal becomes a report for every job the supervisor runs
-        on that provider, reports go through the hub to it, and a result goes to it."""
+        on that provider, reports go through the hub to it, and a result goes to it. The
+        answer's ``ended`` names the jobs the supervisor failed on the message."""
         if msg_type != MSG_REGISTER_PROVIDER:  # template_from_dict checks a registration
             check_message(msg_type, body)
         with self.changed:
-            reports = []
+            reports, ended = [], []
             if msg_type == MSG_REGISTER_PROVIDER:
                 self.broker.register_provider(template_from_dict(body))
             elif msg_type == MSG_WITHDRAW_NOTICE:
@@ -347,8 +346,11 @@ class Environment:
                 self.supervisory.complete(body)
             for report in reports:
                 for fwd in self.hub.submit(report):
-                    self.supervisory.on_report(fwd)
+                    decision = self.supervisory.on_report(fwd)
+                    if decision and decision.action is DecisionAction.FAIL:
+                        ended.append(fwd.job_id)
             self.changed.notify_all()
+        return {"ok": True, "ended": ended}
 
 
 class NodeTransport:
@@ -428,7 +430,7 @@ class SimEnvironment(Environment):
                 withdraw_at=withdraw_at.get(template.provider_id), emit=self.step_log.emit,
                 send=self.send, supervisor=self.supervisor)
 
-    def send(self, addr: str, msg_type: int, body: dict | bytes) -> dict | None:
+    def send(self, addr: str, msg_type: int, body: dict | bytes) -> dict:
         """To ``route`` if ``addr`` is the supervisor's, else a request to the node there,
         refused on its exception as by a wall node's ERROR. A transfer's ACK charges the
         migration overhead to the clock; one cut before it lands costs no virtual time."""
@@ -482,9 +484,12 @@ def check_message(msg_type: int, body: dict) -> None:
     elif body.get("failed"):
         require(body, "job_id", "provider_id")
     else:
-        digest = require(body, "digest", "job_id", "provider_id", "iterations_done", "exec_ms")[0]
-        if type(digest) is not int:
-            raise MalformedPayload("a result's digest must be an integer")
+        digest, iterations, exec_ms = require(body, "digest", "iterations_done", "exec_ms")
+        require(body, "job_id", "provider_id")
+        if type(digest) is not int or type(iterations) is not int \
+                or type(exec_ms) not in (int, float, Fraction):
+            raise MalformedPayload("a result's digest and iterations_done must be integers, "
+                                   "its exec_ms a number")
     if type(body["provider_id"]) is not str:
         raise MalformedPayload("a provider_id must be a string")
     if msg_type != MSG_WITHDRAW_NOTICE and type(body["job_id"]) is not str:
@@ -492,17 +497,16 @@ def check_message(msg_type: int, body: dict) -> None:
 
 
 class SupervisoryListener(FrameServer):
-    """Frame endpoint for node-originated messages: ``route`` acts on each
-    before the reply, and an exception it raises becomes the ERROR reply."""
+    """Frame endpoint for node-originated messages: ``route`` acts on each and
+    its answer is the ACK; an exception it raises becomes the ERROR reply."""
 
-    def __init__(self, route: Callable[[int, dict], None]):
+    def __init__(self, route: Callable[[int, dict], dict]):
         super().__init__()
         self.route = route
         self.start()
 
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        self.route(msg_type, parse_json(payload))
-        return MSG_ACK, json_payload({"ok": True})
+        return MSG_ACK, json_payload(self.route(msg_type, parse_json(payload)))
 
 
 # seconds the spawned nodes have to register with the supervisor
@@ -525,7 +529,6 @@ class WallEnvironment(Environment):
         super().__init__(broker, WallTransport(broker), WallClock().now_ms, sla,
                          checkpoint_interval, decision_log)
         self.listener = SupervisoryListener(self.route)
-        self.reply_to = self.listener.address
         self.procs: dict[str, subprocess.Popen] = {}
         self.node_logs: dict[str, list[str]] = {}  # what nodes print besides their rows
         self.readers: list[threading.Thread] = []

@@ -7,9 +7,10 @@ per-iteration cost, in wall mode a real daemon executes jobs in threads and
 talks length-prefixed frames over TCP (``FrameServer``, which the
 supervisor's listener also uses). Both modes answer every request to a node in
 ``NodeRuntime.serve``, migrate through ``NodeRuntime.hand_off`` and step a
-job with ``NodeRuntime.step``. A withdrawal parks every running job at its
-next yield point, where it waits for its migration, or for ``PARK_GRACE_S``
-seconds before it resumes on this node.
+job with ``NodeRuntime.step``. A withdrawal parks the job whose step reached
+it, at that iteration; the supervisor's answer to the notice settles it: moved
+away, dropped here, or resumed here. Every other job on the node runs on until
+its own hand-off parks it.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -21,7 +22,7 @@ both modes, with the body the wire carries as JSON.
 A node's timeline rows go to its ``emit``: ``{"t", "event", "job_id",
 "provider", ...}`` with ``t`` its clock in ms, for ``steps`` (``first``,
 ``end``: the job stopped running here), ``resume``, ``transfer``, ``result``,
-``withdraw``, ``park_expired``, ``failed`` and ``send_failed``. The daemon's
+``withdraw``, ``dropped``, ``failed`` and ``send_failed``. The daemon's
 CLI prints each row as one JSON line on stdout.
 """
 
@@ -79,9 +80,6 @@ MSG_NAMES = {
 }
 
 MAX_PAYLOAD = 16 * 1024 * 1024
-
-# seconds a job parked by a withdrawal waits for its migration, then resumes
-PARK_GRACE_S = 5.0
 
 # every FULL_EVERY-th checkpoint record of a job is a full one
 FULL_EVERY = 16
@@ -278,7 +276,7 @@ def require(obj: dict, *keys: str) -> list:
 
 
 def job_settings(obj: dict) -> dict:
-    """SLA, checkpoint interval and reply address of a job spec, as JobExecution kwargs."""
+    """SLA and checkpoint interval of a job spec, as JobExecution kwargs."""
     sla = None
     if obj.get("sla") is not None:
         try:
@@ -286,10 +284,9 @@ def job_settings(obj: dict) -> dict:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad sla: {exc}") from exc
     interval = obj.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL)
-    reply_to = obj.get("reply_to")
-    if type(interval) is not int or not isinstance(reply_to, (str, type(None))):
-        raise MalformedPayload("checkpoint_interval must be an integer, reply_to a string")
-    return {"sla": sla, "checkpoint_interval": interval, "reply_to": reply_to}
+    if type(interval) is not int:
+        raise MalformedPayload("checkpoint_interval must be an integer")
+    return {"sla": sla, "checkpoint_interval": interval}
 
 
 # -- clocks -------------------------------------------------------------------
@@ -342,7 +339,6 @@ class JobExecution:
     task: workload.SortTask
     sla: ServiceLevelAgreement | None
     checkpoint_interval: int
-    reply_to: str | None
     status: str = ST_RUNNING
     seq_next: int = 0
     since_checkpoint: int = 0
@@ -350,11 +346,8 @@ class JobExecution:
     checkpoint_us: int = 0
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
     next_sample_ms: Any = None
-    quiesce_requested: bool = False
     # held by each iteration and by a whole hand-off: both see a yield point
     lock: threading.RLock = field(default_factory=threading.RLock)
-    # set when a parked job may go on: tombstoned, or resumed on this node
-    proceed_evt: threading.Event = field(default_factory=threading.Event)
     # the job's iteration when this node admitted it
     first_iteration: int = field(default=0, init=False)
     steps_from: int = field(default=0, init=False)  # the first iteration of its next steps row
@@ -406,13 +399,12 @@ class NodeRuntime:
 
     def submit_job(self, job_id: str, task_kind: str, params: dict,
                    sla: ServiceLevelAgreement | None = None,
-                   checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                   reply_to: str | None = None) -> dict:
+                   checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL) -> dict:
         if not job_id:
             raise MalformedPayload("job_id must be non-empty")
         task = workload.create_task(job_id, task_kind, params)
         self._admit(JobExecution(job_id=job_id, task=task, sla=sla,
-                                 checkpoint_interval=checkpoint_interval, reply_to=reply_to))
+                                 checkpoint_interval=checkpoint_interval))
         return {"ok": True, "job_id": job_id, "provider_id": self.provider_id}
 
     def resume_from_bundle(self, data: bytes) -> dict:
@@ -498,17 +490,15 @@ class NodeRuntime:
     # -- the execution loop ----------------------------------------------------
 
     def run_iteration(self, job_id: str) -> list[tuple[int, dict]]:
-        """One yield-point-to-yield-point unit of work; returns outbound messages.
-        A quiesce request parks the job at its next yield point and takes the
-        final capture there, ahead of the hand-off. A job that raises fails here."""
+        """One yield-point-to-yield-point unit of work of a running job; returns
+        outbound messages. The iteration that reaches ``withdraw_at`` parks the
+        job and takes the final capture, ahead of its hand-off. A job that
+        raises fails here."""
         entry = self.job(job_id)
         with entry.lock:
-            if entry.status in (ST_TOMBSTONED, ST_DONE, ST_FAILED):
+            if entry.status != ST_RUNNING:
                 raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
             try:
-                if entry.quiesce_requested:
-                    self._park(entry)
-                    return []
                 if entry.task.done:  # a transferred state may already be complete
                     return [self._complete(entry)]
 
@@ -524,9 +514,9 @@ class NodeRuntime:
                     self._capture(entry)
                 entry.run_ns += time.perf_counter_ns() - t0
 
-                if self.withdraw_at is not None and iterations >= self.withdraw_at \
-                        and not self._withdrawn:
-                    msgs.extend(self.withdraw())
+                withdrawal = self.withdraw() if self.withdraw_at is not None \
+                    and iterations >= self.withdraw_at and not self._withdrawn else []
+                msgs.extend(withdrawal)
 
                 if entry.sla is not None and not entry.task.done:
                     now = self.clock.now_ms()
@@ -543,7 +533,7 @@ class NodeRuntime:
 
                 if entry.task.done:
                     msgs.append(self._complete(entry))
-                elif entry.quiesce_requested:  # withdrawn during this iteration
+                elif withdrawal:
                     self._park(entry)
                 return msgs
             except Exception as exc:  # the job fails here, and its supervisor hears of it
@@ -553,20 +543,25 @@ class NodeRuntime:
                                              "failed": True, "error": type(exc).__name__})]
 
     def step(self, job_id: str) -> None:
-        """One ``run_iteration``, then each message it returns sent through ``send``: a
-        result to the job's reply address if it has one, all else to the supervisor. A
-        failed or refused send leaves a ``send_failed`` row. It sends with the job's lock
-        released and ``serve`` never waits on the supervisor, so the supervisor may hold
-        its own lock across its requests to this node."""
-        reply_to = self.job(job_id).reply_to
+        """One ``run_iteration``, then each message it returns sent to the supervisor
+        through ``send``; a failed or refused send leaves a ``send_failed`` row. Each
+        answer, or failed send, settles the job: the jobs the answer names as ``ended``
+        are dropped here, and the job, if still parked (not moved), resumes here. It
+        sends with the job's lock released and ``serve`` never waits on the supervisor,
+        so the supervisor may hold its own lock across its requests to this node."""
         for msg_type, body in self.run_iteration(job_id):
-            addr = (reply_to if msg_type == MSG_RESULT_RETURN else None) or self.supervisor
-            if addr is None:
-                continue
+            ended = []
             try:
-                self.send(addr, msg_type, body)
+                if self.supervisor is not None:
+                    ended = self.send(self.supervisor, msg_type, body).get("ended", [])
             except (OSError, NodeError) as exc:
                 self.record("send_failed", job_id, message=MSG_NAMES[msg_type], error=str(exc))
+            for entry in [self.jobs[j] for j in ended if j in self.jobs] + [self.job(job_id)]:
+                with entry.lock:
+                    if entry.job_id in ended and entry.status in (ST_RUNNING, ST_QUIESCED):
+                        self._retire(entry, "dropped")
+                    elif entry.status == ST_QUIESCED:
+                        entry.status = ST_RUNNING
 
     def stop_running(self, entry: JobExecution, status: str) -> None:
         """The job stops running here: a steps row covers its iterations since it last started."""
@@ -578,9 +573,16 @@ class NodeRuntime:
     def _park(self, entry: JobExecution) -> None:
         if entry.status == ST_RUNNING:
             self.stop_running(entry, ST_QUIESCED)
-            entry.proceed_evt.clear()
             if entry.since_checkpoint:
                 self._capture(entry)
+
+    def _retire(self, entry: JobExecution, event: str) -> None:
+        """The job leaves this node for good, with an ``event`` row: moved away, or dropped."""
+        if entry.status == ST_RUNNING:
+            self.stop_running(entry, ST_TOMBSTONED)
+        entry.status = ST_TOMBSTONED
+        self.analyzer.reset(entry.job_id)
+        self.record(event, entry.job_id, iteration=entry.task.iterations_done)
 
     def _complete(self, entry: JobExecution) -> tuple[int, dict]:
         self.stop_running(entry, ST_DONE)
@@ -614,9 +616,10 @@ class NodeRuntime:
                 info["transfer_ms"] = (time.perf_counter_ns() - t0) / 1e6
                 info["overhead_ms"] = self.clock.now_ms() - start_ms
             except Exception as exc:
-                self.abort_transfer(job_id)
+                if entry.status == ST_QUIESCED:
+                    entry.status = ST_RUNNING
                 raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
-            self.finish_transfer(job_id)
+            self._retire(entry, "transfer")
         return info, ack
 
     def prepare_transfer(self, job_id: str) -> tuple[bytes, dict]:
@@ -631,43 +634,20 @@ class NodeRuntime:
             raise ckpt.CheckpointError(f"composed state diverges from live state for {job_id!r}")
         outgoing = self._capture(entry, full=True)
         settings = json_payload({"sla": entry.sla and entry.sla.to_dict(),
-                                 "reply_to": entry.reply_to,
                                  "checkpoint_interval": entry.checkpoint_interval})
         info = {"iterations_before": entry.task.iterations_done,
                 "time_on_source_ms": self._exec_ms(entry)}
         return struct.pack(">I", len(settings)) + settings + ckpt.encode(outgoing), info
 
-    def abort_transfer(self, job_id: str) -> bool:
-        """The job resumes on this node untouched: its transfer failed, or no
-        migration came for it. Returns whether it was parked."""
-        entry = self.job(job_id)
-        with entry.lock:
-            entry.quiesce_requested = False
-            parked = entry.status == ST_QUIESCED
-            if parked:
-                entry.status = ST_RUNNING
-            entry.proceed_evt.set()
-            return parked
-
-    def finish_transfer(self, job_id: str) -> None:
-        """Target acknowledged: retire the local copy for good."""
-        entry = self.job(job_id)
-        entry.status = ST_TOMBSTONED
-        self.analyzer.reset(job_id)
-        self.record("transfer", job_id, iteration=entry.task.iterations_done)
-        entry.proceed_evt.set()
-
     # -- withdrawal -----------------------------------------------------------
 
     def withdraw(self) -> list[tuple[int, dict]]:
-        """Announce withdrawal once, and park every running job at its next
-        yield point to wait for its migration."""
+        """Announce withdrawal once, with a ``withdraw`` row for each running job."""
         with self._lock:
             if self._withdrawn:
                 return []
             self._withdrawn = True
             for entry in self.jobs.values():
-                entry.quiesce_requested = True
                 if entry.status == ST_RUNNING:
                     self.record("withdraw", entry.job_id, iteration=entry.task.iterations_done)
         return [(MSG_WITHDRAW_NOTICE, {"provider_id": self.provider_id,
@@ -718,9 +698,6 @@ class NodeDaemon(FrameServer):
                 rt.step(job_id)
             except InvalidJobState:
                 return  # migrated away while this thread waited for its turn
-            if entry.status == ST_QUIESCED and not entry.proceed_evt.wait(PARK_GRACE_S) \
-                    and rt.abort_transfer(job_id):
-                rt.record("park_expired", job_id, iteration=entry.task.iterations_done)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -734,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--data-dir", default=None, help="checkpoint store directory")
     parser.add_argument("--withdraw-at", type=int, default=None,
                         help="withdraw once a job reaches this iteration count: announce it "
-                             "and park running jobs until they migrate")
+                             "and park that job until the supervisor answers")
     parser.add_argument("--cpu-mhz", type=int, default=1000)
     parser.add_argument("--memory-mb", type=int, default=256)
     parser.add_argument("--arch", action="append", default=None, help="architecture tag (repeatable)")

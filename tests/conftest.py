@@ -58,9 +58,10 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def listener():
-    """Supervisory-side frame endpoint whose route collects the node messages in ``events``."""
+    """Supervisory-side frame endpoint whose route collects the node messages in
+    ``events`` and ends no job."""
     events = queue.Queue()
-    lst = SupervisoryListener(lambda msg_type, body: events.put((msg_type, body)))
+    lst = SupervisoryListener(lambda msg_type, body: events.put((msg_type, body)) or {"ok": True})
     yield SimpleNamespace(address=lst.address, events=events)
     lst.stop()
 

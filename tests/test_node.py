@@ -90,12 +90,6 @@ def sim_runtime(tmp_path, cost=Fraction(57306, 500), speed=Fraction(1), **kw):
                           store_dir=tmp_path / "sim1", step_cost_ms=cost / speed, **kw)
 
 
-def park(runtime, job_id):
-    """Park the job at its next yield point, as a withdrawal does."""
-    runtime.job(job_id).quiesce_requested = True
-    runtime.run_iteration(job_id)
-
-
 def run_to_completion(runtime, job_id):
     msgs = []
     entry = runtime.job(job_id)
@@ -128,24 +122,25 @@ class TestSimExecution:
             runtime.submit_job("j1", "sort", {"n": 5, "seed": 1})
 
     def test_quiesce_honored_at_yield_point(self, tmp_path):
-        runtime = sim_runtime(tmp_path)
+        runtime = sim_runtime(tmp_path, withdraw_at=7)
         runtime.submit_job("j1", "sort", {"n": 20, "seed": 3})
         for _ in range(7):
             runtime.run_iteration("j1")
-        park(runtime, "j1")
         entry = runtime.job("j1")
         assert entry.status == nd.ST_QUIESCED
         assert entry.task.iterations_done == 7
-        assert runtime.run_iteration("j1") == []  # parked, no further steps
+        with pytest.raises(nd.InvalidJobState):  # parked, no further steps
+            runtime.run_iteration("j1")
         assert entry.task.iterations_done == 7
 
     def test_tombstoned_job_never_steps(self, tmp_path):
         runtime = sim_runtime(tmp_path)
         runtime.submit_job("j1", "sort", {"n": 20, "seed": 3})
         runtime.run_iteration("j1")
-        park(runtime, "j1")
-        runtime.prepare_transfer("j1")
-        runtime.finish_transfer("j1")
+        target = sim_runtime(tmp_path / "t")
+        runtime.send = lambda addr, msg_type, body: target.serve(msg_type, body)
+        runtime.hand_off("j1", "127.0.0.1:7002")
+        assert runtime.job("j1").status == nd.ST_TOMBSTONED
         with pytest.raises(nd.InvalidJobState):
             runtime.run_iteration("j1")
 
@@ -170,14 +165,38 @@ class TestSimExecution:
             assert kind == expected
 
     def test_withdraw_at_iteration_fires_once(self, tmp_path):
-        runtime = sim_runtime(tmp_path, withdraw_at=5)
+        # a supervisor that moves nothing: the parked job resumes once it answers
+        sent, rows = [], []
+        runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup", emit=rows.append,
+                              send=lambda addr, msg_type, body: sent.append((msg_type, body)) or {})
         runtime.submit_job("j1", "sort", {"n": 12, "seed": 2})
-        notices = []
         for _ in range(12):
-            notices.extend(m for m in runtime.run_iteration("j1")
-                           if m[0] == nd.MSG_WITHDRAW_NOTICE)
-        assert len(notices) == 1
-        assert notices[0][1]["provider_id"] == "sim1"
+            runtime.step("j1")
+        assert [t for t, _ in sent] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
+        assert sent[0][1]["provider_id"] == "sim1"
+        assert [(r["event"], r.get("first"), r.get("end"), r.get("iteration")) for r in rows] \
+            == [("withdraw", None, None, 5), ("steps", 0, 5, None), ("steps", 5, 12, None),
+                ("result", None, None, 12)]
+        assert runtime.job("j1").task.digest() == reference_digest(12, 2)
+
+    def test_the_answer_drops_each_ended_job_it_holds(self, tmp_path):
+        rows = []
+        runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup", emit=rows.append,
+                              send=lambda *msg: {"ok": True, "ended": ["ghost", "a", "b"]})
+        runtime.submit_job("a", "sort", {"n": 12, "seed": 2})
+        runtime.submit_job("b", "sort", {"n": 12, "seed": 3})
+        runtime.step("b")
+        for _ in range(5):
+            runtime.step("a")
+        assert [(j, runtime.job(j).status) for j in "ab"] \
+            == [("a", nd.ST_TOMBSTONED), ("b", nd.ST_TOMBSTONED)]
+        assert [(r["event"], r["job_id"], r.get("first"), r.get("end"), r.get("iteration"))
+                for r in rows] == [
+            ("withdraw", "a", None, None, 5), ("withdraw", "b", None, None, 1),
+            ("steps", "a", 0, 5, None), ("dropped", "a", None, None, 5),
+            ("steps", "b", 0, 1, None), ("dropped", "b", None, None, 1)]
+        with pytest.raises(nd.InvalidJobState):
+            runtime.run_iteration("b")
 
     def test_withdraw_idempotent(self, tmp_path):
         runtime = sim_runtime(tmp_path)
@@ -210,11 +229,10 @@ class TestSimExecution:
 
 class TestTransfer:
     def migrate_bundle(self, tmp_path, n=500, until=249, sla=None):
-        source = sim_runtime(tmp_path)
+        source = sim_runtime(tmp_path, withdraw_at=until)  # parks the job at ``until``
         source.submit_job("jm", "sort", {"n": n, "seed": 42}, sla=sla, checkpoint_interval=16)
         for _ in range(until):
             source.run_iteration("jm")
-        park(source, "jm")
         return source.prepare_transfer("jm")
 
     def test_resume_executes_exactly_remaining_iterations(self, tmp_path):
@@ -283,16 +301,19 @@ class TestTransfer:
         assert msgs[0][1]["digest"] == reference_digest(5, 1)
         assert target.job("done1").status == nd.ST_DONE
 
-    def test_abort_transfer_resumes_source(self, tmp_path):
-        source = sim_runtime(tmp_path)
+    def test_a_failed_hand_off_resumes_a_parked_job(self, tmp_path):
+        def cut(addr, msg_type, body):
+            raise ConnectionResetError("wire cut")
+
+        source = sim_runtime(tmp_path, withdraw_at=10, send=cut)
         source.submit_job("ja", "sort", {"n": 30, "seed": 6})
         for _ in range(10):
             source.run_iteration("ja")
-        park(source, "ja")
-        source.prepare_transfer("ja")
-        source.abort_transfer("ja")
         entry = source.job("ja")
-        assert entry.status == nd.ST_RUNNING
+        assert entry.status == nd.ST_QUIESCED
+        with pytest.raises(TransferFailed):
+            source.hand_off("ja", "127.0.0.1:7002")
+        assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 10)
         run_to_completion(source, "ja")
         assert entry.task.digest() == reference_digest(30, 6)
 
@@ -342,8 +363,7 @@ class TestTransfer:
             source.serve(nd.MSG_MIGRATE_REQUEST,
                          {"job_id": "js", "target_id": "sim1", "target_addr": "127.0.0.1:7002"})
         entry = source.job("js")
-        assert (entry.status, entry.quiesce_requested, entry.task.iterations_done) \
-            == (nd.ST_RUNNING, False, 5)
+        assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 5)
         run_to_completion(source, "js")
         assert entry.task.digest() == reference_digest(30, 6)
 
@@ -389,9 +409,9 @@ def refusing_supervisor():
 
 class TestDaemon:
     def test_submit_and_result_return(self, daemon, listener):
+        daemon.runtime.supervisor = listener.address
         spec = {"job_id": "w1", "task_kind": "sort", "params": {"n": 40, "seed": 5},
-                "sla": DEFAULT_TEST_SLA.to_dict(), "checkpoint_interval": 8,
-                "reply_to": listener.address}
+                "sla": DEFAULT_TEST_SLA.to_dict(), "checkpoint_interval": 8}
         msg_type, payload = send_request(daemon.address, nd.MSG_JOB_SUBMIT,
                                          nd.json_payload(spec))
         assert msg_type == nd.MSG_ACK
@@ -423,9 +443,9 @@ class TestDaemon:
         assert events[:3] == ["JOB_SUBMIT", "ACK", "run_iteration"]
 
     def test_two_concurrent_jobs_progress_independently(self, daemon, listener):
+        daemon.runtime.supervisor = listener.address
         for job_id, n, seed in (("c1", 200, 1), ("c2", 150, 2)):
-            spec = {"job_id": job_id, "task_kind": "sort", "params": {"n": n, "seed": seed},
-                    "reply_to": listener.address}
+            spec = {"job_id": job_id, "task_kind": "sort", "params": {"n": n, "seed": seed}}
             msg_type, _ = send_request(daemon.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))
             assert msg_type == nd.MSG_ACK
         results = {}
@@ -435,11 +455,10 @@ class TestDaemon:
         assert results == {"c1": reference_digest(200, 1), "c2": reference_digest(150, 2)}
 
     def test_transfer_over_the_wire(self, daemon, tmp_path, listener):
-        source = sim_runtime(tmp_path / "src")
+        source = sim_runtime(tmp_path / "src", withdraw_at=20)
         source.submit_job("wt", "sort", {"n": 60, "seed": 9})
         for _ in range(20):
             source.run_iteration("wt")
-        park(source, "wt")
         bundle, info = source.prepare_transfer("wt")
         daemon.runtime.supervisor = listener.address
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, bundle)
@@ -451,18 +470,17 @@ class TestDaemon:
 
     def test_migrated_job_keeps_its_settings(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src")
+        daemon.runtime.supervisor = listener.address
         source.submit_job("ks", "sort", {"n": 60, "seed": 9}, sla=DEFAULT_TEST_SLA,
-                          checkpoint_interval=8, reply_to=listener.address)
+                          checkpoint_interval=8)
         for _ in range(20):
             source.run_iteration("ks")
         info, ack = source.hand_off("ks", daemon.address)  # sent with the default, nd.call
         assert info["iterations_before"] == ack["resumed_at_iteration"] == 20
         assert source.job("ks").status == nd.ST_TOMBSTONED
         entry = daemon.runtime.job("ks")
-        assert (entry.sla, entry.checkpoint_interval, entry.reply_to) == \
-            (DEFAULT_TEST_SLA, 8, listener.address)
+        assert (entry.sla, entry.checkpoint_interval) == (DEFAULT_TEST_SLA, 8)
         assert entry.next_sample_ms is not None  # sampled against its SLA
-        # the daemon has no supervisor: the result can only come back through reply_to
         kind, body = listener.events.get(timeout=10)
         assert kind == nd.MSG_RESULT_RETURN
         assert body["digest"] == reference_digest(60, 9)
@@ -473,7 +491,7 @@ class TestDaemon:
     @pytest.mark.parametrize("payload", [pytest.param(transfer_payload(BAD_TRAILER_BUNDLE, s),
                                                       id=s.decode()) for s in (
         b"{not json", b"[8]", b'{"checkpoint_interval": "8"}', b'{"checkpoint_interval": 0}',
-        b'{"sla": {"window_k": 3}}', b'{"sla": {"min_throughput": -1}}', b'{"reply_to": 7}')] + [
+        b'{"sla": {"window_k": 3}}', b'{"sla": {"min_throughput": -1}}')] + [
         pytest.param(b"\x00\x00\x02", id="under-4-bytes"),
         pytest.param(transfer_payload(BAD_TRAILER_BUNDLE)[:5], id="settings-past-the-end")])
     def test_malformed_trailer_yields_typed_error(self, daemon, payload):
@@ -482,28 +500,27 @@ class TestDaemon:
         assert nd.parse_json(reply)["error"] == "MalformedPayload"
         assert daemon.runtime.jobs == {}
 
-    def test_withdrawn_job_parks_then_resumes_after_grace(self, tmp_path, listener,
-                                                         monkeypatch):
-        monkeypatch.setattr(nd, "PARK_GRACE_S", 0.5)
+    def test_a_refused_withdrawal_resumes_the_job_at_once(self, tmp_path, refusing_supervisor):
         rows = []
         runtime = nd.NodeRuntime(provider_id="g1", clock=nd.WallClock(),
                                  store_dir=tmp_path / "g1", withdraw_at=25, emit=rows.append,
-                                 supervisor=listener.address)
+                                 supervisor=refusing_supervisor.address)
         d = nd.NodeDaemon(runtime)
         d.start()
         try:
             spec = {"job_id": "g", "task_kind": "sort", "params": {"n": 60, "seed": 3}}
             msg_type, _ = send_request(d.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))
             assert msg_type == nd.MSG_ACK
-            assert wait_until(lambda: runtime.job("g").status == nd.ST_QUIESCED, timeout=5)
-            assert runtime.job("g").task.iterations_done == 25
-            kinds = [listener.events.get(timeout=10) for _ in range(2)]
-            assert [k for k, _ in kinds] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
-            assert kinds[1][1]["digest"] == reference_digest(60, 3)
-            assert [(r["event"], r.get("iteration")) for r in rows if r["event"] != "steps"] \
-                == [("withdraw", 25), ("park_expired", 25), ("result", 60)]
+            assert wait_until(lambda: len(rows) == 6, timeout=10)
         finally:
             d.stop()
+        assert [(r["event"], r.get("first"), r.get("end"), r.get("iteration"), r.get("message"))
+                for r in rows] == [
+            ("withdraw", None, None, 25, None), ("steps", 0, 25, None, None),
+            ("send_failed", None, None, None, "WITHDRAW_NOTICE"),
+            ("steps", 25, 60, None, None), ("result", None, None, 60, None),
+            ("send_failed", None, None, None, "RESULT_RETURN")]
+        assert rows[4]["digest"] == reference_digest(60, 3)
 
     def test_a_refused_result_leaves_a_row(self, tmp_path, refusing_supervisor):
         rows = []
@@ -591,13 +608,12 @@ class TestDaemon:
             assert msg_type == nd.MSG_ERROR
             assert sock.recv(1) == b""  # server closed
 
-    def test_daemon_survives_garbage_and_still_serves(self, daemon, listener):
+    def test_daemon_survives_garbage_and_still_serves(self, daemon):
         host, port = nd.parse_hostport(daemon.address)
         for chunk in (b"\x00", b"GET / HTTP/1.1\r\n\r\n", b"\xff" * 64):
             with socket.create_connection((host, port), timeout=5) as sock:
                 sock.sendall(chunk)
-        spec = {"job_id": "alive", "task_kind": "sort", "params": {"n": 5, "seed": 1},
-                "reply_to": listener.address}
+        spec = {"job_id": "alive", "task_kind": "sort", "params": {"n": 5, "seed": 1}}
         msg_type, _ = send_request(daemon.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))
         assert msg_type == nd.MSG_ACK
 
