@@ -478,21 +478,18 @@ def check_message(msg_type: int, body: dict) -> None:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad report: {exc!r}") from exc
     elif msg_type == MSG_WITHDRAW_NOTICE:
-        require(body, "provider_id", "at_ms")
+        require(body, "at_ms")
     elif msg_type != MSG_RESULT_RETURN:
         raise UnsupportedMessage(f"the supervisor takes no {MSG_NAMES.get(msg_type, msg_type)}")
-    elif body.get("failed"):
-        require(body, "job_id", "provider_id")
-    else:
+    elif not body.get("failed"):
         digest, iterations, exec_ms = require(body, "digest", "iterations_done", "exec_ms")
-        require(body, "job_id", "provider_id")
         if type(digest) is not int or type(iterations) is not int \
                 or type(exec_ms) not in (int, float, Fraction):
             raise MalformedPayload("a result's digest and iterations_done must be integers, "
                                    "its exec_ms a number")
-    if type(body["provider_id"]) is not str:
+    if type(require(body, "provider_id")[0]) is not str:
         raise MalformedPayload("a provider_id must be a string")
-    if msg_type != MSG_WITHDRAW_NOTICE and type(body["job_id"]) is not str:
+    if msg_type != MSG_WITHDRAW_NOTICE and type(require(body, "job_id")[0]) is not str:
         raise MalformedPayload("a job_id must be a string")
 
 

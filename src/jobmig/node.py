@@ -9,8 +9,8 @@ supervisor's listener also uses). Both modes answer every request to a node in
 ``NodeRuntime.serve``, migrate through ``NodeRuntime.hand_off`` and step a
 job with ``NodeRuntime.step``. A withdrawal parks the job whose step reached
 it, at that iteration; the supervisor's answer to the notice settles it: moved
-away, dropped here, or resumed here. Every other job on the node runs on until
-its own hand-off parks it.
+away, dropped here, or resumed here. Every other job on the node holds, unparked,
+at its next yield point until that answer; its own hand-off parks it.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -381,7 +381,7 @@ class NodeRuntime:
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
         self.jobs: dict[str, JobExecution] = {}
-        self._withdrawn = False
+        self.withdrawal: threading.Event | None = None  # set once the notice is answered
         self._lock = threading.RLock()
 
     def record(self, event: str, job_id: str, **fields) -> None:
@@ -493,8 +493,9 @@ class NodeRuntime:
         """One yield-point-to-yield-point unit of work of a running job; returns
         outbound messages. The iteration that reaches ``withdraw_at`` parks the
         job and takes the final capture, ahead of its hand-off. A job that
-        raises fails here."""
+        raises fails here, and a withdrawal it announced is still sent."""
         entry = self.job(job_id)
+        msgs: list[tuple[int, dict]] = []
         with entry.lock:
             if entry.status != ST_RUNNING:
                 raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
@@ -502,7 +503,6 @@ class NodeRuntime:
                 if entry.task.done:  # a transferred state may already be complete
                     return [self._complete(entry)]
 
-                msgs: list[tuple[int, dict]] = []
                 t0 = time.perf_counter_ns()
                 entry.task.step()
                 if self.step_cost_ms is not None:
@@ -515,7 +515,7 @@ class NodeRuntime:
                 entry.run_ns += time.perf_counter_ns() - t0
 
                 withdrawal = self.withdraw() if self.withdraw_at is not None \
-                    and iterations >= self.withdraw_at and not self._withdrawn else []
+                    and iterations >= self.withdraw_at and self.withdrawal is None else []
                 msgs.extend(withdrawal)
 
                 if entry.sla is not None and not entry.task.done:
@@ -539,16 +539,17 @@ class NodeRuntime:
             except Exception as exc:  # the job fails here, and its supervisor hears of it
                 self.stop_running(entry, ST_FAILED)
                 self.record("failed", job_id, error=type(exc).__name__)
-                return [(MSG_RESULT_RETURN, {"job_id": job_id, "provider_id": self.provider_id,
-                                             "failed": True, "error": type(exc).__name__})]
+                return [m for m in msgs if m[0] == MSG_WITHDRAW_NOTICE] + [(MSG_RESULT_RETURN, {
+                    "job_id": job_id, "provider_id": self.provider_id,
+                    "failed": True, "error": type(exc).__name__})]
 
     def step(self, job_id: str) -> None:
         """One ``run_iteration``, then each message it returns sent to the supervisor
         through ``send``; a failed or refused send leaves a ``send_failed`` row. Each
-        answer, or failed send, settles the job: the jobs the answer names as ``ended``
-        are dropped here, and the job, if still parked (not moved), resumes here. It
-        sends with the job's lock released and ``serve`` never waits on the supervisor,
-        so the supervisor may hold its own lock across its requests to this node."""
+        answer, or failed send, settles the job: the jobs it names as ``ended`` are dropped
+        here, the job resumes here if still parked, and after a withdrawal's answer the
+        node's other jobs step on. It sends with the job's lock released and ``serve`` never
+        waits on the supervisor, so the supervisor may hold its lock across its requests."""
         for msg_type, body in self.run_iteration(job_id):
             ended = []
             try:
@@ -562,6 +563,8 @@ class NodeRuntime:
                         self._retire(entry, "dropped")
                     elif entry.status == ST_QUIESCED:
                         entry.status = ST_RUNNING
+            if msg_type == MSG_WITHDRAW_NOTICE:
+                self.withdrawal.set()
 
     def stop_running(self, entry: JobExecution, status: str) -> None:
         """The job stops running here: a steps row covers its iterations since it last started."""
@@ -644,9 +647,9 @@ class NodeRuntime:
     def withdraw(self) -> list[tuple[int, dict]]:
         """Announce withdrawal once, with a ``withdraw`` row for each running job."""
         with self._lock:
-            if self._withdrawn:
+            if self.withdrawal is not None:
                 return []
-            self._withdrawn = True
+            self.withdrawal = threading.Event()
             for entry in self.jobs.values():
                 if entry.status == ST_RUNNING:
                     self.record("withdraw", entry.job_id, iteration=entry.task.iterations_done)
@@ -692,12 +695,13 @@ class NodeDaemon(FrameServer):
 
     def _exec_loop(self, job_id: str) -> None:
         rt = self.runtime
-        entry = rt.job(job_id)
-        while entry.status not in (ST_DONE, ST_FAILED, ST_TOMBSTONED) and not self._stop.is_set():
+        while not self._stop.is_set():
+            if rt.withdrawal is not None:  # hold until the supervisor has answered the notice
+                rt.withdrawal.wait()
             try:
                 rt.step(job_id)
             except InvalidJobState:
-                return  # migrated away while this thread waited for its turn
+                return  # the job ended here, or moved away
 
 
 # -- CLI ------------------------------------------------------------------------

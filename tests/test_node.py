@@ -198,6 +198,24 @@ class TestSimExecution:
         with pytest.raises(nd.InvalidJobState):
             runtime.run_iteration("b")
 
+    def test_an_iteration_that_withdraws_and_fails_still_sends_the_notice(self, tmp_path):
+        sent = []
+        runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup",
+                              send=lambda addr, msg_type, body: sent.append((msg_type, body)) or {})
+        runtime.submit_job("j1", "sort", {"n": 12, "seed": 2})
+        for _ in range(4):
+            runtime.step("j1")
+
+        def broken_park(entry):
+            raise OSError("store full")
+
+        runtime._park = broken_park
+        runtime.step("j1")
+        assert [(t, body.get("failed")) for t, body in sent] \
+            == [(nd.MSG_WITHDRAW_NOTICE, None), (nd.MSG_RESULT_RETURN, True)]
+        assert runtime.job("j1").status == nd.ST_FAILED
+        assert runtime.withdrawal.is_set()  # the node's other jobs may step on
+
     def test_withdraw_idempotent(self, tmp_path):
         runtime = sim_runtime(tmp_path)
         assert len(runtime.withdraw()) == 1
@@ -521,6 +539,43 @@ class TestDaemon:
             ("steps", 25, 60, None, None), ("result", None, None, 60, None),
             ("send_failed", None, None, None, "RESULT_RETURN")]
         assert rows[4]["digest"] == reference_digest(60, 3)
+
+    def test_other_jobs_hold_until_the_withdrawal_is_answered(self, tmp_path):
+        rows, held = [], []
+        runtime = nd.NodeRuntime(provider_id="h1", clock=nd.WallClock(),
+                                 store_dir=tmp_path / "h1", withdraw_at=25, emit=rows.append)
+
+        def progress():
+            return {job_id: e.task.iterations_done for job_id, e in runtime.jobs.items()}
+
+        class SlowSupervisor(nd.FrameServer):
+            # answers a withdrawal 0.2 s late, moving nothing, and records what ran meanwhile
+            def handle(self, msg_type, payload):
+                if msg_type == nd.MSG_WITHDRAW_NOTICE:
+                    time.sleep(0.05)
+                    before = progress()
+                    time.sleep(0.2)
+                    held.append((before, progress()))
+                return nd.MSG_ACK, nd.json_payload({"ok": True, "ended": []})
+
+        sup = SlowSupervisor()
+        sup.start()
+        runtime.supervisor = sup.address
+        d = nd.NodeDaemon(runtime)
+        d.start()
+        try:
+            for job_id, seed in (("a", 1), ("b", 2)):
+                spec = {"job_id": job_id, "task_kind": "sort", "params": {"n": 2000, "seed": seed}}
+                assert send_request(d.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))[0] \
+                    == nd.MSG_ACK
+            assert wait_until(lambda: sum(r["event"] == "result" for r in rows) == 2, timeout=30)
+        finally:
+            d.stop()
+            sup.stop()
+        [(before, after)] = held
+        assert before == after and 25 in before.values() and len(before) == 2, held
+        assert {r["job_id"]: r["digest"] for r in rows if r["event"] == "result"} \
+            == {"a": reference_digest(2000, 1), "b": reference_digest(2000, 2)}
 
     def test_a_refused_result_leaves_a_row(self, tmp_path, refusing_supervisor):
         rows = []
