@@ -6,6 +6,9 @@ once, into a decision: continue, reschedule to the best-ranked provider, or
 renegotiate the SLA. A migration carries the job's checkpointed state to the
 new provider. Each decision goes to its ``emit`` as a timeline row ``{"t",
 "event": "decision", "job_id", "provider", "report_kind", "decision", "detail"}``.
+Local tuning (``tune_decision``) is a node's first answer to a confirmed violation,
+before any report leaves it: a job that checkpointing less often could speed up to
+its floor gets a doubled interval, and a miss that persists is confirmed anew.
 """
 
 from __future__ import annotations
@@ -111,32 +114,20 @@ class Transport(Protocol):
 
 
 CHECKPOINT_INTERVAL_CAP = 128
-TUNE_RAISE_ABOVE = 0.05
-TUNE_LOWER_BELOW = 0.01
 
 
-def tune_decision(samples: Sequence[MonitorSample], current_interval: int) -> int:
-    """The checkpoint interval to use, adapted to the measured capture overhead.
-
-    The overhead fraction is the checkpoint time over the job's run time on
-    its node across the sample window, both real microseconds from the
-    samples' ``checkpoint_us`` and ``run_us``, so a virtual sample clock does
-    not enter it. Above 5% the interval doubles (capped at 128), below 1% it
-    halves (floored at 1). A window with no capture in it says nothing about
-    their cost and changes nothing.
-    """
-    if len(samples) < 2:
-        return current_interval
-    first, last = samples[0], samples[-1]
-    run_us = last.run_us - first.run_us
-    ckpt_us = last.checkpoint_us - first.checkpoint_us
-    if run_us <= 0 or ckpt_us <= 0:
-        return current_interval
-    fraction = ckpt_us / run_us
-    if fraction > TUNE_RAISE_ABOVE and current_interval < CHECKPOINT_INTERVAL_CAP:
+def tune_decision(window: Sequence[MonitorSample], sla: ServiceLevelAgreement,
+                  current_interval: int) -> int:
+    """The checkpoint interval after a throughput violation confirmed over ``window``:
+    doubled, up to 128, if the window's iterations over its node-clock time less its
+    capture time (``capture_ms``) meet the SLA floor, so the node holds the report;
+    else unchanged, and the node sends it. A virtual clock charges captures nothing,
+    so there that rate is the violating one, and sim never tunes."""
+    first, last = window[0], window[-1]
+    free_ms = last.timestamp_ms - first.timestamp_ms - (last.capture_ms - first.capture_ms)
+    if current_interval < CHECKPOINT_INTERVAL_CAP \
+            and (last.iterations_done - first.iterations_done) * 1000 >= sla.min_throughput * free_ms:
         return min(current_interval * 2, CHECKPOINT_INTERVAL_CAP)
-    if fraction < TUNE_LOWER_BELOW and current_interval > 1:
-        return max(current_interval // 2, 1)
     return current_interval
 
 

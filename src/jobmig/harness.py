@@ -42,7 +42,7 @@ from .control import (
     SupervisoryAgent,
     TransferFailed,
 )
-from .monitor import MonitorHub, PerformanceReport, ServiceLevelAgreement
+from .monitor import MonitorHub, PerformanceReport, ServiceLevelAgreement, WithdrawalEvent
 from .node import (
     MSG_ACK,
     MSG_CHECKPOINT_TRANSFER,
@@ -469,22 +469,30 @@ class SimEnvironment(Environment):
         return result
 
 
+NUMBERS = (int, float, Fraction)  # the types of a time or an exec_ms; a bool is none of them
+
+
 def check_message(msg_type: int, body: dict) -> None:
     """Raise MalformedPayload unless the node message has what ``route`` and
     ``SupervisoryAgent.complete`` read from it, and UnsupportedMessage for another type."""
     if msg_type == MSG_MONITOR_REPORT:
         try:
-            PerformanceReport.from_dict(body)
+            report = PerformanceReport.from_dict(body)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad report: {exc!r}") from exc
+        times = [report.emitted_at] + [e.at_ms if isinstance(e, WithdrawalEvent)
+                                       else e.timestamp_ms for e in report.evidence]
+        if any(type(t) not in NUMBERS for t in times):
+            raise MalformedPayload("a report's emitted_at and evidence times must be numbers")
     elif msg_type == MSG_WITHDRAW_NOTICE:
-        require(body, "at_ms")
+        if type(require(body, "at_ms")[0]) not in NUMBERS:
+            raise MalformedPayload("a withdrawal's at_ms must be a number")
     elif msg_type != MSG_RESULT_RETURN:
         raise UnsupportedMessage(f"the supervisor takes no {MSG_NAMES.get(msg_type, msg_type)}")
     elif not body.get("failed"):
         digest, iterations, exec_ms = require(body, "digest", "iterations_done", "exec_ms")
         if type(digest) is not int or type(iterations) is not int \
-                or type(exec_ms) not in (int, float, Fraction):
+                or type(exec_ms) not in NUMBERS:
             raise MalformedPayload("a result's digest and iterations_done must be integers, "
                                    "its exec_ms a number")
     if type(require(body, "provider_id")[0]) is not str:

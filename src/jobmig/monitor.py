@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .broker import ResourceBroker
@@ -67,9 +67,7 @@ class MonitorSample:
     job_id: str
     timestamp_ms: Any  # float in wall mode, exact rational in sim mode
     iterations_done: int
-    # the job's real time on its node so far: checkpointing, and all its work
-    checkpoint_us: int = 0
-    run_us: int = 0
+    capture_ms: Any = 0  # the job's capture time on its node so far, on the same clock
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,8 @@ class PerformanceReport:
     job_id: str
     evidence: tuple = ()
     emitted_at: Any = 0
+    # the samples a violation was confirmed over, for the node that confirmed it: not sent
+    window: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         if self.kind is ReportKind.RESOURCE_WITHDRAWN:
@@ -127,7 +127,7 @@ def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) 
 
     A violation requires the last window_k pairwise throughputs to each fall
     below the SLA floor; the report's evidence is the window_k samples that
-    terminate those pairs.
+    terminate those pairs, and its ``window`` the window_k + 1 samples that make them.
     """
     if len(samples) < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {len(samples)}")
@@ -137,7 +137,8 @@ def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) 
     if len(rates) >= k and all(r < sla.min_throughput for r in rates[-k:]):
         return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION,
                                  provider_id=last.provider_id, job_id=last.job_id,
-                                 evidence=tuple(samples[-k:]), emitted_at=last.timestamp_ms)
+                                 evidence=tuple(samples[-k:]), emitted_at=last.timestamp_ms,
+                                 window=tuple(samples[-k - 1:]))
     return PerformanceReport(kind=ReportKind.NONE, provider_id=last.provider_id,
                              job_id=last.job_id, emitted_at=last.timestamp_ms)
 
@@ -167,9 +168,6 @@ class LocalAnalyzer:
     def reset(self, job_id: str) -> None:
         """Drop the window, e.g. across a migration pause."""
         self._windows.pop(job_id, None)
-
-    def window(self, job_id: str) -> list[MonitorSample]:
-        return list(self._windows.get(job_id, ()))
 
 
 class MonitorHub:

@@ -22,7 +22,8 @@ both modes, with the body the wire carries as JSON.
 A node's timeline rows go to its ``emit``: ``{"t", "event", "job_id",
 "provider", ...}`` with ``t`` its clock in ms, for ``steps`` (``first``,
 ``end``: the job stopped running here), ``resume``, ``transfer``, ``result``,
-``withdraw``, ``dropped``, ``failed`` and ``send_failed``. The daemon's
+``withdraw``, ``tune`` (``from``, ``to``: the job's checkpoint interval),
+``dropped``, ``failed`` and ``send_failed``. The daemon's
 CLI prints each row as one JSON line on stdout.
 """
 
@@ -343,7 +344,7 @@ class JobExecution:
     seq_next: int = 0
     since_checkpoint: int = 0
     lineage: list[ckpt.CheckpointRecord] = field(default_factory=list)
-    checkpoint_us: int = 0
+    capture_ms: Any = 0  # time spent capturing on this node, on its clock: 0 on a virtual one
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
     next_sample_ms: Any = None
     # held by each iteration and by a whole hand-off: both see a yield point
@@ -361,7 +362,6 @@ class NodeRuntime:
     def __init__(self, provider_id: str, clock, store_dir: str | Path,
                  step_cost_ms: Fraction | None = None,
                  withdraw_at: int | None = None,
-                 tune_enabled: bool = False,
                  emit: Callable[[dict], None] | None = None,
                  send: Callable[[str, int, dict | bytes], dict] = call,
                  supervisor: str | None = None):
@@ -374,7 +374,6 @@ class NodeRuntime:
         self.clock = clock
         self.step_cost_ms = step_cost_ms
         self.withdraw_at = withdraw_at
-        self.tune_enabled = tune_enabled
         self.emit = emit or (lambda row: None)
         self.send = send
         self.supervisor = supervisor
@@ -472,7 +471,7 @@ class NodeRuntime:
     # -- checkpoint cadence ----------------------------------------------------
 
     def _capture(self, entry: JobExecution, full: bool = False) -> ckpt.CheckpointRecord:
-        t0 = time.perf_counter_ns()
+        t0 = self.clock.now_ms()
         state = entry.task.state
         if full or len(entry.lineage) % FULL_EVERY == 0:
             record = ckpt.capture_full(state, entry.seq_next, entry.images)
@@ -484,7 +483,7 @@ class NodeRuntime:
         self.store.append(record)
         entry.seq_next += 1
         entry.since_checkpoint = 0
-        entry.checkpoint_us += (time.perf_counter_ns() - t0) // 1000
+        entry.capture_ms += self.clock.now_ms() - t0
         return record
 
     # -- the execution loop ----------------------------------------------------
@@ -522,13 +521,17 @@ class NodeRuntime:
                     now = self.clock.now_ms()
                     if now >= entry.next_sample_ms:
                         s = MonitorSample(self.provider_id, job_id, now, iterations,
-                                          entry.checkpoint_us, entry.run_ns // 1000)
+                                          entry.capture_ms)
                         report = self.analyzer.observe(s, entry.sla)
                         if report.kind is not ReportKind.NONE:
-                            msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
-                        if self.tune_enabled:
-                            entry.checkpoint_interval = tune_decision(self.analyzer.window(job_id),
-                                                                      entry.checkpoint_interval)
+                            interval = tune_decision(report.window, entry.sla,
+                                                     entry.checkpoint_interval)
+                            if interval == entry.checkpoint_interval:
+                                msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
+                            else:  # tuned: the report waits for a fresh window to confirm it
+                                self.record("tune", job_id,
+                                            **{"from": entry.checkpoint_interval, "to": interval})
+                                entry.checkpoint_interval = interval
                         entry.next_sample_ms = now + entry.sla.sample_period_ms
 
                 if entry.task.done:
@@ -719,7 +722,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cpu-mhz", type=int, default=1000)
     parser.add_argument("--memory-mb", type=int, default=256)
     parser.add_argument("--arch", action="append", default=None, help="architecture tag (repeatable)")
-    parser.add_argument("--tune", action="store_true", help="enable local checkpoint-interval tuning")
     args = parser.parse_args(argv)
 
     data_dir = args.data_dir or tempfile.mkdtemp(prefix=f"jobmig-{args.id}-")
@@ -731,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line, flush=True)
 
     runtime = NodeRuntime(provider_id=args.id, clock=WallClock(), store_dir=data_dir,
-                          withdraw_at=args.withdraw_at, tune_enabled=args.tune, emit=emit,
+                          withdraw_at=args.withdraw_at, emit=emit,
                           supervisor=args.supervisor)
     try:
         daemon = NodeDaemon(runtime, listen=args.listen)

@@ -2,8 +2,14 @@
 ``src/`` or ``bench/`` besides its own definition: ``src/`` holds no API that only
 tests call. Dunder names and ``main`` (an entry point) are exempt."""
 
+import argparse
 import ast
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from jobmig import harness, node
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "jobmig").glob("*.py"))
@@ -48,3 +54,33 @@ def test_every_definition_in_src_has_a_user_in_src_or_bench():
               if not (name.startswith("__") and name.endswith("__")) and name != "main"
               and not used.get(name)}
     assert unused == set(KNOWN_UNUSED)
+
+
+def test_every_node_option_is_one_the_wall_environment_can_pass(tmp_path, monkeypatch):
+    """A node option no spawn passes is a knob nothing sets: ``_spawn``, with every
+    optional setting in use, must pass each option ``jobmig.node``'s parser accepts."""
+    parsers = []
+
+    def capture(parser, argv=None):
+        parsers.append(parser)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        node.main([])
+    accepted = {opt for action in parsers[0]._actions for opt in action.option_strings
+                if opt.startswith("--")} - {"--help"}
+
+    commands = []
+    monkeypatch.setattr(harness.subprocess, "Popen", lambda cmd, **kw: commands.append(cmd)
+                        or SimpleNamespace(stdout=[], poll=lambda: 0))
+    templates = harness.default_providers()
+    env = harness.WallEnvironment(templates, tmp_path,
+                                  withdraw_at={templates[0].provider_id: 5})
+    try:
+        for template in templates:
+            env._spawn(template)
+    finally:
+        env.listener.stop()
+    assert all(t.arch_tags for t in templates)  # so --arch is passed
+    assert {arg for cmd in commands for arg in cmd if arg.startswith("--")} == accepted

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -295,55 +296,46 @@ class TestComplete:
         assert rows[-1]["decision"] == "fail"
 
 
+def floor(min_throughput):
+    return ServiceLevelAgreement(min_throughput=min_throughput)
+
+
 class TestLocalTune:
-    def sample_pair(self, run_ms, ckpt_us):
-        a = MonitorSample("p", "j", 0, 0, checkpoint_us=0, run_us=0)
-        b = MonitorSample("p", "j", 1, 10, checkpoint_us=ckpt_us, run_us=run_ms * 1000)
+    def sample_pair(self, run_ms, capture_ms, iterations=10):
+        a = MonitorSample("p", "j", 0, 0, capture_ms=0)
+        b = MonitorSample("p", "j", run_ms, iterations, capture_ms=capture_ms)
         return [a, b]
 
     def test_high_overhead_doubles_interval(self):
-        # 8% of 10s spent checkpointing
-        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=4) == 8
+        # 10 iterations in 1 s, 0.6 s of it capturing: 10 it/s, and 25 it/s without the captures
+        assert tune_decision(self.sample_pair(1000, 600), floor(20), current_interval=4) == 8
 
-    def test_inside_hysteresis_band_no_change(self):
-        assert tune_decision(self.sample_pair(10_000, 300_000), current_interval=4) == 4  # 3%
+    def test_capture_free_rate_below_the_floor_changes_nothing(self):
+        assert tune_decision(self.sample_pair(1000, 600), floor(30), current_interval=4) == 4
+        # a capture-free rate that just meets the floor is enough: 10 iterations in 0.5 s
+        assert tune_decision(self.sample_pair(1000, 500), floor(20), current_interval=4) == 8
 
     def test_cap_respected(self):
-        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=128) == 128
+        assert tune_decision(self.sample_pair(1000, 600), floor(20), current_interval=128) == 128
+        assert tune_decision(self.sample_pair(1000, 600), floor(20), current_interval=100) == 128
         # an interval set above the cap is left as it is, not lowered to the cap
-        assert tune_decision(self.sample_pair(10_000, 800_000), current_interval=1024) == 1024
+        assert tune_decision(self.sample_pair(1000, 600), floor(20), current_interval=1024) == 1024
 
-    def test_low_overhead_halves_interval(self):
-        assert tune_decision(self.sample_pair(10_000, 10_000), current_interval=8) == 4  # 0.1%
-
-    def test_floor_of_one(self):
-        for ckpt_us in (0, 10_000):  # 0% and 0.1%
-            assert tune_decision(self.sample_pair(10_000, ckpt_us), current_interval=1) == 1
-
-    def test_sample_clock_does_not_enter_the_fraction(self):
-        # 8% of the run time, whatever the sample timestamps (virtual in sim)
-        a = MonitorSample("p", "j", 0, 0, checkpoint_us=0, run_us=0)
-        b = MonitorSample("p", "j", 10**9, 10, checkpoint_us=800, run_us=10_000)
-        assert tune_decision([a, b], current_interval=4) == 8
+    def test_rate_runs_from_the_first_sample_to_the_last(self):
+        # a window of window_k + 1 samples with cumulative capture times: 10 iterations
+        # in 1 s, 0.4 s of it capturing, so 16.7 it/s capture-free; the middle one is not read
+        window = [MonitorSample("p", "j", 1000, 100, capture_ms=50),
+                  MonitorSample("p", "j", 1500, 101, capture_ms=450),
+                  MonitorSample("p", "j", 2000, 110, capture_ms=450)]
+        assert tune_decision(window, floor(16), current_interval=16) == 32
+        assert tune_decision(window, floor(17), current_interval=16) == 16
 
     def test_window_without_run_or_capture_changes_nothing(self):
-        assert tune_decision(self.sample_pair(0, 0), current_interval=4) == 4
-        # no capture fell in the window, which says nothing about their cost
-        assert tune_decision(self.sample_pair(10_000, 0), current_interval=8) == 8
-        assert tune_decision(self.sample_pair(10_000, 800_000)[1:], current_interval=4) == 4
-
-    def test_tuned_sim_job_keeps_its_interval_up(self, tmp_path):
-        # checkpointing an N=1000 array every 16 steps costs far more than 5% of the
-        # run time, so the tuner must raise the interval, never halve it to 1
-        config = harness.calibrate_from_table1()
-        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
-        env.nodes["server1"].tune_enabled = True
-        env.deploy_sort("tuned", 1000, 5, start_on="server1")
-        result = env.run_job("tuned")
-        node = env.nodes["server1"]
-        assert len(node.store.load("tuned")) <= 63  # the untuned job's count at interval 16
-        assert node.job("tuned").checkpoint_interval >= 16
-        assert result["digest"] == reference_digest(1000, 5)
+        # a virtual clock charges captures nothing: the capture-free rate is the violating one
+        assert tune_decision(self.sample_pair(1000, 0), floor(20), current_interval=4) == 4
+        sim_window = [MonitorSample("p", "j", Fraction(0), 0),
+                      MonitorSample("p", "j", Fraction(3359, 3), 9)]
+        assert tune_decision(sim_window, floor(9), current_interval=16) == 16
 
 
 class TestDecisionLog:

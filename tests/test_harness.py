@@ -98,6 +98,15 @@ class TestScenario1Sim:
         b = harness.run_scenario1(100, 5, workdir=tmp_path / "b")
         assert a.row.scenario1_total_ms == b.row.scenario1_total_ms
         assert a.digest == b.digest
+        assert a.step_log.rows == b.step_log.rows
+        assert store_bytes(tmp_path / "a") == store_bytes(tmp_path / "b")
+        # and through an SLA miss, which the node cannot tune away in sim: it moves the job
+        c, d = (slow_provider_env(tmp_path / side) for side in ("c", "d"))
+        assert c.run_job("hot") == d.run_job("hot")
+        assert "reschedule" in [r.get("decision") for r in c.step_log.rows]
+        assert "tune" not in [r["event"] for r in c.step_log.rows]
+        assert c.step_log.rows == d.step_log.rows
+        assert store_bytes(tmp_path / "c") == store_bytes(tmp_path / "d")
 
 
 class TestScenario2Sim:
@@ -365,7 +374,24 @@ class TestSupervisoryListener:
                      id="result-with-a-string-iterations-done"),
         pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": "server1", "digest": 1,
                                          "iterations_done": True, "exec_ms": 7},
-                     id="result-with-a-bool-iterations-done")])
+                     id="result-with-a-bool-iterations-done"),
+        pytest.param(MSG_WITHDRAW_NOTICE, {"provider_id": "server1", "at_ms": [1]},
+                     id="withdrawal-with-a-list-time"),
+        pytest.param(MSG_WITHDRAW_NOTICE, {"provider_id": "server1", "at_ms": "x"},
+                     id="withdrawal-with-a-string-time"),
+        pytest.param(MSG_WITHDRAW_NOTICE, {"provider_id": "server1", "at_ms": True},
+                     id="withdrawal-with-a-bool-time"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": {}},
+                     id="report-with-an-object-emitted-at"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"timestamp_ms": [1], "iterations_done": 5}]},
+                     id="report-with-a-list-sample-time"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "resource_withdrawn", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"withdrawn": "server1", "at_ms": "x"}]},
+                     id="report-with-a-string-withdrawal-time")])
     def test_a_body_route_cannot_act_on_is_refused(self, tmp_path, msg_type, body):
         config = harness.calibrate_from_table1()
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
@@ -401,20 +427,31 @@ class TestSimIntake:
             == ["submit", "done"]
 
 
+def store_bytes(root):
+    """Every checkpoint file under ``root``, by its path there: its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.ckpt"))}
+
+
+def slow_provider_env(workdir):
+    """A sim environment whose job ``hot``, deployed on ``server1``, misses its SLA there."""
+    config = harness.calibrate_from_table1()
+    # server1 at half speed: ~4.5 it/s, below the 6 it/s floor; server2 ~10.4 it/s
+    providers = [
+        ResourceSpecTemplate(provider_id="server1", address="127.0.0.1:7001",
+                             cpu_mhz=2800, memory_mb=512, speed_factor=Fraction(1, 2)),
+        ResourceSpecTemplate(provider_id="server2", address="127.0.0.1:7002",
+                             cpu_mhz=3000, memory_mb=1024,
+                             speed_factor=config.speed_of("server2")),
+    ]
+    sla = ServiceLevelAgreement(min_throughput=6.0, window_k=2, sample_period_ms=500)
+    env = harness.SimEnvironment(config, providers, workdir, sla=sla)
+    env.deploy_sort("hot", 200, 21, start_on="server1")
+    return env
+
+
 class TestViolationDrivenRescheduling:
     def test_slow_provider_triggers_migration_to_better_one(self, tmp_path):
-        config = harness.calibrate_from_table1()
-        # server1 at half speed: ~4.5 it/s, below the 6 it/s floor; server2 ~10.4 it/s
-        providers = [
-            ResourceSpecTemplate(provider_id="server1", address="127.0.0.1:7001",
-                                 cpu_mhz=2800, memory_mb=512, speed_factor=Fraction(1, 2)),
-            ResourceSpecTemplate(provider_id="server2", address="127.0.0.1:7002",
-                                 cpu_mhz=3000, memory_mb=1024,
-                                 speed_factor=config.speed_of("server2")),
-        ]
-        sla = ServiceLevelAgreement(min_throughput=6.0, window_k=2, sample_period_ms=500)
-        env = harness.SimEnvironment(config, providers, tmp_path, sla=sla)
-        env.deploy_sort("hot", 200, 21, start_on="server1")
+        env = slow_provider_env(tmp_path)
         result = env.run_job("hot")
         entry = env.supervisory.jobs["hot"]
         assert entry.migrations, "expected a violation-driven migration"

@@ -245,6 +245,62 @@ class TestSimExecution:
         assert reports
 
 
+class TestLocalTuning:
+    """A confirmed violation on a sim node whose store append charges each capture
+    16 ms to the clock, after 1 ms a step: 500 it/s at checkpoint interval 16, 667 at
+    32, about 800 at 64, 889 at 128, and 1000 with no capture."""
+
+    def run(self, tmp_path, floor, interval=16):
+        """Step a job at ``floor`` it/s to its end: the node's rows, the messages it sent,
+        and the samples it took."""
+        rows, sent, samples = [], [], []
+        runtime = sim_runtime(tmp_path, cost=Fraction(1), supervisor="sup", emit=rows.append,
+                              send=lambda addr, msg_type, body: sent.append((msg_type, body)) or {})
+        append, observe = runtime.store.append, runtime.analyzer.observe
+
+        def costly_append(record):
+            runtime.clock.advance(16)
+            return append(record)
+
+        runtime.store.append = costly_append
+        runtime.analyzer.observe = lambda s, sla: samples.append(s) or observe(s, sla)
+        sla = ServiceLevelAgreement(min_throughput=floor, window_k=2, sample_period_ms=200)
+        runtime.submit_job("t", "sort", {"n": 2000, "seed": 7}, sla=sla,
+                           checkpoint_interval=interval)
+        while runtime.job("t").status == nd.ST_RUNNING:
+            runtime.step("t")
+        return rows, sent, samples
+
+    @staticmethod
+    def tunes(rows):
+        return [(r["from"], r["to"]) for r in rows if r["event"] == "tune"]
+
+    def test_a_floor_less_checkpointing_meets_is_tuned_to_without_a_report(self, tmp_path):
+        rows, sent, _ = self.run(tmp_path, floor=700)
+        assert self.tunes(rows) == [(16, 32), (32, 64)]
+        assert [t for t, _ in sent] == [nd.MSG_RESULT_RETURN]
+        assert sent[0][1]["digest"] == reference_digest(2000, 7)
+
+    def test_a_floor_above_the_capture_free_rate_is_reported_at_once(self, tmp_path):
+        rows, sent, samples = self.run(tmp_path, floor=1500)
+        assert self.tunes(rows) == []
+        kind, report = sent[0]
+        assert kind == nd.MSG_MONITOR_REPORT
+        assert report["emitted_at"] == float(samples[2].timestamp_ms)  # closes the first window
+        assert sent[-1][1]["digest"] == reference_digest(2000, 7)
+
+    def test_at_the_cap_the_violation_is_reported(self, tmp_path):
+        rows, sent, _ = self.run(tmp_path / "at-cap", floor=950, interval=128)
+        assert self.tunes(rows) == []
+        assert sent[0][0] == nd.MSG_MONITOR_REPORT
+        # from interval 16 the node doubles up to the cap, and then reports
+        rows, sent, _ = self.run(tmp_path / "to-cap", floor=950)
+        assert self.tunes(rows) == [(16, 32), (32, 64), (64, 128)]
+        last_tune = [r for r in rows if r["event"] == "tune"][-1]
+        assert sent[0][0] == nd.MSG_MONITOR_REPORT
+        assert sent[0][1]["emitted_at"] > last_tune["t"]  # confirmed anew at interval 128
+
+
 class TestTransfer:
     def migrate_bundle(self, tmp_path, n=500, until=249, sla=None):
         source = sim_runtime(tmp_path, withdraw_at=until)  # parks the job at ``until``
@@ -271,8 +327,11 @@ class TestTransfer:
         bundle, _ = self.migrate_bundle(tmp_path, sla=DEFAULT_TEST_SLA)
         target = sim_runtime(tmp_path / "t")
         target.resume_from_bundle(bundle)
+        samples = []
+        observe = target.analyzer.observe
+        target.analyzer.observe = lambda s, sla: samples.append(s) or observe(s, sla)
         target.run_iteration("jm")  # one step outlasts the sample period: it takes a sample
-        first = target.analyzer.window("jm")[0]
+        first = samples[0]
         assert (first.provider_id, first.iterations_done) == ("sim1", 250)
 
     def test_corrupted_bundle_leaves_node_unchanged(self, tmp_path):
