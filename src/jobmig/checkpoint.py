@@ -46,6 +46,7 @@ changed if a touched element did. An unreported element is taken by value: a
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import struct
 import sys
@@ -422,9 +423,15 @@ class CheckpointStore:
         return self.root / f"{name}.ckpt"
 
     def append(self, record: CheckpointRecord) -> Path:
+        """Write the record at the end of its job's file, whole, or raise."""
         path = self.path_for(record.job_id)
-        with path.open("ab") as fh:
-            fh.write(encode(record))
+        data = memoryview(encode(record))
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:  # a short write leaves the rest for the next call
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         return path
 
     def load(self, job_id: str) -> list[CheckpointRecord]:

@@ -42,7 +42,7 @@ from .control import (
     SupervisoryAgent,
     TransferFailed,
 )
-from .monitor import MonitorHub, PerformanceReport, ServiceLevelAgreement, WithdrawalEvent
+from .monitor import MonitorHub, PerformanceReport, ReportKind, ServiceLevelAgreement
 from .node import (
     MSG_ACK,
     MSG_CHECKPOINT_TRANSFER,
@@ -480,8 +480,9 @@ def check_message(msg_type: int, body: dict) -> None:
             report = PerformanceReport.from_dict(body)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad report: {exc!r}") from exc
-        times = [report.emitted_at] + [e.at_ms if isinstance(e, WithdrawalEvent)
-                                       else e.timestamp_ms for e in report.evidence]
+        if report.kind is not ReportKind.THROUGHPUT_VIOLATION:  # a withdrawal is a WITHDRAW_NOTICE
+            raise MalformedPayload(f"a node reports no {report.kind.value!r}")
+        times = [report.emitted_at] + [e.timestamp_ms for e in report.evidence]
         if any(type(t) not in NUMBERS for t in times):
             raise MalformedPayload("a report's emitted_at and evidence times must be numbers")
     elif msg_type == MSG_WITHDRAW_NOTICE:

@@ -111,15 +111,17 @@ class PerformanceReport:
                    evidence=evidence, emitted_at=obj.get("emitted_at", 0))
 
 
+def _pair_throughput(a: MonitorSample, b: MonitorSample) -> float:
+    """Iterations/second from sample ``a`` to the later sample ``b``."""
+    dt_ms = b.timestamp_ms - a.timestamp_ms
+    if dt_ms <= 0:
+        raise MonitorError(f"non-increasing timestamps for job {b.job_id!r}")
+    return (b.iterations_done - a.iterations_done) / (dt_ms / 1000)
+
+
 def pair_throughputs(samples: Sequence[MonitorSample]) -> list[float]:
     """Iterations/second over each adjacent sample pair."""
-    rates = []
-    for a, b in zip(samples, samples[1:]):
-        dt_ms = b.timestamp_ms - a.timestamp_ms
-        if dt_ms <= 0:
-            raise MonitorError(f"non-increasing timestamps for job {b.job_id!r}")
-        rates.append((b.iterations_done - a.iterations_done) / (dt_ms / 1000))
-    return rates
+    return [_pair_throughput(a, b) for a, b in zip(samples, samples[1:])]
 
 
 def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) -> PerformanceReport:
@@ -143,26 +145,46 @@ def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) 
                              job_id=last.job_id, emitted_at=last.timestamp_ms)
 
 
+class _Window:
+    """One job's last ``window_k + 1`` samples, the SLA they are judged against,
+    and how many of their newest pairs in a row fall below its floor."""
+
+    __slots__ = ("samples", "sla", "slow")
+
+    def __init__(self, samples: Sequence[MonitorSample], sla: ServiceLevelAgreement):
+        self.samples = deque(samples, maxlen=sla.window_k + 1)
+        self.sla = sla
+        self.slow = 0
+        for rate in pair_throughputs(list(self.samples)):
+            self.slow = self.slow + 1 if rate < sla.min_throughput else 0
+
+
 class LocalAnalyzer:
     """Per-provider analysis agent: one sliding window per local job, holding
-    the last ``window_k + 1`` samples, which are all that a decision reads."""
+    the last ``window_k + 1`` samples, which are all that a decision reads. A
+    sample rates only its pair with the one before; the window goes to
+    ``analyze_local`` once its last ``window_k`` pairs are all slow."""
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
-        self._windows: dict[str, deque[MonitorSample]] = {}
+        self._windows: dict[str, _Window] = {}
 
     def observe(self, s: MonitorSample, sla: ServiceLevelAgreement) -> PerformanceReport:
         window = self._windows.get(s.job_id)
-        if window is None or window.maxlen != sla.window_k + 1:
-            window = self._windows[s.job_id] = deque(window or (), maxlen=sla.window_k + 1)
-        window.append(s)
-        if len(window) < 2:
-            return PerformanceReport(kind=ReportKind.NONE, provider_id=self.provider_id,
+        if window is None or window.sla is not sla:  # a new job, or a renegotiated SLA
+            window = self._windows[s.job_id] = _Window(window.samples if window else (), sla)
+        samples = window.samples
+        if samples:
+            slow = _pair_throughput(samples[-1], s) < sla.min_throughput
+            window.slow = window.slow + 1 if slow else 0
+        samples.append(s)
+        if window.slow < sla.window_k:
+            return PerformanceReport(kind=ReportKind.NONE, provider_id=s.provider_id,
                                      job_id=s.job_id, emitted_at=s.timestamp_ms)
-        report = analyze_local(list(window), sla)
-        if report.kind is ReportKind.THROUGHPUT_VIOLATION:
-            # restart confirmation so one slow stretch yields one report per window
-            window.clear()
+        report = analyze_local(list(samples), sla)
+        # restart confirmation so one slow stretch yields one report per window
+        samples.clear()
+        window.slow = 0
         return report
 
     def reset(self, job_id: str) -> None:

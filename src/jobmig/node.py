@@ -298,21 +298,34 @@ class WallClock:
     def now_ms(self) -> float:
         return time.monotonic_ns() / 1e6
 
+    def reached(self, deadline_ms: float) -> bool:
+        """Whether ``now_ms()`` is at or past ``deadline_ms``."""
+        return self.now_ms() >= deadline_ms
+
 
 class VirtualClock:
     """Deterministic clock advanced only by modeled costs (ints or Fractions).
     It holds an integer numerator over a common denominator, the lcm of the
     deltas' denominators so far, so an advance is integer arithmetic; ``now_ms``
-    returns the exact Fraction."""
+    returns the exact Fraction, built once per advance: until the next advance it
+    is the same object."""
 
     def __init__(self):
         self._num = 0
         self._den = 1
+        self._now: Fraction | None = None
         self._lock = threading.Lock()
 
     def now_ms(self) -> Fraction:
         with self._lock:
-            return Fraction(self._num, self._den)
+            if self._now is None:
+                self._now = Fraction(self._num, self._den)
+            return self._now
+
+    def reached(self, deadline_ms: int | Fraction) -> bool:
+        """Whether ``now_ms()`` is at or past ``deadline_ms``, compared in integers."""
+        with self._lock:
+            return self._num * deadline_ms.denominator >= deadline_ms.numerator * self._den
 
     def advance(self, delta_ms: int | Fraction) -> None:
         num, den = delta_ms.numerator, delta_ms.denominator
@@ -323,6 +336,7 @@ class VirtualClock:
                 lcm = math.lcm(self._den, den)
                 self._num, self._den = self._num * (lcm // self._den), lcm
             self._num += num * (self._den // den)
+            self._now = None
 
 
 # -- job execution -------------------------------------------------------------
@@ -471,7 +485,7 @@ class NodeRuntime:
     # -- checkpoint cadence ----------------------------------------------------
 
     def _capture(self, entry: JobExecution, full: bool = False) -> ckpt.CheckpointRecord:
-        t0 = self.clock.now_ms()
+        start_ms = self.clock.now_ms()
         state = entry.task.state
         if full or len(entry.lineage) % FULL_EVERY == 0:
             record = ckpt.capture_full(state, entry.seq_next, entry.images)
@@ -483,7 +497,9 @@ class NodeRuntime:
         self.store.append(record)
         entry.seq_next += 1
         entry.since_checkpoint = 0
-        entry.capture_ms += self.clock.now_ms() - t0
+        end_ms = self.clock.now_ms()
+        if end_ms is not start_ms:  # a virtual clock that did not move hands back the same object
+            entry.capture_ms += end_ms - start_ms
         return record
 
     # -- the execution loop ----------------------------------------------------
@@ -517,22 +533,22 @@ class NodeRuntime:
                     and iterations >= self.withdraw_at and self.withdrawal is None else []
                 msgs.extend(withdrawal)
 
-                if entry.sla is not None and not entry.task.done:
+                if entry.sla is not None and not entry.task.done \
+                        and self.clock.reached(entry.next_sample_ms):
                     now = self.clock.now_ms()
-                    if now >= entry.next_sample_ms:
-                        s = MonitorSample(self.provider_id, job_id, now, iterations,
-                                          entry.capture_ms)
-                        report = self.analyzer.observe(s, entry.sla)
-                        if report.kind is not ReportKind.NONE:
-                            interval = tune_decision(report.window, entry.sla,
-                                                     entry.checkpoint_interval)
-                            if interval == entry.checkpoint_interval:
-                                msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
-                            else:  # tuned: the report waits for a fresh window to confirm it
-                                self.record("tune", job_id,
-                                            **{"from": entry.checkpoint_interval, "to": interval})
-                                entry.checkpoint_interval = interval
-                        entry.next_sample_ms = now + entry.sla.sample_period_ms
+                    s = MonitorSample(self.provider_id, job_id, now, iterations,
+                                      entry.capture_ms)
+                    report = self.analyzer.observe(s, entry.sla)
+                    if report.kind is not ReportKind.NONE:
+                        interval = tune_decision(report.window, entry.sla,
+                                                 entry.checkpoint_interval)
+                        if interval == entry.checkpoint_interval:
+                            msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
+                        else:  # tuned: the report waits for a fresh window to confirm it
+                            self.record("tune", job_id,
+                                        **{"from": entry.checkpoint_interval, "to": interval})
+                            entry.checkpoint_interval = interval
+                    entry.next_sample_ms = now + entry.sla.sample_period_ms
 
                 if entry.task.done:
                     msgs.append(self._complete(entry))

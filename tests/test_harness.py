@@ -391,7 +391,15 @@ class TestSupervisoryListener:
         pytest.param(MSG_MONITOR_REPORT, {"kind": "resource_withdrawn", "provider_id": "server1",
                                           "job_id": "j", "emitted_at": 1,
                                           "evidence": [{"withdrawn": "server1", "at_ms": "x"}]},
-                     id="report-with-a-string-withdrawal-time")])
+                     id="report-with-a-string-withdrawal-time"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "resource_withdrawn", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"withdrawn": ["server1"], "at_ms": 1}]},
+                     id="report-of-a-withdrawal-with-a-list-provider"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "resource_withdrawn", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"withdrawn": "server1", "at_ms": 1}]},
+                     id="report-of-a-withdrawal")])
     def test_a_body_route_cannot_act_on_is_refused(self, tmp_path, msg_type, body):
         config = harness.calibrate_from_table1()
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)

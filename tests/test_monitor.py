@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +123,56 @@ class TestDetectionLatency:
                 assert got == analyze_local(history, sla)
             if got.kind is ReportKind.THROUGHPUT_VIOLATION:
                 history = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.tuples(st.integers(1, 20), st.integers(1, 5)),
+           # rates of 0 to 40 it/s, on both sides of the floors
+           steps=st.lists(st.tuples(st.sampled_from([500, 1000, 1500, 2000]),
+                                    st.integers(0, 20),
+                                    st.none() | st.tuples(st.integers(1, 20),
+                                                          st.integers(1, 5))),
+                          min_size=1, max_size=80))
+    def test_observe_matches_the_whole_window_analyzer_across_sla_changes(self, first, steps):
+        """Rating only the newest pair reports what analysing the whole window on every
+        sample did, ``window`` included, when the floor or window_k changes mid-stream."""
+        def sla_of(floor, k):
+            return ServiceLevelAgreement(min_throughput=float(floor), window_k=k)
+
+        sla = sla_of(*first)
+        analyzer, reference = LocalAnalyzer("p1"), WholeWindowAnalyzer("p1")
+        t = iters = 0
+        for dt, di, change in steps:
+            if change is not None:  # a renegotiated SLA: a new object, maybe an equal one
+                sla = sla_of(*change)
+            t += dt
+            iters += di
+            got = analyzer.observe(s(t, iters), sla)
+            want = reference.observe(s(t, iters), sla)
+            assert got == want
+            assert got.window == want.window
+
+
+class WholeWindowAnalyzer:
+    """``LocalAnalyzer`` as it was before it rated only the newest pair: the last
+    window_k + 1 samples, all their pairs analysed on every sample."""
+
+    def __init__(self, provider_id):
+        self.provider_id = provider_id
+        self._windows = {}
+
+    def observe(self, sample, sla):
+        window = self._windows.get(sample.job_id)
+        if window is None or window.maxlen != sla.window_k + 1:
+            window = self._windows[sample.job_id] = deque(window or (),
+                                                          maxlen=sla.window_k + 1)
+        window.append(sample)
+        if len(window) < 2:
+            return PerformanceReport(kind=ReportKind.NONE, provider_id=self.provider_id,
+                                     job_id=sample.job_id, emitted_at=sample.timestamp_ms)
+        report = analyze_local(list(window), sla)
+        if report.kind is ReportKind.THROUGHPUT_VIOLATION:
+            window.clear()
+        return report
 
 
 def forward(hub, reports):

@@ -79,6 +79,37 @@ class TestClocks:
             assert clock.now_ms() == total
         assert type(clock.now_ms()) is Fraction
 
+    # denominators that are new primes make each advance grow the clock's lcm
+    ADVANCES = st.one_of(st.integers(min_value=0, max_value=10**6),
+                         st.builds(Fraction, st.integers(min_value=0, max_value=10**6),
+                                   st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])))
+    OFFSETS = st.one_of(st.integers(min_value=-3, max_value=3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=10**4))
+
+    @given(st.lists(st.tuples(ADVANCES, st.lists(OFFSETS, min_size=1, max_size=4)),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_virtual_deadline_test_agrees_with_now(self, steps):
+        """``reached(t)`` is ``now_ms() >= t`` for int and Fraction deadlines near
+        the clock, and ``now_ms()`` stays the exact sum across cached reads."""
+        clock = nd.VirtualClock()
+        total = Fraction(0)
+        for delta, offsets in steps:
+            clock.advance(delta)
+            total += delta
+            now = clock.now_ms()
+            assert type(now) is Fraction and now == total
+            assert clock.now_ms() is now  # no advance, no new Fraction
+            for offset in offsets:
+                for t in (total + offset, math.floor(total) + math.floor(offset)):
+                    assert clock.reached(t) == (now >= t)
+
+    def test_wall_deadline_test(self):
+        clock = nd.WallClock()
+        now = clock.now_ms()
+        assert clock.reached(now) and clock.reached(int(now))
+        assert not clock.reached(now + 10**9)
+
     def test_wall_clock_monotonic(self):
         clock = nd.WallClock()
         a = clock.now_ms()
