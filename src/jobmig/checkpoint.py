@@ -17,30 +17,44 @@ Binary layout (all integers big-endian):
     entry*     field_id (2) + value_type (1) + value_len (4) + value bytes
     crc32      4 bytes  over everything above (IEEE 802.3 polynomial)
 
-Value types: 0x01 int64 (8 bytes, two's complement), 0x02 int64 array
-(concatenated 8-byte elements), 0x03 byte string. Entries are sorted by
-ascending field_id; decoding rejects unordered or duplicate entries.
+Value types (two's complement throughout):
 
-The codec knows no task kinds. A field's value type follows from its value
-(int, list of ints, bytes), and a delta may not change it. Which fields a
-task has, and how they relate, is checked by the task that owns the state
+    0x01  int64        8 bytes
+    0x02  int64 array  concatenated 8-byte elements
+    0x03  byte string  the bytes themselves
+    0x04  int32 array  concatenated 4-byte elements
+
+Entries are sorted by ascending field_id; decoding rejects unordered or
+duplicate entries.
+
+Width rule: an array is written as 0x04 if and only if every element lies in
+[-2**31, 2**31), the empty array included, and as 0x02 otherwise. Decoding
+rejects a 0x02 entry whose elements all fit in int32, so every valid record
+keeps exactly one byte form. Both array types decode to a tuple of ints.
+
+The codec knows no task kinds. A field's logical type follows from its value
+(int, list of ints, bytes), and a delta may not change it; an array that
+changes width along a lineage keeps its type. Which fields a task has, and
+how they relate, is checked by the task that owns the state
 (``workload.SortTask``).
 
 Each record is encoded once in its life: capture checks and packs the body
-(int64 arrays in bulk) and the record carries it for ``encode``, the store
-and ``compose``'s checksum check. A decoded record keeps no copy of its
-bytes; it, like a record assembled by hand, is packed again when needed.
+(arrays in bulk) and the record carries it for ``encode``, the store and
+``compose``'s checksum check. A decoded record keeps no copy of its bytes; it,
+like a record assembled by hand, is packed again when needed.
 
 Images: a capture keeps, per field, the frozen value and the bytes it was
 packed to in the last record that carried it (``images``). An incremental
 record holds the fields whose values differ from their images. Given a report
 of the indices the task wrote (``TaskState.touched``) under 1/``PATCH_RATIO``
-of an array, a capture copies the image's bytes, checks and packs only those
-elements as ``_encode_value`` would, and swaps them into the image's tuple.
-That tuple must equal the live array in one compare, or the array is packed
-whole; so a record's bytes encode exactly its int64 ints, and the array
-changed if a touched element did. An unreported element is taken by value: a
-``True`` written over a ``1`` is recorded as ``1``.
+of an array packed at 4 bytes an element, a capture copies the image's bytes,
+checks and packs only those elements as ``_encode_value`` would, and swaps
+them into the image's tuple. That tuple must equal the live array in one
+compare, or the array is packed whole; so a record's bytes encode exactly its
+ints, and the array changed if a touched element did. A touched element
+outside int32, or an image packed at 8 bytes an element, takes the
+whole-array path, which picks the width. An unreported element is taken by
+value: a ``True`` written over a ``1`` is recorded as ``1``.
 """
 
 from __future__ import annotations
@@ -63,12 +77,16 @@ KIND_INCREMENTAL = 0x01
 VT_INT64 = 0x01
 VT_INT64_ARRAY = 0x02
 VT_BYTES = 0x03
+VT_INT32_ARRAY = 0x04
 
+_INT32_MIN = -(1 << 31)
+_INT32_MAX = (1 << 31) - 1
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 _U64_MAX = (1 << 64) - 1
 _U16_MAX = (1 << 16) - 1
-_pack_int64_into = struct.Struct(">q").pack_into
+_pack_int32_into = struct.Struct(">i").pack_into
+assert array("i").itemsize == 4, "array('i') must hold 4-byte elements"
 
 # packing touched elements alone pays below 1/PATCH_RATIO of the array: the
 # two paths cost the same between N/8 and N/5 (README, "Checkpoint cost")
@@ -144,12 +162,13 @@ class CheckpointRecord:
     _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _value_type(value: FieldValue | FrozenValue) -> int:
+def _value_type(value: FieldValue | FrozenValue) -> str:
+    """A value's logical type: an array is one type at either wire width."""
     if isinstance(value, int):
-        return VT_INT64
+        return "int"
     if isinstance(value, (list, tuple)):
-        return VT_INT64_ARRAY
-    return VT_BYTES
+        return "array"
+    return "bytes"
 
 
 def _check_type_kept(fid: int, old: FrozenValue, new: FieldValue | FrozenValue) -> None:
@@ -173,7 +192,10 @@ def _make_record(state: TaskState, seq: int, kind: int, images: Images) -> Check
             packed = _patch_array(fid, value, image, state.touched[fid])
             if incremental and packed is image:
                 continue
-        if packed is None:
+        if packed is not None:  # the touched-element path packs int32 images only
+            frozen, payload = packed
+            vt = VT_INT32_ARRAY
+        else:
             if isinstance(value, tuple):
                 raise SchemaMismatch(f"field {fid}: no value type for tuple")
             frozen = tuple(value) if isinstance(value, list) else value
@@ -181,9 +203,9 @@ def _make_record(state: TaskState, seq: int, kind: int, images: Images) -> Check
                 if frozen == image[0]:
                     continue
                 _check_type_kept(fid, image[0], frozen)
-            packed = frozen, _encode_value(fid, frozen)[1]
-        deltas.append(FieldDelta(fid, packed[0]))
-        entries.append((fid, _value_type(packed[0]), packed[1]))
+            vt, payload = _encode_value(fid, frozen)
+        deltas.append(FieldDelta(fid, frozen))
+        entries.append((fid, vt, payload))
     base_seq = seq - 1 if incremental else seq
     body = _encode_body(state.job_id, seq, kind, base_seq, entries)
     record = CheckpointRecord(job_id=state.job_id, seq=seq, kind=kind, base_seq=base_seq,
@@ -196,12 +218,13 @@ def _make_record(state: TaskState, seq: int, kind: int, images: Images) -> Check
 
 def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], bytes | bytearray],
                  touched: set[int]) -> tuple[tuple[int, ...], bytes | bytearray] | None:
-    """``live``'s record tuple and bytes from its image and the touched indices:
-    the image itself if no touched element changed, None when the report is too
-    large to pay or misses a change."""
+    """``live``'s record tuple and int32 bytes from its image and the touched
+    indices: the image itself if no touched element changed, None when the
+    report is too large to pay or misses a change, the image is packed at 8
+    bytes an element, or a touched element needs them."""
     old, old_bytes = image
     n = len(old) if type(old) is tuple else 0
-    if len(touched) * PATCH_RATIO >= n or len(live) != n:
+    if len(touched) * PATCH_RATIO >= n or len(live) != n or len(old_bytes) != 4 * n:
         return None
     new = list(old)
     buf = bytearray(old_bytes)
@@ -214,8 +237,10 @@ def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], bytes | byt
             raise SchemaMismatch(f"field {fid}: array element is not an int")
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise SchemaMismatch(f"field {fid}: array element out of int64 range")
+        if not _INT32_MIN <= value <= _INT32_MAX:
+            return None
         if value != old[i]:
-            _pack_int64_into(buf, 8 * i, value)
+            _pack_int32_into(buf, 4 * i, value)
             new[i] = value
             changed = True
     if new != live:
@@ -286,7 +311,8 @@ def _checked_body(record: CheckpointRecord) -> bytes:
 
 def _encode_value(fid: int, value: FrozenValue) -> tuple[int, bytes]:
     """The value type and bytes of one field value. A field id or value the
-    format cannot carry is SchemaMismatch; arrays are checked and packed in bulk."""
+    format cannot carry is SchemaMismatch; arrays are checked and packed in bulk,
+    at 4 bytes an element when every element fits and at 8 otherwise."""
     if not 0 <= fid <= _U16_MAX:
         raise SchemaMismatch(f"field_id {fid} out of 16-bit range")
     if isinstance(value, bytes):
@@ -300,12 +326,15 @@ def _encode_value(fid: int, value: FrozenValue) -> tuple[int, bytes]:
     if value and set(map(type, value)) != {int}:
         raise SchemaMismatch(f"field {fid}: array element is not an int")
     try:
-        packed = array("q", value)
+        vt, packed = VT_INT32_ARRAY, array("i", value)
     except OverflowError:
-        raise SchemaMismatch(f"field {fid}: array element out of int64 range") from None
+        try:
+            vt, packed = VT_INT64_ARRAY, array("q", value)
+        except OverflowError:
+            raise SchemaMismatch(f"field {fid}: array element out of int64 range") from None
     if sys.byteorder == "little":
         packed.byteswap()
-    return VT_INT64_ARRAY, packed.tobytes()
+    return vt, packed.tobytes()
 
 
 def _encode_body(job_id: str, seq: int, kind: int, base_seq: int,
@@ -363,10 +392,16 @@ def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:
             if vlen != 8:
                 raise MalformedRecord(f"int64 field {fid} has length {vlen}")
             value: FrozenValue = struct.unpack(">q", raw)[0]
+        elif vt == VT_INT32_ARRAY:
+            if vlen % 4:
+                raise MalformedRecord(f"array field {fid} has ragged length {vlen}")
+            value = struct.unpack(f">{vlen // 4}i", raw)
         elif vt == VT_INT64_ARRAY:
             if vlen % 8:
                 raise MalformedRecord(f"array field {fid} has ragged length {vlen}")
-            value = tuple(struct.unpack(f">{vlen // 8}q", raw)) if vlen else ()
+            value = struct.unpack(f">{vlen // 8}q", raw)
+            if not value or _INT32_MIN <= min(value) and max(value) <= _INT32_MAX:
+                raise MalformedRecord(f"array field {fid} fits in int32 but is 8 bytes wide")
         elif vt == VT_BYTES:
             value = raw
         else:

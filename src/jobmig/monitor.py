@@ -87,28 +87,20 @@ class PerformanceReport:
     window: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        if self.kind is ReportKind.RESOURCE_WITHDRAWN:
-            evidence = [{"withdrawn": e.provider_id, "at_ms": float(e.at_ms)}
-                        for e in self.evidence]
-        else:
-            evidence = [{"timestamp_ms": float(s.timestamp_ms),
-                         "iterations_done": s.iterations_done} for s in self.evidence]
+        """A violation report as a node sends it (a withdrawal travels as a WITHDRAW_NOTICE)."""
+        evidence = [{"timestamp_ms": float(s.timestamp_ms),
+                     "iterations_done": s.iterations_done} for s in self.evidence]
         return {"kind": self.kind.value, "provider_id": self.provider_id,
                 "job_id": self.job_id, "evidence": evidence,
                 "emitted_at": float(self.emitted_at)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PerformanceReport":
-        kind = ReportKind(obj["kind"])
-        if kind is ReportKind.RESOURCE_WITHDRAWN:
-            evidence = tuple(WithdrawalEvent(e["withdrawn"], e["at_ms"])
-                             for e in obj.get("evidence", []))
-        else:
-            evidence = tuple(MonitorSample(obj["provider_id"], obj["job_id"],
-                                           e["timestamp_ms"], int(e["iterations_done"]))
-                             for e in obj.get("evidence", []))
-        return cls(kind=kind, provider_id=obj["provider_id"], job_id=obj["job_id"],
-                   evidence=evidence, emitted_at=obj.get("emitted_at", 0))
+        evidence = tuple(MonitorSample(obj["provider_id"], obj["job_id"],
+                                       e["timestamp_ms"], int(e["iterations_done"]))
+                         for e in obj.get("evidence", []))
+        return cls(kind=ReportKind(obj["kind"]), provider_id=obj["provider_id"],
+                   job_id=obj["job_id"], evidence=evidence, emitted_at=obj.get("emitted_at", 0))
 
 
 def _pair_throughput(a: MonitorSample, b: MonitorSample) -> float:

@@ -258,6 +258,10 @@ def test_c9_fuzz_robustness(tmp_path_factory):
             blob = make_blob_state(job_id=f"fzb-{i}",
                                    payload=bytes(rng.randrange(256) for _ in range(10)))
             base_records.append(cp.encode(cp.capture_full(blob, i)))
+            # an array that needs 8-byte elements, so both array widths are fuzzed
+            wide = make_blob_state(job_id=f"fzw-{i}",
+                                   values=[rng.randrange(1000), 2**31 + rng.getrandbits(40)])
+            base_records.append(cp.encode(cp.capture_full(wide, i)))
 
         for case in range(5000):
             data = bytearray(rng.choice(base_records))

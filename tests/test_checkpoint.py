@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jobmig import checkpoint as cp
+from jobmig import harness
 from jobmig import node as nd
 from jobmig import workload
 
@@ -184,27 +185,29 @@ class TestCompose:
         assert composed == task.state
         assert workload.SortTask(composed).done is True
 
-    @pytest.mark.parametrize("vt,raw", [(0x03, b"\x00" * 8), (0x02, struct.pack(">q", 5))])
+    @pytest.mark.parametrize("vt,raw", [(0x03, b"\x00" * 8), (0x04, struct.pack(">i", 5))])
     def test_delta_changing_value_type_rejected(self, vt, raw):
         # an incremental whose int64 counter arrives as another value type,
         # assembled by hand because capture_incremental refuses to write one
         full = cp.capture_full(make_blob_state(job_id="tc"), 0)
         body = b"MAF1" + bytes([cp.KIND_INCREMENTAL]) + struct.pack(">H", 2) + b"tc"
-        body += struct.pack(">QQI", 1, 0, 1) + struct.pack(">HBI", BLOB_COUNTER, vt, 8) + raw
+        body += struct.pack(">QQI", 1, 0, 1)
+        body += struct.pack(">HBI", BLOB_COUNTER, vt, len(raw)) + raw
         inc = cp.decode(body + struct.pack(">I", zlib.crc32(body)))
         assert inc.deltas[0].field_id == BLOB_COUNTER
         with pytest.raises(cp.SchemaMismatch):
             cp.compose(full, [inc])
 
 
-def pack_int64_array(values) -> bytes | None:
-    """Element-wise reference packer: None where the format has no encoding."""
-    out = b""
-    for v in values:
-        if type(v) is not int or not -(2**63) <= v < 2**63:
-            return None
-        out += struct.pack(">q", v)
-    return out
+def pack_array(values) -> tuple[int, bytes] | None:
+    """Element-wise reference packer: the value type and bytes of an array, 0x04
+    with 4 bytes an element when every element fits in int32, else 0x02 with 8;
+    None where the format has no encoding."""
+    if any(type(v) is not int or not -(2**63) <= v < 2**63 for v in values):
+        return None
+    if all(-(2**31) <= v < 2**31 for v in values):
+        return 0x04, b"".join(struct.pack(">i", v) for v in values)
+    return 0x02, b"".join(struct.pack(">q", v) for v in values)
 
 
 def reference_encode(record: cp.CheckpointRecord) -> bytes:
@@ -216,11 +219,12 @@ def reference_encode(record: cp.CheckpointRecord) -> bytes:
         if type(d.new_value) is bytes:
             vt, payload = 0x03, d.new_value
         elif type(d.new_value) is tuple:
-            vt, payload = 0x02, pack_int64_array(d.new_value)
+            packed = pack_array(d.new_value)
+            assert packed is not None, f"field {d.field_id} holds a value with no encoding"
+            vt, payload = packed
         else:
             assert type(d.new_value) is int
             vt, payload = 0x01, struct.pack(">q", d.new_value)
-        assert payload is not None, f"field {d.field_id} holds a value with no encoding"
         body += struct.pack(">HBI", d.field_id, vt, len(payload)) + payload
     return body + struct.pack(">I", zlib.crc32(body))
 
@@ -273,7 +277,7 @@ class TestTouchedPacking:
         assert {d.field_id: d.new_value for d in record.deltas}[1] == tuple(arr)
         assert cp.encode(record) == reference_encode(record)
         assert images[1][0] == tuple(arr)
-        assert bytes(images[1][1]) == pack_int64_array(arr)
+        assert bytes(images[1][1]) == pack_array(arr)[1]
 
     @pytest.mark.parametrize("value", [True, 1.5, 2**63, -(2**63) - 1])
     def test_bad_value_at_touched_index_rejected(self, value):
@@ -294,6 +298,31 @@ class TestTouchedPacking:
         assert type(array[1]) is int and array[5] == -5
         assert cp.encode(record) == reference_encode(record)
 
+    def test_touched_element_leaving_int32_repacks_the_array_at_8_bytes(self):
+        state, images = self.state_with_image()
+        state.fields[1][5] = 2**31
+        state.touched = {1: {5}}
+        record = cp.capture_incremental(state, images, 1)
+        assert record.deltas == (cp.FieldDelta(1, tuple(state.fields[1])),)
+        assert cp.encode(record) == reference_encode(record)
+        assert pack_array(state.fields[1])[0] == 0x02
+        assert bytes(images[1][1]) == pack_array(state.fields[1])[1]
+
+    def test_eight_byte_image_back_in_range_packs_at_4_bytes(self):
+        state = cp.TaskState("t", {1: list(range(64)), 2: 0})
+        state.fields[1][9] = -(2**31) - 1
+        images: cp.Images = {}
+        full = cp.capture_full(state, 0, images)
+        assert len(images[1][1]) == 8 * 64
+        state.fields[1][9] = 9
+        state.touched = {1: {9}}
+        record = cp.capture_incremental(state, images, 1)
+        assert record.deltas == (cp.FieldDelta(1, tuple(range(64))),)
+        assert cp.encode(record) == reference_encode(record)
+        assert bytes(images[1][1]) == pack_array(range(64))[1]
+        # a width change along a lineage is not a type change
+        assert cp.compose(full, [cp.decode(cp.encode(record))]) == state
+
     def test_touched_is_not_part_of_the_state(self):
         state = cp.TaskState("x", {1: [1, 2]})
         copy = copy_state(state)
@@ -313,20 +342,25 @@ class TestCodec:
             call(record)
 
     @given(st.lists(st.one_of(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                              st.integers(min_value=-(2**31) - 2, max_value=2**31 + 1),
                               st.sampled_from([-(2**63), 2**63 - 1, -(2**63) - 1, 2**63,
+                                               -(2**31), 2**31 - 1, -(2**31) - 1, 2**31,
                                                0, -1]), st.booleans()), max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_bulk_array_encoding_matches_element_wise(self, values):
         state = cp.TaskState(job_id="arr", fields={7: values})
-        payload = pack_int64_array(values)
-        if payload is None:
+        packed = pack_array(values)
+        if packed is None:
             with pytest.raises(cp.SchemaMismatch):
                 cp.capture_full(state, 0)
             return
+        vt, payload = packed
         body = b"MAF1" + bytes([cp.KIND_FULL]) + struct.pack(">H", 3) + b"arr"
-        body += struct.pack(">QQI", 0, 0, 1) + struct.pack(">HBI", 7, 0x02, len(payload))
+        body += struct.pack(">QQI", 0, 0, 1) + struct.pack(">HBI", 7, vt, len(payload))
         body += payload
         assert cp.encode(cp.capture_full(state, 0)) == body + struct.pack(">I", zlib.crc32(body))
+        data = body + struct.pack(">I", zlib.crc32(body))
+        assert cp.encode(cp.decode(data)) == data
 
     def test_crc32_is_ieee_checkvalue(self):
         # standard check value for the IEEE 802.3 polynomial
@@ -358,11 +392,21 @@ class TestCodec:
         expected += struct.pack(">Q", 5) * 2        # seq, base_seq
         expected += struct.pack(">I", 4)            # entry count
         expected += struct.pack(">HBI", BLOB_COUNTER, 0x01, 8) + struct.pack(">q", -2)
-        expected += struct.pack(">HBI", BLOB_VALUES, 0x02, 16) + struct.pack(">qq", 1, -1)
+        expected += struct.pack(">HBI", BLOB_VALUES, 0x04, 8) + struct.pack(">ii", 1, -1)
         expected += struct.pack(">HBI", BLOB_PAYLOAD, 0x03, 2) + b"hi"
         expected += struct.pack(">HBI", 13, 0x01, 8) + struct.pack(">q", 0)  # done field
         expected += struct.pack(">I", zlib.crc32(expected))
         assert cp.encode(record) == expected
+
+    def test_bit_exact_int64_array_vector(self):
+        """Hand-assembled wire bytes for an array that needs 8-byte elements."""
+        state = cp.TaskState("ab", {7: [1, 2**31]})
+        expected = b"MAF1" + bytes([0x00]) + struct.pack(">H", 2) + b"ab"
+        expected += struct.pack(">QQI", 3, 3, 1)
+        expected += struct.pack(">HBI", 7, 0x02, 16) + struct.pack(">qq", 1, 2**31)
+        expected += struct.pack(">I", zlib.crc32(expected))
+        assert cp.encode(cp.capture_full(state, 3)) == expected
+        assert cp.decode(expected).deltas == (cp.FieldDelta(7, (1, 2**31)),)
 
     def test_flipped_byte_detected(self):
         data = bytearray(cp.encode(cp.capture_full(sort_state(n=6), 2)))
@@ -398,6 +442,17 @@ class TestCodec:
     def test_empty_bundle(self):
         with pytest.raises(cp.Truncated):
             cp.decode_bundle(b"")
+
+    @pytest.mark.parametrize("vt,raw", [
+        (0x02, b""), (0x02, struct.pack(">q", 2**31 - 1)),
+        (0x02, struct.pack(">qq", 0, -(2**31))), (0x04, b"\x00" * 3), (0x04, b"\x00" * 6)],
+        ids=["int64-empty", "int64-fits", "int64-fits-at-min", "int32-ragged-3",
+             "int32-ragged-6"])
+    def test_non_canonical_array_entry_rejected(self, vt, raw):
+        body = b"MAF1" + bytes([cp.KIND_FULL]) + struct.pack(">H", 1) + b"x"
+        body += struct.pack(">QQI", 0, 0, 1) + struct.pack(">HBI", 7, vt, len(raw)) + raw
+        with pytest.raises(cp.MalformedRecord):
+            cp.decode(body + struct.pack(">I", zlib.crc32(body)))
 
 
 blob_values = st.fixed_dictionaries({
@@ -482,3 +537,35 @@ class TestStore:
 
     def test_load_missing_job(self, tmp_path):
         assert cp.CheckpointStore(tmp_path).load("ghost") == []
+
+
+def test_table1_row_stores_every_array_at_4_bytes(tmp_path):
+    """One sim Table 1 row: every array entry the stores hold is 0x04 with 4·N
+    bytes, and the stores are exactly as long as records built of such entries."""
+    n = 1500
+    harness.run_scenario2(n, 42, migrate_at=764, workdir=tmp_path)
+    files = sorted(tmp_path.rglob("*.ckpt"))
+    assert len(files) == 3  # scenario 2's source and target, and scenario 1's node
+    arrays = expected_total = 0
+    for path in files:
+        data = path.read_bytes()
+        off = 0
+        while off < len(data):
+            (jid_len,) = struct.unpack_from(">H", data, off + 5)
+            off += 4 + 1 + 2 + jid_len + 8 + 8
+            (count,) = struct.unpack_from(">I", data, off)
+            size = 4 + 1 + 2 + jid_len + 8 + 8 + 4 + 4  # header, count and CRC
+            off += 4
+            for _ in range(count):
+                fid, vt, vlen = struct.unpack_from(">HBI", data, off)
+                if fid == workload.FIELD_ARRAY:
+                    assert (vt, vlen) == (0x04, 4 * n), f"{path.name} at byte {off}"
+                    arrays += 1
+                else:
+                    assert (vt, vlen) == (0x01, 8)
+                size += 7 + (4 * n if fid == workload.FIELD_ARRAY else 8)
+                off += 7 + vlen
+            off += 4
+            expected_total += size
+    assert arrays > 0
+    assert sum(path.stat().st_size for path in files) == expected_total

@@ -251,12 +251,11 @@ class TestMonitorHub:
             hub.note_withdrawal("ghost", 0, [])
 
     def test_report_json_round_trip(self):
-        _, hub = self.make_hub()
-        report = hub.note_withdrawal("server1", 10, ["j1"])[0]
-        again = PerformanceReport.from_dict(report.to_dict())
-        assert again.kind is ReportKind.RESOURCE_WITHDRAWN
-        assert again.job_id == "j1"
         violation = PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="p",
-                                      job_id="j", evidence=(s(1000, 3, "p", "j"),),
+                                      job_id="j1", evidence=(s(1000, 3, "p", "j1"),),
                                       emitted_at=1000)
-        assert PerformanceReport.from_dict(violation.to_dict()).evidence[0].iterations_done == 3
+        again = PerformanceReport.from_dict(violation.to_dict())
+        assert again.kind is ReportKind.THROUGHPUT_VIOLATION
+        assert again.job_id == "j1"
+        assert again.evidence[0].iterations_done == 3
+        assert again == violation
