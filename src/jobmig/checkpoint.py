@@ -40,8 +40,10 @@ how they relate, is checked by the task that owns the state
 
 Each record is encoded once in its life: capture checks and packs the body
 (arrays in bulk) and the record carries it for ``encode``, the store and
-``compose``'s checksum check. A decoded record keeps no copy of its bytes; it,
-like a record assembled by hand, is packed again when needed.
+``compose``'s checksum check. A decoded record carries a view of the bytes its
+CRC was checked over, so ``encode`` returns the bytes it was read from and
+``compose`` only recomputes the CRC. A record assembled by hand, or rebuilt with
+``dataclasses.replace``, carries no bytes: it is packed and checked when needed.
 
 Images: a capture keeps, per field, the frozen value and the bytes it was
 packed to in the last record that carried it (``images``). An incremental
@@ -96,8 +98,9 @@ PATCH_RATIO = 8
 # form with tuples instead of lists.
 FieldValue = int | list[int] | bytes
 FrozenValue = int | tuple[int, ...] | bytes
+Payload = bytes | bytearray | memoryview
 # per field: its frozen value and the bytes it was packed to, in its last record
-Images = dict[int, tuple[FrozenValue, bytes | bytearray]]
+Images = dict[int, tuple[FrozenValue, Payload]]
 
 
 class CheckpointError(Exception):
@@ -157,9 +160,10 @@ class CheckpointRecord:
     base_seq: int
     deltas: tuple[FieldDelta, ...]
     checksum: int
-    # the encoded body, set only by capture (``_make_record``), so a record
-    # rebuilt with other contents never carries bytes that do not match them
-    _body: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # the body the record was packed to at capture or parsed from at decode; a
+    # record rebuilt with other contents never carries bytes that do not match them
+    _body: bytes | memoryview | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
 
 def _value_type(value: FieldValue | FrozenValue) -> str:
@@ -216,8 +220,8 @@ def _make_record(state: TaskState, seq: int, kind: int, images: Images) -> Check
     return record
 
 
-def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], bytes | bytearray],
-                 touched: set[int]) -> tuple[tuple[int, ...], bytes | bytearray] | None:
+def _patch_array(fid: int, live: list, image: tuple[tuple[int, ...], Payload],
+                 touched: set[int]) -> tuple[tuple[int, ...], Payload] | None:
     """``live``'s record tuple and int32 bytes from its image and the touched
     indices: the image itself if no touched element changed, None when the
     report is too large to pay or misses a change, the image is packed at 8
@@ -269,8 +273,8 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
     the full record's seq, and each later base_seq equals the previous seq.
     Every record's checksum is re-verified before its deltas are applied, and
     no delta may change a field's value type. Every value was checked when its
-    record was encoded (at capture, or here for a record with no bytes), so
-    only each field's final value is copied out.
+    record was packed at capture or parsed at decode (or is packed here, for a
+    record with no bytes), so only each field's final value is copied out.
     """
     _checked_body(full)
     if full.kind != KIND_FULL:
@@ -297,7 +301,21 @@ def compose(full: CheckpointRecord, incrementals: Sequence[CheckpointRecord]) ->
                                    for fid, v in values.items()})
 
 
-def _checked_body(record: CheckpointRecord) -> bytes:
+def lineage_images(records: Sequence[CheckpointRecord]) -> Images:
+    """Each field's value and the bytes it was packed to in the last of ``records``
+    that carried it: the images a capture that continues the lineage diffs against."""
+    images: Images = {}
+    for rec in records:
+        body = _checked_body(rec)
+        off = 27 + struct.unpack_from(">H", body, 5)[0]  # past the header and job id
+        for d in rec.deltas:
+            (vlen,) = struct.unpack_from(">I", body, off + 3)
+            images[d.field_id] = (d.new_value, body[off + 7:off + 7 + vlen])
+            off += 7 + vlen
+    return images
+
+
+def _checked_body(record: CheckpointRecord) -> bytes | memoryview:
     """The record's body (packed now if it carries none) after checking its CRC."""
     body = record._body
     if body is None:
@@ -338,7 +356,7 @@ def _encode_value(fid: int, value: FrozenValue) -> tuple[int, bytes]:
 
 
 def _encode_body(job_id: str, seq: int, kind: int, base_seq: int,
-                 entries: Sequence[tuple[int, int, bytes | bytearray]]) -> bytes:
+                 entries: Sequence[tuple[int, int, Payload]]) -> bytes:
     jid = job_id.encode("utf-8")
     if len(jid) > _U16_MAX:
         raise MalformedRecord("job_id too long to encode")
@@ -352,17 +370,19 @@ def _encode_body(job_id: str, seq: int, kind: int, base_seq: int,
 
 
 def encode(record: CheckpointRecord) -> bytes:
-    return _checked_body(record) + struct.pack(">I", record.checksum)
+    return b"".join((_checked_body(record), struct.pack(">I", record.checksum)))
 
 
 def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:
+    """The record at ``off`` and the offset past it. Its body is a view of ``buf``."""
     start = off
+    view = memoryview(buf)
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(buf):
             raise Truncated(f"record needs {off + n - len(buf)} more bytes")
-        piece = buf[off:off + n]
+        piece = view[off:off + n]
         off += n
         return piece
 
@@ -373,7 +393,7 @@ def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:
         raise MalformedRecord(f"unknown record kind 0x{kind:02x}")
     (jid_len,) = struct.unpack(">H", take(2))
     try:
-        job_id = take(jid_len).decode("utf-8")
+        job_id = str(take(jid_len), "utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRecord("job_id is not valid UTF-8") from exc
     (seq,) = struct.unpack(">Q", take(8))
@@ -403,13 +423,14 @@ def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:
             if not value or _INT32_MIN <= min(value) and max(value) <= _INT32_MAX:
                 raise MalformedRecord(f"array field {fid} fits in int32 but is 8 bytes wide")
         elif vt == VT_BYTES:
-            value = raw
+            value = bytes(raw)
         else:
             raise MalformedRecord(f"unknown value type 0x{vt:02x}")
         deltas.append(FieldDelta(fid, value))
 
     (stated_crc,) = struct.unpack(">I", take(4))
-    if zlib.crc32(buf[start:off - 4]) != stated_crc:
+    body = view[start:off - 4]
+    if zlib.crc32(body) != stated_crc:
         raise ChecksumFailure("record bytes fail CRC-32 validation")
     if kind == KIND_FULL and base_seq != seq:
         raise MalformedRecord("full record must have base_seq == seq")
@@ -417,6 +438,7 @@ def _parse_record(buf: bytes, off: int) -> tuple[CheckpointRecord, int]:
         raise MalformedRecord("incremental record must have base_seq == seq - 1")
     record = CheckpointRecord(job_id=job_id, seq=seq, kind=kind, base_seq=base_seq,
                               deltas=tuple(deltas), checksum=stated_crc)
+    object.__setattr__(record, "_body", body)
     return record, off
 
 

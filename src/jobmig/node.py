@@ -422,7 +422,9 @@ class NodeRuntime:
 
     def resume_from_bundle(self, data: bytes) -> dict:
         """Accept a CHECKPOINT_TRANSFER payload: the settings, then a full record and
-        optional incrementals. The node is left unchanged on any decode failure."""
+        optional incrementals. The job resumes from the lineage it was sent: its
+        records go to the store as received and its next capture chains from the
+        last of them. The node is left unchanged on any decode failure."""
         t0 = time.perf_counter_ns()
         end = 4 + int.from_bytes(data[:4], "big")
         if len(data) < 4 or end > len(data):
@@ -433,23 +435,31 @@ class NodeRuntime:
             raise ckpt.LineageBroken("transfer bundle must start with a full record")
         state = ckpt.compose(records[0], records[1:])
         task = workload.SortTask(state)
-        self._admit(JobExecution(job_id=state.job_id, task=task,
-                                 seq_next=records[-1].seq + 1, **settings))
+        entry = JobExecution(job_id=state.job_id, task=task, seq_next=records[-1].seq + 1,
+                             lineage=records, **settings)
+        entry.images = ckpt.lineage_images(records)
+        self._admit(entry)
         self.record("resume", state.job_id, iteration=task.iterations_done)
         restore_ms = (time.perf_counter_ns() - t0) / 1e6
         return {"ok": True, "job_id": state.job_id, "provider_id": self.provider_id,
                 "resumed_at_iteration": task.iterations_done, "restore_ms": restore_ms}
 
     def _admit(self, entry: JobExecution) -> None:
+        """Register a new job once its lineage is durable: a received lineage is
+        stored as it came, and a job with none gets a full capture. A job this node
+        already knows, or whose first write fails, leaves the node unchanged."""
         if entry.checkpoint_interval < 1:
             raise MalformedPayload("checkpoint_interval must be >= 1")
+        entry.first_iteration = entry.steps_from = entry.task.iterations_done
         with self._lock:
             if entry.job_id in self.jobs:
                 raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
+            if entry.lineage:
+                for record in entry.lineage:
+                    self.store.append(record)
+            else:
+                self._capture(entry)
             self.jobs[entry.job_id] = entry
-        entry.first_iteration = entry.steps_from = entry.task.iterations_done
-        # initial full snapshot persists before any step runs
-        self._capture(entry)
         if entry.sla is not None:
             entry.next_sample_ms = self.clock.now_ms() + entry.sla.sample_period_ms
 
@@ -593,10 +603,12 @@ class NodeRuntime:
         entry.steps_from = entry.task.iterations_done
 
     def _park(self, entry: JobExecution) -> None:
+        """Stop a running job with its lineage one full record of its live state,
+        the record a hand-off ships."""
         if entry.status == ST_RUNNING:
             self.stop_running(entry, ST_QUIESCED)
-            if entry.since_checkpoint:
-                self._capture(entry)
+            if entry.since_checkpoint or len(entry.lineage) > 1:
+                self._capture(entry, full=True)
 
     def _retire(self, entry: JobExecution, event: str) -> None:
         """The job leaves this node for good, with an ``event`` row: moved away, or dropped."""
@@ -645,16 +657,15 @@ class NodeRuntime:
         return info, ack
 
     def prepare_transfer(self, job_id: str) -> tuple[bytes, dict]:
-        """Compose the parked job's lineage, check it against the live state, and
-        encode the settings followed by an outgoing full record, which becomes
-        the start of the job's lineage here too."""
+        """Encode the settings followed by the parked job's full record, the one
+        ``_park`` left as its lineage, once it composes to the live state. It packs
+        and writes no record."""
         entry = self.job(job_id)
         if entry.status != ST_QUIESCED:
             raise InvalidJobState(f"job {job_id!r} must be quiesced before transfer")
-        composed = ckpt.compose(entry.lineage[0], entry.lineage[1:])
-        if composed.fields != entry.task.state.fields:
+        outgoing = entry.lineage[0]
+        if ckpt.compose(outgoing, []).fields != entry.task.state.fields:
             raise ckpt.CheckpointError(f"composed state diverges from live state for {job_id!r}")
-        outgoing = self._capture(entry, full=True)
         settings = json_payload({"sla": entry.sla and entry.sla.to_dict(),
                                  "checkpoint_interval": entry.checkpoint_interval})
         info = {"iterations_before": entry.task.iterations_done,

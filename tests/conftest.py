@@ -32,6 +32,11 @@ def images_of(state: TaskState) -> dict:
     return images
 
 
+def transfer_bundle(payload: bytes) -> bytes:
+    """The record bundle of a CHECKPOINT_TRANSFER payload, past its settings."""
+    return payload[4 + int.from_bytes(payload[:4], "big"):]
+
+
 def reference_digest(n: int, seed: int) -> int:
     """Digest of a direct, provider-free run: the correctness witness."""
     task = workload.init_sort(n, seed)

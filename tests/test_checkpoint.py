@@ -177,6 +177,52 @@ class TestCompose:
         with pytest.raises(cp.ChecksumFailure):
             cp.compose(dataclasses.replace(record, deltas=forged.deltas), [])
 
+    def decoded_lineage(self):
+        task = workload.init_sort(40, 9, job_id="dec")
+        images = {}
+        records = [cp.capture_full(task.state, 0, images)]
+        for seq in range(1, 4):
+            task.step()
+            records.append(cp.capture_incremental(task.state, images, seq))
+            task.state.touched.clear()
+        bundle = b"".join(cp.encode(r) for r in records)
+        return task, images, bundle, cp.decode_bundle(bundle)
+
+    def test_a_decoded_record_is_never_packed_again(self, monkeypatch):
+        task, _, bundle, decoded = self.decoded_lineage()
+
+        def no_packing(fid, value):
+            raise AssertionError("a decoded record was packed again")
+
+        monkeypatch.setattr(cp, "_encode_value", no_packing)
+        assert cp.compose(decoded[0], decoded[1:]) == task.state
+        encoded = [cp.encode(r) for r in decoded]
+        assert all(type(b) is bytes for b in encoded)
+        assert b"".join(encoded) == bundle
+
+    def test_a_decoded_record_rebuilt_with_other_deltas_fails_checksum(self):
+        _, _, _, decoded = self.decoded_lineage()
+        full = decoded[0]
+        forged = dataclasses.replace(
+            full, deltas=(cp.FieldDelta(workload.FIELD_ITER, 7),) + full.deltas[1:])
+        with pytest.raises(cp.ChecksumFailure):
+            cp.compose(forged, [])
+        with pytest.raises(cp.ChecksumFailure):
+            cp.encode(forged)
+
+    def test_lineage_images_equal_the_capture_images(self):
+        task, images, _, decoded = self.decoded_lineage()
+        adopted = cp.lineage_images(decoded)
+        assert {fid: (v, bytes(b)) for fid, (v, b) in adopted.items()} \
+            == {fid: (v, bytes(b)) for fid, (v, b) in images.items()}
+        # a capture that continues the decoded lineage, through the touched-element
+        # path, writes what one that continues the captured lineage does
+        task.step()
+        assert len(task.state.touched[workload.FIELD_ARRAY]) * cp.PATCH_RATIO < 40
+        expected = cp.encode(cp.capture_incremental(task.state, images, 4))
+        assert cp.encode(cp.capture_incremental(task.state, adopted, 4)) == expected
+        assert type(adopted[workload.FIELD_ARRAY][1]) is bytearray  # patched, not repacked
+
     def test_done_flag_reconstructed(self):
         task = workload.init_sort(3, 8, job_id="d")
         while not task.done:

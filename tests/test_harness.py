@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jobmig import checkpoint as cp
 from jobmig import harness
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
 from jobmig.control import DecisionAction, JobStatus, SubmitTimeout, SupervisoryAgent
@@ -24,7 +25,7 @@ from jobmig.node import (
     request,
 )
 
-from conftest import reference_digest, wait_until
+from conftest import reference_digest, transfer_bundle, wait_until
 
 
 class TestBaselineRows:
@@ -153,6 +154,31 @@ class TestScenario2Sim:
             outcome = harness.run_scenario2(base.n, 42, migrate_at=base.iterations_before,
                                             workdir=tmp_path / str(base.n))
             assert outcome.row.scenario2_total_ms < outcome.row.scenario1_total_ms
+
+    def test_the_target_adopts_the_record_the_source_stored_last(self, tmp_path):
+        config = harness.calibrate_from_table1()
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     withdraw_at={"server1": 50})
+        source, target = env.nodes["server1"], env.nodes["server2"]
+        prepare, sent = source.prepare_transfer, []
+
+        def watched(job_id):
+            stored = source.store.path_for(job_id).read_bytes()
+            payload, info = prepare(job_id)
+            assert source.store.path_for(job_id).read_bytes() == stored  # no record written
+            sent.append(transfer_bundle(payload))
+            return payload, info
+
+        source.prepare_transfer = watched
+        env.deploy_sort("adopt", 120, 3, start_on="server1")
+        assert env.run_job("adopt")["digest"] == reference_digest(120, 3)
+        (shipped,) = sent
+        assert source.store.path_for("adopt").read_bytes().endswith(shipped)
+        assert target.store.path_for("adopt").read_bytes().startswith(shipped)
+        adopted, following = target.store.load("adopt")[:2]
+        assert adopted == source.store.load("adopt")[-1]
+        assert (following.kind, following.base_seq, following.seq) \
+            == (cp.KIND_INCREMENTAL, adopted.seq, adopted.seq + 1)
 
 
 class TestTimeline:
@@ -577,6 +603,16 @@ class TestEmitTable:
         rows = harness.run_table1(seed=1, workdir=tmp_path / "x")
         again = harness.run_table1(seed=1, workdir=tmp_path / "y")
         assert harness.emit_table(rows)[0] == harness.emit_table(again)[0]
+
+    def test_table1_csv_is_pinned(self, tmp_path):
+        assert harness.emit_table(harness.run_table1(42, tmp_path))[0] == (
+            "N,scenario1_total_ms,scenario2_total_ms,iterations_before,"
+            "time_source_ms,time_target_ms,overhead_ms\n"
+            "500,55987.057,55663.255,249,27881.554,24112.301,3669.4\n"
+            "1000,111974.113,108998.375,516,57778.642,46495.433,4724.3\n"
+            "1500,167961.17,162031.221,764,85548.223,70703.798,5779.2\n"
+            "2000,223948.227,215668.615,1050,117572.819,91261.696,6834.1\n"
+            "2500,279935.283,268701.461,1298,145342.399,115470.062,7889\n")
 
     def test_fraction_formatting_is_stable(self):
         assert harness.format_ms(Fraction(57306)) == "57306"

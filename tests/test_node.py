@@ -15,7 +15,8 @@ from jobmig.broker import ResourceSpecTemplate
 from jobmig.control import TransferFailed
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import DEFAULT_TEST_SLA, images_of, reference_digest, wait_until
+from conftest import (DEFAULT_TEST_SLA, images_of, reference_digest, transfer_bundle,
+                      wait_until)
 
 
 def read_back(data: bytes) -> tuple[int, bytes]:
@@ -129,6 +130,10 @@ def run_to_completion(runtime, job_id):
     return msgs
 
 
+def disk_full(record):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestSimExecution:
     def test_uninterrupted_total_matches_cost_model(self, tmp_path):
         # per-iteration cost 57306/500 ms at speed 1.0: N=500 totals exactly 57306
@@ -151,6 +156,18 @@ class TestSimExecution:
         runtime.submit_job("j1", "sort", {"n": 5, "seed": 1})
         with pytest.raises(nd.DuplicateJob):
             runtime.submit_job("j1", "sort", {"n": 5, "seed": 1})
+
+    def test_a_submission_whose_first_write_fails_leaves_no_job(self, tmp_path):
+        runtime = sim_runtime(tmp_path)
+        spec = {"job_id": "g", "task_kind": "sort", "params": {"n": 20, "seed": 1}}
+        runtime.store.append = disk_full
+        with pytest.raises(OSError):
+            runtime.serve(nd.MSG_JOB_SUBMIT, spec)
+        assert runtime.jobs == {}
+        del runtime.store.append
+        runtime.serve(nd.MSG_JOB_SUBMIT, spec)  # the retry is admitted
+        run_to_completion(runtime, "g")
+        assert runtime.job("g").task.digest() == reference_digest(20, 1)
 
     def test_quiesce_honored_at_yield_point(self, tmp_path):
         runtime = sim_runtime(tmp_path, withdraw_at=7)
@@ -378,8 +395,49 @@ class TestTransfer:
         bundle, _ = self.migrate_bundle(tmp_path, n=50, until=10)
         target = sim_runtime(tmp_path / "t")
         target.resume_from_bundle(bundle)
+        stored = target.store.path_for("jm").read_bytes()
         with pytest.raises(nd.DuplicateJob):
             target.resume_from_bundle(bundle)
+        assert target.store.path_for("jm").read_bytes() == stored  # nothing written
+
+    def test_a_transfer_whose_first_write_fails_leaves_no_job(self, tmp_path):
+        bundle, _ = self.migrate_bundle(tmp_path, n=50, until=10)
+        target = sim_runtime(tmp_path / "t")
+        target.store.append = disk_full
+        with pytest.raises(OSError):
+            target.serve(nd.MSG_CHECKPOINT_TRANSFER, bundle)
+        assert target.jobs == {}
+        del target.store.append
+        assert target.serve(nd.MSG_CHECKPOINT_TRANSFER, bundle)["resumed_at_iteration"] == 10
+        run_to_completion(target, "jm")
+        assert target.job("jm").task.digest() == reference_digest(50, 42)
+
+    def test_the_target_resumes_from_the_record_it_received(self, tmp_path):
+        bundle, _ = self.migrate_bundle(tmp_path, n=50, until=10)
+        received = transfer_bundle(bundle)
+        target = sim_runtime(tmp_path / "t")
+        target.resume_from_bundle(bundle)
+        entry = target.job("jm")
+        assert [cp.encode(r) for r in entry.lineage] == [received]
+        assert target.store.path_for("jm").read_bytes() == received  # no capture of its own
+        assert entry.seq_next == entry.lineage[0].seq + 1
+
+    def test_a_withdrawal_on_a_checkpoint_boundary_ships_one_full_record(self, tmp_path):
+        source = sim_runtime(tmp_path, withdraw_at=8)
+        source.submit_job("jb", "sort", {"n": 40, "seed": 3}, checkpoint_interval=4)
+        for _ in range(8):  # checkpoints at 4 and 8; the withdrawal parks at 8
+            source.run_iteration("jb")
+        entry = source.job("jb")
+        assert (entry.status, entry.since_checkpoint) == (nd.ST_QUIESCED, 0)
+        records = source.store.load("jb")
+        assert [r.kind for r in records] == [cp.KIND_FULL, cp.KIND_INCREMENTAL,
+                                            cp.KIND_INCREMENTAL, cp.KIND_FULL]
+        assert entry.lineage == records[-1:]
+        bundle, _ = source.prepare_transfer("jb")
+        assert source.store.load("jb") == records  # the transfer wrote no record
+        shipped = cp.decode(transfer_bundle(bundle))
+        assert shipped == records[-1]
+        assert cp.compose(shipped, []).fields == entry.task.state.fields
 
     @pytest.mark.parametrize("iteration,done", [(10, 1), (60, 0)])
     def test_forged_sort_state_rejected(self, tmp_path, iteration, done):
