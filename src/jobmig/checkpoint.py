@@ -480,19 +480,25 @@ class CheckpointStore:
         return self.root / f"{name}.ckpt"
 
     def append(self, record: CheckpointRecord) -> Path:
-        """Write the record at the end of its job's file, whole, or raise."""
+        """Write the record at the end of its job's file, whole, or raise and leave
+        the file as it was."""
         path = self.path_for(record.job_id)
         data = memoryview(encode(record))
+        size = len(data)
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             while data:  # a short write leaves the rest for the next call
                 data = data[os.write(fd, data):]
+        except BaseException:  # leave no torn record: the file ends where this one began
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_END) - (size - len(data)))
+            raise
         finally:
             os.close(fd)
         return path
 
     def load(self, job_id: str) -> list[CheckpointRecord]:
+        """The job's records: none if its file is missing, or empty because its
+        first append failed."""
         path = self.path_for(job_id)
-        if not path.exists():
-            return []
-        return decode_bundle(path.read_bytes())
+        data = path.read_bytes() if path.exists() else b""
+        return decode_bundle(data) if data else []

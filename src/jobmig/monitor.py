@@ -9,6 +9,7 @@ controller, which judges whether it still applies and acts on it once.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -43,8 +44,8 @@ class ServiceLevelAgreement:
     sample_period_ms: int = 1000
 
     def __post_init__(self):
-        if self.min_throughput <= 0:
-            raise ValueError("min_throughput must be positive")
+        if not 0 < self.min_throughput < math.inf:
+            raise ValueError("min_throughput must be positive and finite")
         if self.window_k < 1:
             raise ValueError("window_k must be >= 1")
         if self.sample_period_ms <= 0:
@@ -147,8 +148,23 @@ class _Window:
         self.samples = deque(samples, maxlen=sla.window_k + 1)
         self.sla = sla
         self.slow = 0
-        for rate in pair_throughputs(list(self.samples)):
-            self.slow = self.slow + 1 if rate < sla.min_throughput else 0
+        for a, b in zip(self.samples, list(self.samples)[1:]):
+            self.slow = self.slow + 1 if self.is_slow(a, b) else 0
+
+    def is_slow(self, a: MonitorSample, b: MonitorSample) -> bool:
+        """Whether iterations/second from ``a`` to ``b`` fall below the SLA floor: by the
+        float rate for float (wall) timestamps, else exactly, in integers against the
+        floor's exact ratio, as comparing the exact rate with the float floor would."""
+        ta, tb = a.timestamp_ms, b.timestamp_ms
+        if type(ta) is float or type(tb) is float:
+            return _pair_throughput(a, b) < self.sla.min_throughput
+        # di / (n/d ms) * 1000 < p/q  <=>  di * 1000 * d * q < p * n, where n, d > 0
+        n = tb.numerator * ta.denominator - ta.numerator * tb.denominator
+        if n <= 0:
+            raise MonitorError(f"non-increasing timestamps for job {b.job_id!r}")
+        p, q = self.sla.min_throughput.as_integer_ratio()
+        return ((b.iterations_done - a.iterations_done) * 1000 * ta.denominator
+                * tb.denominator * q < p * n)
 
 
 class LocalAnalyzer:
@@ -167,8 +183,7 @@ class LocalAnalyzer:
             window = self._windows[s.job_id] = _Window(window.samples if window else (), sla)
         samples = window.samples
         if samples:
-            slow = _pair_throughput(samples[-1], s) < sla.min_throughput
-            window.slow = window.slow + 1 if slow else 0
+            window.slow = window.slow + 1 if window.is_slow(samples[-1], s) else 0
         samples.append(s)
         if window.slow < sla.window_k:
             return PerformanceReport(kind=ReportKind.NONE, provider_id=s.provider_id,

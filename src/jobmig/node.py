@@ -7,10 +7,13 @@ per-iteration cost, in wall mode a real daemon executes jobs in threads and
 talks length-prefixed frames over TCP (``FrameServer``, which the
 supervisor's listener also uses). Both modes answer every request to a node in
 ``NodeRuntime.serve``, migrate through ``NodeRuntime.hand_off`` and step a
-job with ``NodeRuntime.step``. A withdrawal parks the job whose step reached
-it, at that iteration; the supervisor's answer to the notice settles it: moved
-away, dropped here, or resumed here. Every other job on the node holds, unparked,
-at its next yield point until that answer; its own hand-off parks it.
+job with ``NodeRuntime.step``, from one yield point to the next: the first
+iteration after which a capture is due, the job reaches ``withdraw_at`` or its
+end, an SLA sample is due, or (wall mode) another job on the node has announced
+a withdrawal. A withdrawal parks the job whose step reached it, at that
+iteration; the supervisor's answer to the notice settles it: moved away, dropped
+here, or resumed here. Every other job on the node holds, unparked, at its next
+yield point until that answer; its own hand-off parks it.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -308,35 +311,42 @@ class VirtualClock:
     It holds an integer numerator over a common denominator, the lcm of the
     deltas' denominators so far, so an advance is integer arithmetic; ``now_ms``
     returns the exact Fraction, built once per advance: until the next advance it
-    is the same object."""
+    is the same object. Only the thread that runs the simulation touches it."""
 
     def __init__(self):
         self._num = 0
         self._den = 1
         self._now: Fraction | None = None
-        self._lock = threading.Lock()
 
     def now_ms(self) -> Fraction:
-        with self._lock:
-            if self._now is None:
-                self._now = Fraction(self._num, self._den)
-            return self._now
+        if self._now is None:
+            self._now = Fraction(self._num, self._den)
+        return self._now
 
     def reached(self, deadline_ms: int | Fraction) -> bool:
         """Whether ``now_ms()`` is at or past ``deadline_ms``, compared in integers."""
-        with self._lock:
-            return self._num * deadline_ms.denominator >= deadline_ms.numerator * self._den
+        return self._num * deadline_ms.denominator >= deadline_ms.numerator * self._den
+
+    def steps_to(self, deadline_ms: int | Fraction, cost_ms: int | Fraction, limit: int) -> int:
+        """The fewest advances by ``cost_ms``, from 1 to ``limit``, after which
+        ``reached(deadline_ms)`` holds, else ``limit``; counted in integers."""
+        # now + k * p/q >= a/b  <=>  k * p * b * den >= (a * den - num * b) * q
+        b = deadline_ms.denominator
+        gap = (deadline_ms.numerator * self._den - self._num * b) * cost_ms.denominator
+        per_step = cost_ms.numerator * b * self._den
+        if gap <= 0:
+            return 1
+        return min(limit, -(-gap // per_step)) if per_step else limit
 
     def advance(self, delta_ms: int | Fraction) -> None:
         num, den = delta_ms.numerator, delta_ms.denominator
         if num < 0:
             raise ValueError("virtual time cannot go backwards")
-        with self._lock:
-            if self._den % den:
-                lcm = math.lcm(self._den, den)
-                self._num, self._den = self._num * (lcm // self._den), lcm
-            self._num += num * (self._den // den)
-            self._now = None
+        if self._den % den:
+            lcm = math.lcm(self._den, den)
+            self._num, self._den = self._num * (lcm // self._den), lcm
+        self._num += num * (self._den // den)
+        self._now = None
 
 
 # -- job execution -------------------------------------------------------------
@@ -515,10 +525,10 @@ class NodeRuntime:
     # -- the execution loop ----------------------------------------------------
 
     def run_iteration(self, job_id: str) -> list[tuple[int, dict]]:
-        """One yield-point-to-yield-point unit of work of a running job; returns
-        outbound messages. The iteration that reaches ``withdraw_at`` parks the
-        job and takes the final capture, ahead of its hand-off. A job that
-        raises fails here, and a withdrawal it announced is still sent."""
+        """Run a job from one yield point to the next; returns outbound messages.
+        The last iteration takes, in order, its capture, withdrawal, sample, and
+        completion or park: a withdrawal parks the job with a final capture, ahead of
+        its hand-off. A job that raises fails here, and a withdrawal it announced is still sent."""
         entry = self.job(job_id)
         msgs: list[tuple[int, dict]] = []
         with entry.lock:
@@ -529,12 +539,8 @@ class NodeRuntime:
                     return [self._complete(entry)]
 
                 t0 = time.perf_counter_ns()
-                entry.task.step()
-                if self.step_cost_ms is not None:
-                    self.clock.advance(self.step_cost_ms)
+                self._run_stretch(entry)
                 iterations = entry.task.iterations_done
-
-                entry.since_checkpoint += 1
                 if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
                     self._capture(entry)
                 entry.run_ns += time.perf_counter_ns() - t0
@@ -571,6 +577,35 @@ class NodeRuntime:
                 return [m for m in msgs if m[0] == MSG_WITHDRAW_NOTICE] + [(MSG_RESULT_RETURN, {
                     "job_id": job_id, "provider_id": self.provider_id,
                     "failed": True, "error": type(exc).__name__})]
+
+    def _run_stretch(self, entry: JobExecution) -> None:
+        """Step the job to its next yield point. In sim the modeled step cost tells
+        which step reaches the sample deadline, and the clock advances once for all
+        the steps; in wall the clock is read after each step."""
+        task = entry.task
+        first = task.iterations_done
+        n = min(task.total_iterations - first,
+                max(1, entry.checkpoint_interval - entry.since_checkpoint))
+        if self.withdraw_at is not None and self.withdrawal is None:
+            n = min(n, max(1, self.withdraw_at - first))
+        step, clock = task.step, self.clock
+        if self.step_cost_ms is None:
+            sample_at = entry.next_sample_ms if entry.sla is not None else None
+            for _ in range(n):
+                step()
+                withdrawal = self.withdrawal  # announced, not yet answered: hold here
+                if (sample_at is not None and clock.reached(sample_at)
+                        or withdrawal is not None and not withdrawal.is_set()):
+                    break
+        else:
+            if entry.sla is not None:
+                n = clock.steps_to(entry.next_sample_ms, self.step_cost_ms, n)
+            try:
+                for _ in range(n):
+                    step()
+            finally:  # the steps taken, if one raised
+                clock.advance(self.step_cost_ms * (task.iterations_done - first))
+        entry.since_checkpoint += task.iterations_done - first
 
     def step(self, job_id: str) -> None:
         """One ``run_iteration``, then each message it returns sent to the supervisor

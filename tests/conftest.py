@@ -8,7 +8,7 @@ from jobmig import workload
 from jobmig.checkpoint import TaskState, capture_full
 from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ServiceLevelAgreement
-from jobmig.node import NodeDaemon, NodeRuntime, WallClock
+from jobmig.node import ST_RUNNING, NodeDaemon, NodeRuntime, WallClock
 
 # Synthetic field map exercising every field value type (sort has no byte field).
 BLOB_COUNTER = 10
@@ -43,6 +43,16 @@ def reference_digest(n: int, seed: int) -> int:
     while not task.done:
         task.step()
     return task.digest()
+
+
+def run_to(node, job_id: str, iteration: int, call: str = "run_iteration") -> None:
+    """Run a job on ``node`` through its ``call`` method (``run_iteration`` or
+    ``step``) until it has done ``iteration`` iterations or stops running. A call
+    runs to the job's next yield point, so one must fall on ``iteration``."""
+    entry = node.job(job_id)
+    while entry.status == ST_RUNNING and entry.task.iterations_done < iteration:
+        getattr(node, call)(job_id)
+    assert entry.task.iterations_done == iteration
 
 
 def make_blob_state(job_id="blob-1", counter=0, values=(1, 2, 3), payload=b"xyz", done=0):

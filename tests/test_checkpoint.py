@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import os
 import random
 import struct
 import tempfile
@@ -574,6 +576,31 @@ class TestStore:
         assert b"".join(cp.encode(r) for r in loaded) == store.path_for("st-1").read_bytes()
         assert cp.compose(loaded[0], loaded[1:]) == cp.compose(records[0], records[1:])
         assert store.path_for("st-1").name == "st-1.ckpt"
+
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_a_write_that_fails_midway_leaves_no_torn_record(self, tmp_path, monkeypatch,
+                                                             before):
+        store = cp.CheckpointStore(tmp_path)
+        state = workload.init_sort(300, 2, job_id="torn").state
+        records = [cp.capture_full(state, seq) for seq in range(before + 1)]
+        for r in records[:before]:
+            store.append(r)
+        write, writes = os.write, []
+
+        def write_100_then_fail(fd, data):  # a short write, then a full disk
+            writes.append(len(data))
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(fd, data[:100])
+
+        monkeypatch.setattr(cp.os, "write", write_100_then_fail)
+        with pytest.raises(OSError):
+            store.append(records[-1])
+        monkeypatch.undo()
+        assert len(writes) == 2
+        assert store.load("torn") == records[:before]
+        store.append(records[-1])  # the retry lands whole, right after the last good record
+        assert store.load("torn") == records
 
     def test_hostile_job_id_is_sanitized(self, tmp_path):
         store = cp.CheckpointStore(tmp_path)

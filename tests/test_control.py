@@ -24,7 +24,7 @@ from jobmig.monitor import (
 )
 from jobmig import harness
 
-from conftest import reference_digest
+from conftest import reference_digest, run_to
 
 SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
 
@@ -355,12 +355,13 @@ class TestDecisionLog:
 class TestEndToEndFaultInjection:
     def cut_first_transfer(self, tmp_path):
         """A sim job 10 iterations into its run on server1, after a migration
-        to server2 whose transfer failed on arrival."""
+        to server2 whose transfer failed on arrival. It checkpoints every 2 iterations,
+        so every even iteration is a yield point."""
         config = harness.calibrate_from_table1()
-        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     checkpoint_interval=2)
         env.deploy_sort("j-fault", 40, 9, start_on="server1")
-        for _ in range(10):
-            env.nodes["server1"].step("j-fault")
+        run_to(env.nodes["server1"], "j-fault", 10, call="step")
         target = env.nodes["server2"]
 
         def cut(payload):  # fails once; then the node's own method serves again
@@ -401,8 +402,7 @@ class TestEndToEndFaultInjection:
 
     def test_migration_retried_after_a_failed_transfer_lands(self, tmp_path):
         env = self.cut_first_transfer(tmp_path)
-        for _ in range(4):
-            env.nodes["server1"].step("j-fault")
+        run_to(env.nodes["server1"], "j-fault", 14, call="step")
         record = env.supervisory.migrate("j-fault", "server2")
         assert record.iterations_before == 14
         result = env.run_job("j-fault")

@@ -25,7 +25,7 @@ from jobmig.node import (
     request,
 )
 
-from conftest import reference_digest, transfer_bundle, wait_until
+from conftest import reference_digest, run_to, transfer_bundle, wait_until
 
 
 class TestBaselineRows:
@@ -222,10 +222,10 @@ class TestTimeline:
 class TestStaleResult:
     def test_result_from_a_provider_not_running_the_job_is_refused(self, tmp_path):
         config = harness.calibrate_from_table1()
-        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     checkpoint_interval=10)
         env.deploy_sort("stale", 60, 3, start_on="server1")
-        for _ in range(10):
-            env.nodes["server1"].step("stale")
+        run_to(env.nodes["server1"], "stale", 10, call="step")
         env.route(MSG_RESULT_RETURN, {"job_id": "stale", "provider_id": "server2",
                                       "digest": 1, "iterations_done": 60, "exec_ms": 0})
         assert env.supervisory.jobs["stale"].status is JobStatus.RUNNING

@@ -1,4 +1,5 @@
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from jobmig.broker import ResourceBroker, ResourceSpecTemplate, UnknownProvider
 from jobmig.monitor import (
     InsufficientSamples,
     LocalAnalyzer,
+    MonitorError,
     MonitorHub,
     MonitorSample,
     PerformanceReport,
@@ -32,6 +34,11 @@ class TestSla:
             ServiceLevelAgreement(min_throughput=1, window_k=0)
         with pytest.raises(ValueError):
             ServiceLevelAgreement(min_throughput=1, sample_period_ms=0)
+
+    @pytest.mark.parametrize("floor", [float("inf"), float("nan")])
+    def test_a_floor_must_be_finite(self, floor):
+        with pytest.raises(ValueError):
+            ServiceLevelAgreement(min_throughput=floor)
 
     def test_dict_round_trip(self):
         assert ServiceLevelAgreement.from_dict(SLA.to_dict()) == SLA
@@ -150,6 +157,55 @@ class TestDetectionLatency:
             want = reference.observe(s(t, iters), sla)
             assert got == want
             assert got.window == want.window
+
+
+class TestSlowPair:
+    """A pair is slow exactly when its rate is below the floor: the exact rate for
+    exact timestamps, judged in integers, and the float rate for float ones."""
+
+    FLOORS = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+    @staticmethod
+    def judged_slow(a, b, floor):
+        analyzer = LocalAnalyzer("p1")
+        sla = ServiceLevelAgreement(min_throughput=floor, window_k=1)
+        analyzer.observe(a, sla)
+        return analyzer.observe(b, sla).kind is ReportKind.THROUGHPUT_VIOLATION
+
+    @settings(max_examples=500, deadline=None)
+    @given(t0=st.fractions(min_value=0, max_value=10**6, max_denominator=10**7),
+           dt=st.fractions(min_value=0, max_value=10**4, max_denominator=10**7)
+           .filter(lambda d: d > 0),
+           di=st.integers(0, 10**4), floor=FLOORS)
+    def test_exact_timestamps(self, t0, dt, di, floor):
+        slow = Fraction(di) / (dt / 1000) < floor
+        assert self.judged_slow(s(t0, 5), s(t0 + dt, 5 + di), floor) is slow
+
+    @settings(max_examples=200, deadline=None)
+    @given(t0=st.fractions(min_value=0, max_value=10**6, max_denominator=10**7),
+           di=st.integers(1, 10**4), mantissa=st.integers(1, 2**20), shift=st.integers(0, 20))
+    def test_a_rate_equal_to_the_floor_is_not_slow(self, t0, di, mantissa, shift):
+        floor = mantissa / 2**shift  # a float whose exact value a pair's rate can equal
+        dt = Fraction(1000 * di) / Fraction(floor)
+        assert not self.judged_slow(s(t0, 0), s(t0 + dt, di), floor)
+        assert self.judged_slow(s(t0, 0), s(t0 + dt + Fraction(1, 10**9), di), floor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t0=st.floats(min_value=0, max_value=1e9), dt=st.floats(min_value=1e-3, max_value=1e6),
+           di=st.integers(0, 10**4), floor=FLOORS)
+    def test_float_timestamps(self, t0, dt, di, floor):
+        t1 = t0 + dt
+        slow = di / ((t1 - t0) / 1000) < floor
+        assert self.judged_slow(s(t0, 0), s(t1, di), floor) is slow
+        assert self.judged_slow(s(int(t0), 0), s(t1, di), floor) \
+            is (di / ((t1 - int(t0)) / 1000) < floor)
+
+    def test_non_increasing_timestamps_raise(self):
+        for t1 in (Fraction(5, 3), 1, 1.5):
+            analyzer = LocalAnalyzer("p1")
+            analyzer.observe(s(Fraction(5, 3), 0), SLA)
+            with pytest.raises(MonitorError):
+                analyzer.observe(s(t1, 1), SLA)
 
 
 class WholeWindowAnalyzer:

@@ -15,7 +15,7 @@ from jobmig.broker import ResourceSpecTemplate
 from jobmig.control import TransferFailed
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import (DEFAULT_TEST_SLA, images_of, reference_digest, transfer_bundle,
+from conftest import (DEFAULT_TEST_SLA, images_of, reference_digest, run_to, transfer_bundle,
                       wait_until)
 
 
@@ -105,6 +105,40 @@ class TestClocks:
                 for t in (total + offset, math.floor(total) + math.floor(offset)):
                     assert clock.reached(t) == (now >= t)
 
+    # cost denominators: large primes, coprime with each other and with the clock's,
+    # beside a small prime and the sim's 500
+    PRIMES = [999_983, 1_000_003, 2_147_483_647, 7, 500]
+    COSTS = st.one_of(st.integers(min_value=0, max_value=1000),
+                      st.builds(Fraction, st.integers(min_value=0, max_value=10**9),
+                                st.sampled_from(PRIMES)))
+
+    @given(st.lists(ADVANCES, max_size=6), COSTS, st.integers(min_value=1, max_value=40),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_steps_to_a_deadline_counts_single_advances(self, start, cost, limit, data):
+        """``steps_to`` is how many single advances by the cost, capped at ``limit``,
+        it takes until ``reached`` holds: for a deadline on a step, one already
+        passed, and one with a large denominator coprime with the clock's."""
+        clock, brute = nd.VirtualClock(), nd.VirtualClock()
+        for delta in start:
+            clock.advance(delta)
+            brute.advance(delta)
+        now = clock.now_ms()
+        deadline = data.draw(st.one_of(
+            st.integers(min_value=0, max_value=limit + 2).map(lambda j: now + j * cost),
+            st.fractions(max_value=0, max_denominator=10**6).map(lambda back: now + back),
+            st.integers(min_value=0, max_value=10**7),
+            st.builds(Fraction, st.integers(min_value=0, max_value=10**15),
+                      st.sampled_from(self.PRIMES))))
+        expected = limit
+        for k in range(1, limit + 1):
+            brute.advance(cost)
+            if brute.reached(deadline):
+                expected = k
+                break
+        assert clock.steps_to(deadline, cost, limit) == expected
+        assert clock.now_ms() == now  # counting moves nothing
+
     def test_wall_deadline_test(self):
         clock = nd.WallClock()
         now = clock.now_ms()
@@ -172,8 +206,7 @@ class TestSimExecution:
     def test_quiesce_honored_at_yield_point(self, tmp_path):
         runtime = sim_runtime(tmp_path, withdraw_at=7)
         runtime.submit_job("j1", "sort", {"n": 20, "seed": 3})
-        for _ in range(7):
-            runtime.run_iteration("j1")
+        run_to(runtime, "j1", 7)
         entry = runtime.job("j1")
         assert entry.status == nd.ST_QUIESCED
         assert entry.task.iterations_done == 7
@@ -218,8 +251,7 @@ class TestSimExecution:
         runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup", emit=rows.append,
                               send=lambda addr, msg_type, body: sent.append((msg_type, body)) or {})
         runtime.submit_job("j1", "sort", {"n": 12, "seed": 2})
-        for _ in range(12):
-            runtime.step("j1")
+        run_to(runtime, "j1", 12, call="step")
         assert [t for t, _ in sent] == [nd.MSG_WITHDRAW_NOTICE, nd.MSG_RESULT_RETURN]
         assert sent[0][1]["provider_id"] == "sim1"
         assert [(r["event"], r.get("first"), r.get("end"), r.get("iteration")) for r in rows] \
@@ -232,10 +264,9 @@ class TestSimExecution:
         runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup", emit=rows.append,
                               send=lambda *msg: {"ok": True, "ended": ["ghost", "a", "b"]})
         runtime.submit_job("a", "sort", {"n": 12, "seed": 2})
-        runtime.submit_job("b", "sort", {"n": 12, "seed": 3})
-        runtime.step("b")
-        for _ in range(5):
-            runtime.step("a")
+        runtime.submit_job("b", "sort", {"n": 12, "seed": 3}, checkpoint_interval=1)
+        runtime.step("b")  # a capture is due after b's first iteration
+        run_to(runtime, "a", 5, call="step")
         assert [(j, runtime.job(j).status) for j in "ab"] \
             == [("a", nd.ST_TOMBSTONED), ("b", nd.ST_TOMBSTONED)]
         assert [(r["event"], r["job_id"], r.get("first"), r.get("end"), r.get("iteration"))
@@ -251,14 +282,13 @@ class TestSimExecution:
         runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup",
                               send=lambda addr, msg_type, body: sent.append((msg_type, body)) or {})
         runtime.submit_job("j1", "sort", {"n": 12, "seed": 2})
-        for _ in range(4):
-            runtime.step("j1")
 
         def broken_park(entry):
             raise OSError("store full")
 
         runtime._park = broken_park
-        runtime.step("j1")
+        runtime.step("j1")  # runs to iteration 5, which withdraws
+        assert runtime.job("j1").task.iterations_done == 5
         assert [(t, body.get("failed")) for t, body in sent] \
             == [(nd.MSG_WITHDRAW_NOTICE, None), (nd.MSG_RESULT_RETURN, True)]
         assert runtime.job("j1").status == nd.ST_FAILED
@@ -281,8 +311,9 @@ class TestSimExecution:
 
     def test_updated_sla_governs_later_samples(self, tmp_path):
         runtime = sim_runtime(tmp_path, cost=Fraction(100))
-        runtime.submit_job("j1", "sort", {"n": 50, "seed": 4})  # no SLA: never sampled
-        for _ in range(10):
+        # no SLA: never sampled; a capture every 5 iterations places yield points
+        runtime.submit_job("j1", "sort", {"n": 50, "seed": 4}, checkpoint_interval=5)
+        while runtime.job("j1").task.iterations_done < 10:
             assert runtime.run_iteration("j1") == []
         # 1 iteration per 100 virtual ms misses a floor of 1000 iterations/s
         sla = ServiceLevelAgreement(min_throughput=1000.0, window_k=2, sample_period_ms=200)
@@ -291,6 +322,91 @@ class TestSimExecution:
         reports = [m[1] for m in run_to_completion(runtime, "j1")
                    if m[0] == nd.MSG_MONITOR_REPORT]
         assert reports
+
+
+class TestYieldPoints:
+    """One ``run_iteration`` runs a job to the first iteration after which
+    something happens, and stops there."""
+
+    def test_a_stretch_stops_where_a_capture_is_due(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(1))
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, checkpoint_interval=7)
+        for end in (7, 14):
+            assert runtime.run_iteration("j") == []
+            entry = runtime.job("j")
+            assert (entry.task.iterations_done, entry.since_checkpoint) == (end, 0)
+            assert runtime.clock.now_ms() == end
+        assert [r.seq for r in runtime.store.load("j")] == [0, 1, 2]
+
+    def test_a_stretch_stops_at_withdraw_at(self, tmp_path):
+        runtime = sim_runtime(tmp_path, withdraw_at=5)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1})
+        assert [m for m, _ in runtime.run_iteration("j")] == [nd.MSG_WITHDRAW_NOTICE]
+        entry = runtime.job("j")
+        assert (entry.status, entry.task.iterations_done) == (nd.ST_QUIESCED, 5)
+
+    @pytest.mark.parametrize("period,ends", [(250, [3, 6, 9]), (200, [2, 4, 6])])
+    def test_a_stretch_stops_where_a_sample_is_due(self, tmp_path, period, ends):
+        # 100 virtual ms a step: a 250 ms period falls between steps, a 200 ms one on a step
+        runtime = sim_runtime(tmp_path, cost=Fraction(100))
+        sla = ServiceLevelAgreement(min_throughput=0.001, window_k=3, sample_period_ms=period)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=64)
+        samples = []
+        observe = runtime.analyzer.observe
+        runtime.analyzer.observe = lambda s, sla: samples.append(s) or observe(s, sla)
+        for _ in ends:
+            runtime.run_iteration("j")
+        assert [s.iterations_done for s in samples] == ends
+        assert [s.timestamp_ms for s in samples] == [100 * i for i in ends]
+
+    def test_a_stretch_stops_where_the_job_is_done(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(3))
+        runtime.submit_job("j", "sort", {"n": 10, "seed": 1}, checkpoint_interval=64)
+        msgs = runtime.run_iteration("j")
+        assert [m for m, _ in msgs] == [nd.MSG_RESULT_RETURN]
+        assert msgs[0][1]["exec_ms"] == runtime.clock.now_ms() == 30
+        assert runtime.job("j").status == nd.ST_DONE
+
+    def test_a_wall_stretch_stops_where_a_sample_is_due(self, tmp_path):
+        clock = TickClock()
+        runtime = nd.NodeRuntime("w", clock, tmp_path / "w")
+        sla = ServiceLevelAgreement(min_throughput=0.001, window_k=3, sample_period_ms=25)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=64)
+        clock.ticking(runtime.job("j").task, 10)
+        runtime.run_iteration("j")  # the clock reads 30 after the third step
+        assert runtime.job("j").task.iterations_done == 3
+        assert runtime.job("j").next_sample_ms == 30 + 25
+
+    def test_a_wall_job_holds_while_another_job_withdraws(self, tmp_path):
+        runtime = nd.NodeRuntime("w", nd.WallClock(), tmp_path / "w", withdraw_at=3)
+        for job_id in "ab":
+            runtime.submit_job(job_id, "sort", {"n": 200, "seed": 1}, checkpoint_interval=64)
+        assert [m for m, _ in runtime.run_iteration("a")] == [nd.MSG_WITHDRAW_NOTICE]
+        b = runtime.job("b")
+        assert runtime.run_iteration("b") == []  # one step, then it holds for the answer
+        assert (b.status, b.task.iterations_done) == (nd.ST_RUNNING, 1)
+        runtime.withdrawal.set()  # answered: b runs on to its next capture
+        runtime.run_iteration("b")
+        assert b.task.iterations_done == 64
+
+
+class TickClock(nd.WallClock):
+    """A wall-mode clock that moves only when the task it watches steps."""
+
+    def __init__(self):
+        self.t = 0
+
+    def now_ms(self):
+        return self.t
+
+    def ticking(self, task, ms):
+        step = task.step
+
+        def ticked():
+            step()
+            self.t += ms
+
+        task.step = ticked
 
 
 class TestLocalTuning:
@@ -353,21 +469,19 @@ class TestTransfer:
     def migrate_bundle(self, tmp_path, n=500, until=249, sla=None):
         source = sim_runtime(tmp_path, withdraw_at=until)  # parks the job at ``until``
         source.submit_job("jm", "sort", {"n": n, "seed": 42}, sla=sla, checkpoint_interval=16)
-        for _ in range(until):
-            source.run_iteration("jm")
+        run_to(source, "jm", until)
         return source.prepare_transfer("jm")
 
     def test_resume_executes_exactly_remaining_iterations(self, tmp_path):
         bundle, info = self.migrate_bundle(tmp_path)
         assert info["iterations_before"] == 249
-        target = sim_runtime(tmp_path / "t")
+        rows = []
+        target = sim_runtime(tmp_path / "t", emit=rows.append)
         ack = target.resume_from_bundle(bundle)
         assert ack["resumed_at_iteration"] == 249
-        steps = 0
         entry = target.job("jm")
-        while entry.status == nd.ST_RUNNING:
-            target.run_iteration("jm")
-            steps += 1
+        run_to_completion(target, "jm")
+        steps = sum(r["end"] - r["first"] for r in rows if r["event"] == "steps")
         assert steps == 251
         assert entry.task.digest() == reference_digest(500, 42)
 
@@ -425,8 +539,7 @@ class TestTransfer:
     def test_a_withdrawal_on_a_checkpoint_boundary_ships_one_full_record(self, tmp_path):
         source = sim_runtime(tmp_path, withdraw_at=8)
         source.submit_job("jb", "sort", {"n": 40, "seed": 3}, checkpoint_interval=4)
-        for _ in range(8):  # checkpoints at 4 and 8; the withdrawal parks at 8
-            source.run_iteration("jb")
+        run_to(source, "jb", 8)  # checkpoints at 4 and 8; the withdrawal parks at 8
         entry = source.job("jb")
         assert (entry.status, entry.since_checkpoint) == (nd.ST_QUIESCED, 0)
         records = source.store.load("jb")
@@ -473,8 +586,7 @@ class TestTransfer:
 
         source = sim_runtime(tmp_path, withdraw_at=10, send=cut)
         source.submit_job("ja", "sort", {"n": 30, "seed": 6})
-        for _ in range(10):
-            source.run_iteration("ja")
+        run_to(source, "ja", 10)
         entry = source.job("ja")
         assert entry.status == nd.ST_QUIESCED
         with pytest.raises(TransferFailed):
@@ -485,9 +597,8 @@ class TestTransfer:
 
     def test_failed_final_capture_leaves_the_job_running(self, tmp_path):
         source = sim_runtime(tmp_path, send=lambda *request: pytest.fail("a payload was sent"))
-        source.submit_job("jp", "sort", {"n": 30, "seed": 6})
-        for _ in range(5):
-            source.run_iteration("jp")
+        source.submit_job("jp", "sort", {"n": 30, "seed": 6}, checkpoint_interval=5)
+        run_to(source, "jp", 5)
 
         def full(record):
             raise OSError(errno.ENOSPC, "No space left on device")
@@ -507,12 +618,10 @@ class TestTransfer:
 
         source = sim_runtime(tmp_path, send=cut)
         source.submit_job("jr", "sort", {"n": 60, "seed": 8}, checkpoint_interval=2)
-        for _ in range(10):
-            source.run_iteration("jr")
+        run_to(source, "jr", 10)
         with pytest.raises(TransferFailed):
             source.hand_off("jr", "127.0.0.1:7002")
-        for _ in range(4):
-            source.run_iteration("jr")
+        run_to(source, "jr", 14)
         target = sim_runtime(tmp_path / "t")
         source.send = lambda addr, msg_type, body: target.serve(msg_type, body)
         info, ack = source.hand_off("jr", "127.0.0.1:7002")
@@ -522,9 +631,8 @@ class TestTransfer:
 
     def test_migrate_request_to_the_source_itself_is_refused(self, tmp_path):
         source = sim_runtime(tmp_path, send=lambda *request: pytest.fail("a payload was sent"))
-        source.submit_job("js", "sort", {"n": 30, "seed": 6})
-        for _ in range(5):
-            source.run_iteration("js")
+        source.submit_job("js", "sort", {"n": 30, "seed": 6}, checkpoint_interval=5)
+        run_to(source, "js", 5)
         with pytest.raises(nd.InvalidJobState):
             source.serve(nd.MSG_MIGRATE_REQUEST,
                          {"job_id": "js", "target_id": "sim1", "target_addr": "127.0.0.1:7002"})
@@ -623,8 +731,7 @@ class TestDaemon:
     def test_transfer_over_the_wire(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src", withdraw_at=20)
         source.submit_job("wt", "sort", {"n": 60, "seed": 9})
-        for _ in range(20):
-            source.run_iteration("wt")
+        run_to(source, "wt", 20)
         bundle, info = source.prepare_transfer("wt")
         daemon.runtime.supervisor = listener.address
         msg_type, payload = send_request(daemon.address, nd.MSG_CHECKPOINT_TRANSFER, bundle)
