@@ -152,17 +152,20 @@ class ResourceBroker:
         return match_job(jrl, self.build_rst().values())
 
 
+# each template field's JSON type: a bool is not an int, and the tags are strings
+FIELD_TYPES = {"provider_id": str, "address": str, "cpu_mhz": int, "memory_mb": int,
+               "arch_tags": list, "available": bool}
+
+
 def template_from_dict(obj: dict) -> ResourceSpecTemplate:
+    """A template from its JSON object, with no field coerced to its type."""
     try:
-        return ResourceSpecTemplate(
-            provider_id=str(obj["provider_id"]),
-            address=str(obj["address"]),
-            cpu_mhz=int(obj["cpu_mhz"]),
-            memory_mb=int(obj["memory_mb"]),
-            arch_tags=frozenset(str(t) for t in obj.get("arch_tags", [])),
-            speed_factor=_as_fraction(obj.get("speed_factor", 1)),
-            available=bool(obj.get("available", True)),
-        )
+        given = {"arch_tags": [], "available": True, **obj}
+        fields = {key: given[key] for key in FIELD_TYPES}
+        if any(type(value) is not FIELD_TYPES[key] for key, value in fields.items()) \
+                or any(type(tag) is not str for tag in fields["arch_tags"]):
+            raise TypeError("a field has the wrong type")
+        return ResourceSpecTemplate(**fields, speed_factor=_as_fraction(obj.get("speed_factor", 1)))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTemplate(f"bad provider entry: {obj!r}") from exc
 

@@ -25,10 +25,6 @@ class UnknownJob(MonitorError):
     pass
 
 
-class InsufficientSamples(MonitorError):
-    pass
-
-
 class ReportKind(enum.Enum):
     NONE = "none"
     THROUGHPUT_VIOLATION = "throughput_violation"
@@ -112,32 +108,6 @@ def _pair_throughput(a: MonitorSample, b: MonitorSample) -> float:
     return (b.iterations_done - a.iterations_done) / (dt_ms / 1000)
 
 
-def pair_throughputs(samples: Sequence[MonitorSample]) -> list[float]:
-    """Iterations/second over each adjacent sample pair."""
-    return [_pair_throughput(a, b) for a, b in zip(samples, samples[1:])]
-
-
-def analyze_local(samples: Sequence[MonitorSample], sla: ServiceLevelAgreement) -> PerformanceReport:
-    """Confirm a throughput violation over the most recent window.
-
-    A violation requires the last window_k pairwise throughputs to each fall
-    below the SLA floor; the report's evidence is the window_k samples that
-    terminate those pairs, and its ``window`` the window_k + 1 samples that make them.
-    """
-    if len(samples) < 2:
-        raise InsufficientSamples(f"need at least 2 samples, got {len(samples)}")
-    last = samples[-1]
-    rates = pair_throughputs(samples)
-    k = sla.window_k
-    if len(rates) >= k and all(r < sla.min_throughput for r in rates[-k:]):
-        return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION,
-                                 provider_id=last.provider_id, job_id=last.job_id,
-                                 evidence=tuple(samples[-k:]), emitted_at=last.timestamp_ms,
-                                 window=tuple(samples[-k - 1:]))
-    return PerformanceReport(kind=ReportKind.NONE, provider_id=last.provider_id,
-                             job_id=last.job_id, emitted_at=last.timestamp_ms)
-
-
 class _Window:
     """One job's last ``window_k + 1`` samples, the SLA they are judged against,
     and how many of their newest pairs in a row fall below its floor."""
@@ -170,8 +140,9 @@ class _Window:
 class LocalAnalyzer:
     """Per-provider analysis agent: one sliding window per local job, holding
     the last ``window_k + 1`` samples, which are all that a decision reads. A
-    sample rates only its pair with the one before; the window goes to
-    ``analyze_local`` once its last ``window_k`` pairs are all slow."""
+    sample rates only its pair with the one before. A violation is confirmed once
+    the last ``window_k`` pairs are all slow; its report's evidence is the
+    ``window_k`` samples that end those pairs, and its ``window`` all of them."""
 
     def __init__(self, provider_id: str):
         self.provider_id = provider_id
@@ -188,11 +159,13 @@ class LocalAnalyzer:
         if window.slow < sla.window_k:
             return PerformanceReport(kind=ReportKind.NONE, provider_id=s.provider_id,
                                      job_id=s.job_id, emitted_at=s.timestamp_ms)
-        report = analyze_local(list(samples), sla)
+        confirmed = tuple(samples)  # window_k slow pairs: window_k + 1 samples
         # restart confirmation so one slow stretch yields one report per window
         samples.clear()
         window.slow = 0
-        return report
+        return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id=s.provider_id,
+                                 job_id=s.job_id, evidence=confirmed[1:],
+                                 emitted_at=s.timestamp_ms, window=confirmed)
 
     def reset(self, job_id: str) -> None:
         """Drop the window, e.g. across a migration pause."""

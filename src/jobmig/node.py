@@ -3,17 +3,16 @@
 A node accepts jobs, runs their step/checkpoint/sample loop, services
 migration transfers, and can withdraw its services. The same runtime drives
 both modes: in sim mode a shared virtual clock advances by the modeled
-per-iteration cost, in wall mode a real daemon executes jobs in threads and
-talks length-prefixed frames over TCP (``FrameServer``, which the
-supervisor's listener also uses). Both modes answer every request to a node in
-``NodeRuntime.serve``, migrate through ``NodeRuntime.hand_off`` and step a
-job with ``NodeRuntime.step``, from one yield point to the next: the first
+per-iteration cost, in wall mode a real daemon talks length-prefixed frames over
+TCP (``FrameServer``, which the supervisor's listener also uses) and runs the
+node's jobs on one thread, in turn (``NodeRuntime.run_once``). Both modes answer
+every request to a node in ``NodeRuntime.serve``, migrate through ``hand_off``
+and step a job with ``step``, from one yield point to the next: the first
 iteration after which a capture is due, the job reaches ``withdraw_at`` or its
-end, an SLA sample is due, or (wall mode) another job on the node has announced
-a withdrawal. A withdrawal parks the job whose step reached it, at that
-iteration; the supervisor's answer to the notice settles it: moved away, dropped
-here, or resumed here. Every other job on the node holds, unparked, at its next
-yield point until that answer; its own hand-off parks it.
+end, or an SLA sample is due. A withdrawal parks the job whose step reached it,
+at that iteration; the supervisor's answer to the notice moves it away, drops it
+or resumes it here. The thread waits for that answer, so no other job on the
+node runs meanwhile; its own hand-off parks it.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -371,10 +370,7 @@ class JobExecution:
     capture_ms: Any = 0  # time spent capturing on this node, on its clock: 0 on a virtual one
     run_ns: int = 0  # real time spent stepping and checkpointing on this node
     next_sample_ms: Any = None
-    # held by each iteration and by a whole hand-off: both see a yield point
-    lock: threading.RLock = field(default_factory=threading.RLock)
-    # the job's iteration when this node admitted it
-    first_iteration: int = field(default=0, init=False)
+    first_iteration: int = field(default=0, init=False)  # its iteration when admitted here
     steps_from: int = field(default=0, init=False)  # the first iteration of its next steps row
     # each field's value and bytes in the last record: what a capture diffs against
     images: ckpt.Images = field(default_factory=dict, init=False)
@@ -404,13 +400,16 @@ class NodeRuntime:
         self.store = ckpt.CheckpointStore(store_dir)
         self.analyzer = LocalAnalyzer(provider_id)
         self.jobs: dict[str, JobExecution] = {}
-        self.withdrawal: threading.Event | None = None  # set once the notice is answered
-        self._lock = threading.RLock()
+        self.withdrawal = False  # announced
+        self.turns: list[JobExecution] = []  # the jobs run_once steps, the next first
+        self._lock = threading.RLock()  # held by a stretch, a settling and a request
+        self._gate = threading.RLock()  # held by a request from before it takes the lock
 
     def record(self, event: str, job_id: str, **fields) -> None:
-        """Emit one timeline row about a job on this node, stamped with the clock."""
-        self.emit({"t": self.clock.now_ms(), "event": event, "job_id": job_id,
-                   "provider": self.provider_id, **fields})
+        """Emit a timeline row about a job here, stamped and emitted under the lock."""
+        with self._lock:
+            self.emit({"t": self.clock.now_ms(), "event": event, "job_id": job_id,
+                       "provider": self.provider_id, **fields})
 
     # -- requests and job admission -------------------------------------------
 
@@ -449,24 +448,24 @@ class NodeRuntime:
                              lineage=records, **settings)
         entry.images = ckpt.lineage_images(records)
         self._admit(entry)
-        self.record("resume", state.job_id, iteration=task.iterations_done)
         restore_ms = (time.perf_counter_ns() - t0) / 1e6
         return {"ok": True, "job_id": state.job_id, "provider_id": self.provider_id,
                 "resumed_at_iteration": task.iterations_done, "restore_ms": restore_ms}
 
     def _admit(self, entry: JobExecution) -> None:
         """Register a new job once its lineage is durable: a received lineage is
-        stored as it came, and a job with none gets a full capture. A job this node
-        already knows, or whose first write fails, leaves the node unchanged."""
+        stored as it came, with a ``resume`` row, and a job with none gets a full capture.
+        A job this node already knows, or whose first write fails, leaves the node unchanged."""
         if entry.checkpoint_interval < 1:
             raise MalformedPayload("checkpoint_interval must be >= 1")
         entry.first_iteration = entry.steps_from = entry.task.iterations_done
-        with self._lock:
+        with self._gate, self._lock:
             if entry.job_id in self.jobs:
                 raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
             if entry.lineage:
                 for record in entry.lineage:
                     self.store.append(record)
+                self.record("resume", entry.job_id, iteration=entry.first_iteration)
             else:
                 self._capture(entry)
             self.jobs[entry.job_id] = entry
@@ -494,7 +493,7 @@ class NodeRuntime:
             if sla is None:
                 raise MalformedPayload("an SLA update needs an sla")
             entry = self.job(job_id)
-            with entry.lock:  # a renegotiated SLA: the job's later samples are judged against it
+            with self._gate, self._lock:  # the new SLA judges the job's later samples
                 if entry.next_sample_ms is None:
                     entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
                 entry.sla = sla
@@ -531,7 +530,7 @@ class NodeRuntime:
         its hand-off. A job that raises fails here, and a withdrawal it announced is still sent."""
         entry = self.job(job_id)
         msgs: list[tuple[int, dict]] = []
-        with entry.lock:
+        with self._lock:
             if entry.status != ST_RUNNING:
                 raise InvalidJobState(f"job {job_id!r} is {entry.status} and cannot step")
             try:
@@ -546,7 +545,7 @@ class NodeRuntime:
                 entry.run_ns += time.perf_counter_ns() - t0
 
                 withdrawal = self.withdraw() if self.withdraw_at is not None \
-                    and iterations >= self.withdraw_at and self.withdrawal is None else []
+                    and iterations >= self.withdraw_at else []
                 msgs.extend(withdrawal)
 
                 if entry.sla is not None and not entry.task.done \
@@ -586,16 +585,13 @@ class NodeRuntime:
         first = task.iterations_done
         n = min(task.total_iterations - first,
                 max(1, entry.checkpoint_interval - entry.since_checkpoint))
-        if self.withdraw_at is not None and self.withdrawal is None:
+        if self.withdraw_at is not None and not self.withdrawal:
             n = min(n, max(1, self.withdraw_at - first))
         step, clock = task.step, self.clock
         if self.step_cost_ms is None:
-            sample_at = entry.next_sample_ms if entry.sla is not None else None
             for _ in range(n):
                 step()
-                withdrawal = self.withdrawal  # announced, not yet answered: hold here
-                if (sample_at is not None and clock.reached(sample_at)
-                        or withdrawal is not None and not withdrawal.is_set()):
+                if entry.sla is not None and clock.reached(entry.next_sample_ms):
                     break
         else:
             if entry.sla is not None:
@@ -607,28 +603,48 @@ class NodeRuntime:
                 clock.advance(self.step_cost_ms * (task.iterations_done - first))
         entry.since_checkpoint += task.iterations_done - first
 
+    def start(self, job_id: str) -> None:
+        """The job takes turns in ``run_once`` from now on."""
+        with self._gate, self._lock:
+            self.turns.append(self.job(job_id))
+
+    def run_once(self) -> bool:
+        """One ``step`` of the first running job in ``turns``, which then goes last (round
+        robin in start order), chosen and run under one hold of the lock; whether one ran."""
+        self._gate.acquire()  # a request waiting for the lock holds the gate: it goes first
+        self._gate.release()
+        with self._lock:
+            entry = next((e for e in self.turns if e.status == ST_RUNNING), None)
+            if entry is None:
+                return False
+            self.turns.remove(entry)
+            self.turns.append(entry)
+            msgs = self.run_iteration(entry.job_id)
+        self._deliver(entry.job_id, msgs)
+        return True
+
     def step(self, job_id: str) -> None:
-        """One ``run_iteration``, then each message it returns sent to the supervisor
-        through ``send``; a failed or refused send leaves a ``send_failed`` row. Each
-        answer, or failed send, settles the job: the jobs it names as ``ended`` are dropped
-        here, the job resumes here if still parked, and after a withdrawal's answer the
-        node's other jobs step on. It sends with the job's lock released and ``serve`` never
-        waits on the supervisor, so the supervisor may hold its lock across its requests."""
-        for msg_type, body in self.run_iteration(job_id):
+        """One ``run_iteration``, then each message it returns delivered to the supervisor."""
+        self._deliver(job_id, self.run_iteration(job_id))
+
+    def _deliver(self, job_id: str, msgs: list[tuple[int, dict]]) -> None:
+        """Send each message to the supervisor; a failed or refused send leaves a ``send_failed``
+        row. Each answer, or failed send, settles the job: the jobs it names as ``ended`` are
+        dropped here, and the job resumes if still parked. It sends with the lock released
+        and ``serve`` never waits on the supervisor, which may hold its lock across requests."""
+        for msg_type, body in msgs:
             ended = []
             try:
                 if self.supervisor is not None:
                     ended = self.send(self.supervisor, msg_type, body).get("ended", [])
             except (OSError, NodeError) as exc:
                 self.record("send_failed", job_id, message=MSG_NAMES[msg_type], error=str(exc))
-            for entry in [self.jobs[j] for j in ended if j in self.jobs] + [self.job(job_id)]:
-                with entry.lock:
+            with self._lock:
+                for entry in [self.jobs[j] for j in ended if j in self.jobs] + [self.job(job_id)]:
                     if entry.job_id in ended and entry.status in (ST_RUNNING, ST_QUIESCED):
                         self._retire(entry, "dropped")
                     elif entry.status == ST_QUIESCED:
                         entry.status = ST_RUNNING
-            if msg_type == MSG_WITHDRAW_NOTICE:
-                self.withdrawal.set()
 
     def stop_running(self, entry: JobExecution, status: str) -> None:
         """The job stops running here: a steps row covers its iterations since it last started."""
@@ -674,20 +690,23 @@ class NodeRuntime:
         """The source side of a migration: park the job, prepare the payload and
         send it to the node at ``target_addr``. Its ACK tombstones the local copy;
         any failure resumes the job here and raises TransferFailed. Returns the ACK
-        and the move's figures; ``overhead_ms`` is the clock's advance across the send."""
+        and the move's figures; ``overhead_ms`` is the clock's advance across the send.
+        The lock is released from the park to the settling: a parked job takes no turn."""
         entry = self.job(job_id)
-        with entry.lock:
-            try:
+        try:
+            with self._gate, self._lock:
                 self._park(entry)  # the final capture: if it fails, the job resumes here
-                payload, info = self.prepare_transfer(job_id)
-                t0, start_ms = time.perf_counter_ns(), self.clock.now_ms()
-                ack = self.send(target_addr, MSG_CHECKPOINT_TRANSFER, payload)
-                info["transfer_ms"] = (time.perf_counter_ns() - t0) / 1e6
-                info["overhead_ms"] = self.clock.now_ms() - start_ms
-            except Exception as exc:
+            payload, info = self.prepare_transfer(job_id)
+            t0, start_ms = time.perf_counter_ns(), self.clock.now_ms()
+            ack = self.send(target_addr, MSG_CHECKPOINT_TRANSFER, payload)
+            info["transfer_ms"] = (time.perf_counter_ns() - t0) / 1e6
+            info["overhead_ms"] = self.clock.now_ms() - start_ms
+        except Exception as exc:
+            with self._gate, self._lock:
                 if entry.status == ST_QUIESCED:
                     entry.status = ST_RUNNING
-                raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
+            raise TransferFailed(f"transfer of {job_id!r} failed: {exc}") from exc
+        with self._gate, self._lock:
             self._retire(entry, "transfer")
         return info, ack
 
@@ -712,9 +731,9 @@ class NodeRuntime:
     def withdraw(self) -> list[tuple[int, dict]]:
         """Announce withdrawal once, with a ``withdraw`` row for each running job."""
         with self._lock:
-            if self.withdrawal is not None:
+            if self.withdrawal:
                 return []
-            self.withdrawal = threading.Event()
+            self.withdrawal = True
             for entry in self.jobs.values():
                 if entry.status == ST_RUNNING:
                     self.record("withdraw", entry.job_id, iteration=entry.task.iterations_done)
@@ -725,11 +744,19 @@ class NodeRuntime:
 # -- the wall-mode daemon -------------------------------------------------------
 
 class NodeDaemon(FrameServer):
-    """Frame server wrapping a NodeRuntime, with one execution thread per job."""
+    """Frame server wrapping a NodeRuntime, with one execution thread that calls
+    ``run_once`` while a job runs, else waits for a reply to be written."""
 
     def __init__(self, runtime: NodeRuntime, listen: str = "127.0.0.1:0"):
         super().__init__(listen)
         self.runtime = runtime
+        self._wake = threading.Event()  # set after a reply that may make a job runnable
+        threading.Thread(target=self._exec_loop, name=f"exec-{runtime.provider_id}",
+                         daemon=True).start()  # idle until a request admits a job
+
+    def stop(self) -> None:
+        super().stop()
+        self._wake.set()
 
     def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
         body = template_to_dict(template)
@@ -746,27 +773,29 @@ class NodeDaemon(FrameServer):
     # -- requests ----------------------------------------------------------------
 
     def handle(self, msg_type: int, payload: bytes) -> tuple:
-        """The runtime serves the request; a job it admits runs on its own thread once
-        the ACK is written."""
+        """The runtime serves the request. Once the ACK is written, a job it admits
+        starts taking turns, and the execution thread wakes."""
         body = payload if msg_type == MSG_CHECKPOINT_TRANSFER else parse_json(payload)
-        ack = self.runtime.serve(msg_type, body)
-        if msg_type in (MSG_JOB_SUBMIT, MSG_CHECKPOINT_TRANSFER):
-            return MSG_ACK, json_payload(ack), threading.Thread(
-                target=self._exec_loop, args=(ack["job_id"],), name=f"exec-{ack['job_id']}",
-                daemon=True).start
-        return MSG_ACK, json_payload(ack)
+        try:
+            ack = self.runtime.serve(msg_type, body)
+        except TransferFailed:
+            self._wake.set()  # the job resumed here
+            raise
 
-    # -- execution threads -----------------------------------------------------
+        def replied() -> None:
+            if msg_type in (MSG_JOB_SUBMIT, MSG_CHECKPOINT_TRANSFER):
+                self.runtime.start(ack["job_id"])
+            self._wake.set()
 
-    def _exec_loop(self, job_id: str) -> None:
-        rt = self.runtime
+        return MSG_ACK, json_payload(ack), replied
+
+    # -- the execution thread ------------------------------------------------------
+
+    def _exec_loop(self) -> None:
         while not self._stop.is_set():
-            if rt.withdrawal is not None:  # hold until the supervisor has answered the notice
-                rt.withdrawal.wait()
-            try:
-                rt.step(job_id)
-            except InvalidJobState:
-                return  # the job ended here, or moved away
+            if not self.runtime.run_once():
+                self._wake.wait()  # a wake set since the last run_once returns at once
+                self._wake.clear()
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -787,16 +816,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     data_dir = args.data_dir or tempfile.mkdtemp(prefix=f"jobmig-{args.id}-")
-    print_lock = threading.Lock()
-
-    def emit(row: dict) -> None:  # each timeline row is one JSON line on stdout
-        line = json.dumps(row, sort_keys=True)
-        with print_lock:
-            print(line, flush=True)
-
-    runtime = NodeRuntime(provider_id=args.id, clock=WallClock(), store_dir=data_dir,
-                          withdraw_at=args.withdraw_at, emit=emit,
-                          supervisor=args.supervisor)
+    runtime = NodeRuntime(  # each timeline row is one JSON line on stdout
+        provider_id=args.id, clock=WallClock(), store_dir=data_dir, withdraw_at=args.withdraw_at,
+        emit=lambda row: print(json.dumps(row, sort_keys=True), flush=True),
+        supervisor=args.supervisor)
     try:
         daemon = NodeDaemon(runtime, listen=args.listen)
     except BindFailure as exc:

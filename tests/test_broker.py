@@ -18,6 +18,7 @@ from jobmig.broker import (
 from jobmig.monitor import MonitorHub, ServiceLevelAgreement
 
 SLA = ServiceLevelAgreement(min_throughput=1.0)
+GOOD_ENTRY = {"provider_id": "x", "address": "127.0.0.1:7009", "cpu_mhz": 3000, "memory_mb": 512}
 
 
 def server1(**kw):
@@ -240,8 +241,17 @@ class TestBootstrapFile:
         assert [t.provider_id for t in templates] == ["server1", "server2"]
         assert templates[1].speed_factor == Fraction(59, 50)
 
-    def test_malformed_entry_rejected(self, tmp_path):
+    @pytest.mark.parametrize("entry", [
+        pytest.param({"provider_id": "x"}, id="missing-fields"),
+        pytest.param({**GOOD_ENTRY, "provider_id": ["x"]}, id="list-provider-id"),
+        pytest.param({**GOOD_ENTRY, "available": "false"}, id="string-available"),
+        pytest.param({**GOOD_ENTRY, "memory_mb": True}, id="bool-memory"),
+        pytest.param({**GOOD_ENTRY, "cpu_mhz": 3000.9}, id="float-cpu"),
+        pytest.param({**GOOD_ENTRY, "arch_tags": "x86"}, id="string-arch-tags")])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{"provider_id": "x"}]))
+        path.write_text(json.dumps([GOOD_ENTRY]))
+        assert load_providers(path)[0].provider_id == "x"  # each entry differs in one field
+        path.write_text(json.dumps([entry]))
         with pytest.raises(MalformedTemplate):
             load_providers(path)

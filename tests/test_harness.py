@@ -817,6 +817,25 @@ class TestWallMode:
         assert 1250 in [m.iterations_before for job_id in seeds
                         for m in env.supervisory.jobs[job_id].migrations]
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_jobs_that_share_a_node_each_account_their_own_time(self, tmp_path, k):
+        # the node runs its jobs in turn, so their exec_ms add up to no more than the span
+        env = harness.WallEnvironment(harness.default_providers()[:1], tmp_path)
+        seeds = {f"k{seed}": seed for seed in range(k)}
+        try:
+            env.start()
+            for job_id, seed in seeds.items():
+                env.deploy_sort(job_id, 2500, seed, start_on="server1")
+            results = {job_id: env.run_job(job_id) for job_id in seeds}
+        finally:
+            env.stop()
+        assert {job_id: r["digest"] for job_id, r in results.items()} \
+            == {job_id: reference_digest(2500, seed) for job_id, seed in seeds.items()}
+        rows = env.step_log.rows
+        span_ms = max(r["t"] for r in rows if r["event"] == "result") \
+            - min(r["t"] for r in rows if r.get("decision") == "submit")
+        assert sum(r["exec_ms"] for r in results.values()) <= span_ms
+
     def test_wall_scenario1_digest(self, tmp_path):
         outcome = harness.run_scenario1(150, 8, mode="wall", workdir=tmp_path)
         assert outcome.digest == reference_digest(150, 8)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from jobmig.broker import ResourceBroker, ResourceSpecTemplate, UnknownProvider
 from jobmig.monitor import (
-    InsufficientSamples,
     LocalAnalyzer,
     MonitorError,
     MonitorHub,
@@ -15,8 +14,6 @@ from jobmig.monitor import (
     ReportKind,
     ServiceLevelAgreement,
     WithdrawalEvent,
-    analyze_local,
-    pair_throughputs,
 )
 
 SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
@@ -24,6 +21,33 @@ SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=100
 
 def s(ts, iters, provider="p1", job="j1"):
     return MonitorSample(provider, job, ts, iters)
+
+
+def reports(samples, sla=SLA):
+    """What a fresh analyzer reports for each of ``samples`` in turn."""
+    analyzer = LocalAnalyzer("p1")
+    return [analyzer.observe(sample, sla) for sample in samples]
+
+
+def pair_rates(samples):
+    """Iterations/second over each adjacent pair of samples."""
+    return [(b.iterations_done - a.iterations_done) / ((b.timestamp_ms - a.timestamp_ms) / 1000)
+            for a, b in zip(samples, samples[1:])]
+
+
+def analyze_window(samples, sla):
+    """The whole-window analysis the analyzer must agree with: a violation when the
+    last window_k pair rates all fall below the floor, with the window_k samples that
+    end those pairs as evidence and the window_k + 1 that make them as its window."""
+    last, k = samples[-1], sla.window_k
+    rates = pair_rates(samples)
+    if len(rates) >= k and all(r < sla.min_throughput for r in rates[-k:]):
+        return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION,
+                                 provider_id=last.provider_id, job_id=last.job_id,
+                                 evidence=tuple(samples[-k:]), emitted_at=last.timestamp_ms,
+                                 window=tuple(samples[-k - 1:]))
+    return PerformanceReport(kind=ReportKind.NONE, provider_id=last.provider_id,
+                             job_id=last.job_id, emitted_at=last.timestamp_ms)
 
 
 class TestSla:
@@ -44,38 +68,38 @@ class TestSla:
         assert ServiceLevelAgreement.from_dict(SLA.to_dict()) == SLA
 
 
-class TestAnalyzeLocal:
+class TestViolationReport:
     def test_healthy_window_reports_none(self):
         window = [s(0, 0), s(1000, 10), s(2000, 20), s(3000, 30)]
-        assert analyze_local(window, SLA).kind is ReportKind.NONE
+        assert [r.kind for r in reports(window)] == [ReportKind.NONE] * 4
 
     def test_hand_computed_violation_window(self):
         # pair throughputs: 4/1s=4.0, 7/2s=3.5, 2/1s=2.0 -- all below the 5.0 floor
         window = [s(0, 0), s(1000, 4), s(3000, 11), s(4000, 13)]
-        assert pair_throughputs(window) == [4.0, 3.5, 2.0]
-        report = analyze_local(window, SLA)
+        assert pair_rates(window) == [4.0, 3.5, 2.0]
+        report = reports(window)[-1]
         assert report.kind is ReportKind.THROUGHPUT_VIOLATION
         assert report.evidence == tuple(window[-3:])
+        assert report.window == tuple(window)
         assert report.emitted_at == 4000
 
-    def test_one_sample_insufficient(self):
-        with pytest.raises(InsufficientSamples):
-            analyze_local([s(0, 0)], SLA)
+    def test_one_sample_reports_none(self):
+        assert [r.kind for r in reports([s(0, 0)])] == [ReportKind.NONE]
 
     def test_fewer_pairs_than_window_is_none(self):
         window = [s(0, 0), s(1000, 1)]  # one slow pair, window_k=3
-        assert analyze_local(window, SLA).kind is ReportKind.NONE
+        assert reports(window)[-1].kind is ReportKind.NONE
 
     def test_recovery_breaks_the_streak(self):
         window = [s(0, 0), s(1000, 1), s(2000, 2), s(3000, 12), s(4000, 13)]
-        assert analyze_local(window, SLA).kind is ReportKind.NONE
+        assert [r.kind for r in reports(window)] == [ReportKind.NONE] * 5
 
     def test_evidence_carries_exactly_window_k_samples(self):
         for k in (1, 2, 4):
             sla = ServiceLevelAgreement(min_throughput=5.0, window_k=k, sample_period_ms=1000)
             window = [s(i * 1000, i) for i in range(8)]  # 1 it/s throughout
-            report = analyze_local(window, sla)
-            assert report.kind is ReportKind.THROUGHPUT_VIOLATION
+            report = next(r for r in reports(window, sla)
+                          if r.kind is ReportKind.THROUGHPUT_VIOLATION)
             assert len(report.evidence) == k
 
 
@@ -112,7 +136,7 @@ class TestDetectionLatency:
                           min_size=1, max_size=80))
     def test_observe_matches_analysis_of_the_whole_history(self, k, floor, steps):
         """The analyzer keeps only the last window_k+1 samples, yet reports what
-        analyze_local reports over every sample since the last violation."""
+        analysing every sample since the last violation reports."""
         sla = ServiceLevelAgreement(min_throughput=float(floor), window_k=k,
                                     sample_period_ms=1000)
         analyzer = LocalAnalyzer("p1")
@@ -127,7 +151,8 @@ class TestDetectionLatency:
                 assert got == PerformanceReport(kind=ReportKind.NONE, provider_id="p1",
                                                 job_id="j1", emitted_at=t)
             else:
-                assert got == analyze_local(history, sla)
+                assert got == analyze_window(history, sla)
+                assert got.window == analyze_window(history, sla).window
             if got.kind is ReportKind.THROUGHPUT_VIOLATION:
                 history = []
 
@@ -225,7 +250,7 @@ class WholeWindowAnalyzer:
         if len(window) < 2:
             return PerformanceReport(kind=ReportKind.NONE, provider_id=self.provider_id,
                                      job_id=sample.job_id, emitted_at=sample.timestamp_ms)
-        report = analyze_local(list(window), sla)
+        report = analyze_window(list(window), sla)
         if report.kind is ReportKind.THROUGHPUT_VIOLATION:
             window.clear()
         return report

@@ -2,6 +2,7 @@ import errno
 import math
 import socket
 import struct
+import threading
 import time
 from fractions import Fraction
 
@@ -292,7 +293,7 @@ class TestSimExecution:
         assert [(t, body.get("failed")) for t, body in sent] \
             == [(nd.MSG_WITHDRAW_NOTICE, None), (nd.MSG_RESULT_RETURN, True)]
         assert runtime.job("j1").status == nd.ST_FAILED
-        assert runtime.withdrawal.is_set()  # the node's other jobs may step on
+        assert runtime.withdrawal  # announced once: no later iteration withdraws again
 
     def test_withdraw_idempotent(self, tmp_path):
         runtime = sim_runtime(tmp_path)
@@ -378,16 +379,77 @@ class TestYieldPoints:
         assert runtime.job("j").next_sample_ms == 30 + 25
 
     def test_a_wall_job_holds_while_another_job_withdraws(self, tmp_path):
-        runtime = nd.NodeRuntime("w", nd.WallClock(), tmp_path / "w", withdraw_at=3)
+        notices = []
+
+        def send(addr, msg_type, body):  # what b has done while the notice is unanswered
+            notices.append((nd.MSG_NAMES[msg_type], b.status, b.task.iterations_done))
+            return {"ok": True, "ended": []}
+
+        runtime = nd.NodeRuntime("w", nd.WallClock(), tmp_path / "w", withdraw_at=3,
+                                 supervisor="sup", send=send)
         for job_id in "ab":
             runtime.submit_job(job_id, "sort", {"n": 200, "seed": 1}, checkpoint_interval=64)
-        assert [m for m, _ in runtime.run_iteration("a")] == [nd.MSG_WITHDRAW_NOTICE]
+            runtime.start(job_id)
         b = runtime.job("b")
-        assert runtime.run_iteration("b") == []  # one step, then it holds for the answer
-        assert (b.status, b.task.iterations_done) == (nd.ST_RUNNING, 1)
-        runtime.withdrawal.set()  # answered: b runs on to its next capture
-        runtime.run_iteration("b")
+        assert runtime.run_once()  # a reaches 3 and withdraws; the answer resumes it
+        assert notices == [("WITHDRAW_NOTICE", nd.ST_RUNNING, 0)]
+        assert (b.status, b.task.iterations_done) == (nd.ST_RUNNING, 0)  # held until then
+        assert runtime.run_once()  # answered: b runs on to its next capture
         assert b.task.iterations_done == 64
+
+
+class TestTurns:
+    """``run_once`` steps the node's started jobs in turn, one stretch each."""
+
+    @staticmethod
+    def turns_taken(runtime, count):
+        taken = []
+        run_iteration = runtime.run_iteration
+        runtime.run_iteration = lambda job_id: taken.append(job_id) or run_iteration(job_id)
+        for _ in range(count):
+            assert runtime.run_once()
+        return taken
+
+    def test_turns_rotate_in_admission_order(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(1))
+        for job_id in "abc":
+            runtime.submit_job(job_id, "sort", {"n": 40, "seed": 1}, checkpoint_interval=4)
+            runtime.start(job_id)
+        assert self.turns_taken(runtime, 6) == list("abcabc")
+        assert [runtime.job(j).task.iterations_done for j in "abc"] == [8, 8, 8]
+        runtime.submit_job("d", "sort", {"n": 40, "seed": 2}, checkpoint_interval=4)
+        runtime.start("d")  # a job started later takes its turn after the others
+        assert self.turns_taken(runtime, 4) == list("abcd")
+
+    def test_parked_tombstoned_done_and_failed_jobs_take_no_turn(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(1), withdraw_at=3)
+        target = sim_runtime(tmp_path / "t")
+        runtime.send = lambda addr, msg_type, body: target.serve(msg_type, body)
+        for job_id in "ptdfr":
+            runtime.submit_job(job_id, "sort", {"n": 40, "seed": 1}, checkpoint_interval=4)
+            runtime.start(job_id)
+        runtime.run_iteration("p")  # reaches withdraw_at: parked
+        runtime.hand_off("t", "127.0.0.1:7002")
+        run_to_completion(runtime, "d")
+
+        def broken_step():
+            raise RuntimeError("step failed")
+
+        runtime.job("f").task.step = broken_step
+        runtime.run_iteration("f")
+        assert [runtime.job(j).status for j in "ptdfr"] == [
+            nd.ST_QUIESCED, nd.ST_TOMBSTONED, nd.ST_DONE, nd.ST_FAILED, nd.ST_RUNNING]
+        assert self.turns_taken(runtime, 3) == list("rrr")
+
+    def test_no_runnable_job_is_no_turn(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(1))
+        assert not runtime.run_once()
+        runtime.submit_job("j", "sort", {"n": 10, "seed": 1}, checkpoint_interval=64)
+        assert not runtime.run_once()  # admitted, not yet started
+        runtime.start("j")
+        assert runtime.run_once()
+        assert runtime.job("j").status == nd.ST_DONE
+        assert not runtime.run_once()
 
 
 class TickClock(nd.WallClock):
@@ -727,6 +789,26 @@ class TestDaemon:
             _, body = listener.events.get(timeout=10)
             results[body["job_id"]] = body["digest"]
         assert results == {"c1": reference_digest(200, 1), "c2": reference_digest(150, 2)}
+
+    def test_a_node_runs_its_jobs_on_one_thread(self, tmp_path, listener):
+        runtime = nd.NodeRuntime(provider_id="loop1", clock=nd.WallClock(),
+                                 store_dir=tmp_path / "loop1", supervisor=listener.address)
+        before = set(threading.enumerate())
+        d = nd.NodeDaemon(runtime)
+        d.start()
+        try:
+            for seed in range(3):
+                spec = {"job_id": f"t{seed}", "task_kind": "sort",
+                        "params": {"n": 1500, "seed": seed}}
+                assert send_request(d.address, nd.MSG_JOB_SUBMIT, nd.json_payload(spec))[0] \
+                    == nd.MSG_ACK
+            assert [t.name for t in set(threading.enumerate()) - before
+                    if t.name.startswith("exec-")] == ["exec-loop1"]
+            results = [listener.events.get(timeout=10)[1] for _ in range(3)]
+        finally:
+            d.stop()
+        assert {body["job_id"]: body["digest"] for body in results} \
+            == {f"t{seed}": reference_digest(1500, seed) for seed in range(3)}
 
     def test_transfer_over_the_wire(self, daemon, tmp_path, listener):
         source = sim_runtime(tmp_path / "src", withdraw_at=20)
