@@ -205,19 +205,27 @@ class FrameServer:
             raise BindFailure(f"cannot bind {listen}: {exc}") from exc
         self.address = "%s:%d" % self._server.getsockname()[:2]
         self._stop = threading.Event()
+        self._accept_thread: threading.Thread | None = None
 
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         raise NotImplementedError
 
     def start(self) -> None:
-        threading.Thread(target=self._accept_loop, name="accept", daemon=True).start()
+        self._accept_thread = threading.Thread(target=self._accept_loop, name="accept",
+                                               daemon=True)
+        self._accept_thread.start()
 
     def stop(self) -> None:
+        """Close the listening socket and end the accept thread: a shutdown wakes
+        the blocked ``accept``, which closing alone does not."""
         self._stop.set()
         try:
-            self._server.close()
-        except OSError:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut
             pass
+        self._server.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5)
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():

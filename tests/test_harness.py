@@ -743,8 +743,8 @@ class TestWallMode:
         env.supervisory.decide = first_report_of_each_job
         try:
             env.start()
-            for seed in range(10):
-                env.deploy_sort(f"sla-{seed}", 1000, seed, start_on="server1")
+            for seed in range(10):  # a 5000-step job moves by about step 1000
+                env.deploy_sort(f"sla-{seed}", 5000, seed, start_on="server1")
                 assert env.run_job(f"sla-{seed}")["provider_id"] == "server2"
         finally:
             env.stop()

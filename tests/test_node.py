@@ -14,6 +14,7 @@ from jobmig import node as nd
 from jobmig import workload
 from jobmig.broker import ResourceSpecTemplate
 from jobmig.control import TransferFailed
+from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
 from conftest import (DEFAULT_TEST_SLA, images_of, reference_digest, run_to, transfer_bundle,
@@ -744,6 +745,19 @@ def refusing_supervisor():
 
 
 class TestDaemon:
+    def test_a_stopped_server_leaves_no_accept_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        for i in range(4):
+            runtime = nd.NodeRuntime(provider_id=f"s{i}", clock=nd.WallClock(),
+                                     store_dir=tmp_path / str(i))
+            servers = [nd.NodeDaemon(runtime), SupervisoryListener(lambda t, body: {"ok": True})]
+            servers[0].start()
+            for server in servers[i % 2:]:  # a connection first, or none
+                socket.create_connection(nd.parse_hostport(server.address), timeout=5).close()
+            for server in servers:
+                server.stop()
+        assert [t for t in threading.enumerate() if t.name == "accept" and t not in before] == []
+
     def test_submit_and_result_return(self, daemon, listener):
         daemon.runtime.supervisor = listener.address
         spec = {"job_id": "w1", "task_kind": "sort", "params": {"n": 40, "seed": 5},

@@ -28,6 +28,43 @@ def oracle_fnv1a64(data):
     return reduce(lambda h, b: ((h ^ b) * 0x100000001B3) & M64, data, 0xCBF29CE484222325)
 
 
+def scan_step(fields, touched):
+    """Reference selection-sort step: scan the suffix for its first minimum."""
+    arr, it = fields[workload.FIELD_ARRAY], fields[workload.FIELD_ITER]
+    j = arr.index(min(arr[it:]), it)
+    arr[it], arr[j] = arr[j], arr[it]
+    touched.setdefault(workload.FIELD_ARRAY, set()).update((it, j))
+    fields[workload.FIELD_ITER] = it + 1
+    if it + 1 == len(arr):
+        fields[workload.FIELD_DONE] = 1
+
+
+def sort_task(values, job_id="s"):
+    fields = {workload.FIELD_ITER: 0, workload.FIELD_ARRAY: list(values),
+              workload.FIELD_DONE: 0}
+    return workload.SortTask(cp.TaskState(job_id, fields))
+
+
+def assert_steps_like_the_scan(task):
+    """Step ``task`` to its end, checking each step against the reference scan."""
+    ref = cp.TaskState(task.state.job_id, {fid: list(v) if type(v) is list else v
+                                           for fid, v in task.state.fields.items()},
+                       {fid: set(t) for fid, t in task.state.touched.items()})
+    while not task.done:
+        task.step()
+        scan_step(ref.fields, ref.touched)
+        assert task.state.fields == ref.fields
+        assert task.state.touched == ref.touched
+        assert task.done == (ref.fields[workload.FIELD_DONE] == 1)
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+SORT_VALUES = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=80),
+    st.lists(st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]), min_size=1, max_size=80),
+    st.lists(INT64, min_size=1, max_size=80))
+
+
 class TestPrng:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 123456789])
     def test_matches_independent_implementation(self, seed):
@@ -166,6 +203,40 @@ class TestProperties:
         assert remaining == 0
         arr = task.state.fields[workload.FIELD_ARRAY]
         assert all(a <= b for a, b in zip(arr, arr[1:]))
+
+
+class TestIndexedStep:
+    @given(values=SORT_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_every_step_matches_the_scan(self, values):
+        assert_steps_like_the_scan(sort_task(values))
+
+    @pytest.mark.parametrize("values", [[7], [-(2**63)], [2**63 - 1], [5, 5, 5, 5],
+                                        [2**63 - 1, -(2**63), 0, -(2**63), 2**63 - 1]])
+    def test_edge_arrays_match_the_scan(self, values):
+        assert_steps_like_the_scan(sort_task(values))
+
+    @given(values=SORT_VALUES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_task_rebuilt_mid_run_matches_the_scan(self, values, data):
+        """A task composed from a captured lineage builds its index at iter > 0."""
+        n = len(values)
+        task = sort_task(values, job_id="m")
+        images: cp.Images = {}
+        full = cp.capture_full(task.state, 0, images)
+        task.state.touched = {}
+        incrementals = []
+        for cut in sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4))):
+            while task.iterations_done < cut:
+                task.step()
+            incrementals.append(cp.capture_incremental(task.state, images,
+                                                       len(incrementals) + 1))
+            task.state.touched = {}
+        resumed = workload.SortTask(cp.compose(full, incrementals))
+        assert resumed.state.fields == task.state.fields
+        assert_steps_like_the_scan(resumed)
+        assert_steps_like_the_scan(task)
+        assert resumed.state.fields == task.state.fields
 
 
 class TestFromState:
