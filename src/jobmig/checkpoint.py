@@ -66,6 +66,7 @@ import os
 import re
 import struct
 import sys
+import weakref
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -465,12 +466,21 @@ def decode_bundle(data: bytes) -> list[CheckpointRecord]:
 _SAFE_NAME = re.compile(r"[A-Za-z0-9._-]{1,80}")
 
 
+def _close_all(fds: dict[str, int]) -> None:
+    while fds:
+        os.close(fds.popitem()[1])
+
+
 class CheckpointStore:
-    """Per-job append-only record files (``<job_id>.ckpt``)."""
+    """Per-job append-only record files (``<job_id>.ckpt``). A job's first append
+    opens its file, and later ones write through that descriptor until ``close``;
+    what the store still holds is closed when it is collected."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._fds: dict[str, int] = {}  # job id -> its file, open for appending
+        weakref.finalize(self, _close_all, self._fds)
 
     def path_for(self, job_id: str) -> Path:
         if _SAFE_NAME.fullmatch(job_id):
@@ -479,22 +489,30 @@ class CheckpointStore:
             name = "j" + hashlib.sha256(job_id.encode("utf-8")).hexdigest()[:24]
         return self.root / f"{name}.ckpt"
 
-    def append(self, record: CheckpointRecord) -> Path:
+    def append(self, record: CheckpointRecord) -> None:
         """Write the record at the end of its job's file, whole, or raise and leave
-        the file as it was."""
-        path = self.path_for(record.job_id)
+        the file as it was. The write is unbuffered: what returned is in the file."""
+        fd = self._fds.get(record.job_id)
+        if fd is None:
+            fd = os.open(self.path_for(record.job_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                         0o666)
+            self._fds[record.job_id] = fd
         data = memoryview(encode(record))
         size = len(data)
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             while data:  # a short write leaves the rest for the next call
                 data = data[os.write(fd, data):]
         except BaseException:  # leave no torn record: the file ends where this one began
             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_END) - (size - len(data)))
             raise
-        finally:
+
+    def close(self, job_id: str | None = None) -> None:
+        """Close the job's file, or with no job every file the store holds; a later
+        append opens it again."""
+        if job_id is None:
+            _close_all(self._fds)
+        elif (fd := self._fds.pop(job_id, None)) is not None:
             os.close(fd)
-        return path
 
     def load(self, job_id: str) -> list[CheckpointRecord]:
         """The job's records: none if its file is missing, or empty because its

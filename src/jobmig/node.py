@@ -463,19 +463,24 @@ class NodeRuntime:
     def _admit(self, entry: JobExecution) -> None:
         """Register a new job once its lineage is durable: a received lineage is
         stored as it came, with a ``resume`` row, and a job with none gets a full capture.
-        A job this node already knows, or whose first write fails, leaves the node unchanged."""
+        A job this node already knows, or whose first write fails, leaves the node
+        unchanged, and the file a failed write opened is closed."""
         if entry.checkpoint_interval < 1:
             raise MalformedPayload("checkpoint_interval must be >= 1")
         entry.first_iteration = entry.steps_from = entry.task.iterations_done
         with self._gate, self._lock:
             if entry.job_id in self.jobs:
                 raise DuplicateJob(f"job {entry.job_id!r} already known to {self.provider_id!r}")
-            if entry.lineage:
-                for record in entry.lineage:
-                    self.store.append(record)
-                self.record("resume", entry.job_id, iteration=entry.first_iteration)
-            else:
-                self._capture(entry)
+            try:
+                if entry.lineage:
+                    for record in entry.lineage:
+                        self.store.append(record)
+                    self.record("resume", entry.job_id, iteration=entry.first_iteration)
+                else:
+                    self._capture(entry)
+            except BaseException:
+                self.store.close(entry.job_id)
+                raise
             self.jobs[entry.job_id] = entry
         if entry.sla is not None:
             entry.next_sample_ms = self.clock.now_ms() + entry.sla.sample_period_ms
@@ -655,19 +660,24 @@ class NodeRuntime:
                         entry.status = ST_RUNNING
 
     def stop_running(self, entry: JobExecution, status: str) -> None:
-        """The job stops running here: a steps row covers its iterations since it last started."""
+        """The job stops running here: a steps row covers its iterations since it last started.
+        It closes the job's file, except for a park, which closes it once its record is in."""
         entry.status = status
+        if status != ST_QUIESCED:
+            self.store.close(entry.job_id)
         self.record("steps", entry.job_id, first=entry.steps_from,
                     end=entry.task.iterations_done)
         entry.steps_from = entry.task.iterations_done
 
     def _park(self, entry: JobExecution) -> None:
         """Stop a running job with its lineage one full record of its live state,
-        the record a hand-off ships."""
+        the record a hand-off ships, and close its file: a job that resumes here
+        opens it again."""
         if entry.status == ST_RUNNING:
             self.stop_running(entry, ST_QUIESCED)
             if entry.since_checkpoint or len(entry.lineage) > 1:
                 self._capture(entry, full=True)
+            self.store.close(entry.job_id)
 
     def _retire(self, entry: JobExecution, event: str) -> None:
         """The job leaves this node for good, with an ``event`` row: moved away, or dropped."""
@@ -759,12 +769,17 @@ class NodeDaemon(FrameServer):
         super().__init__(listen)
         self.runtime = runtime
         self._wake = threading.Event()  # set after a reply that may make a job runnable
-        threading.Thread(target=self._exec_loop, name=f"exec-{runtime.provider_id}",
-                         daemon=True).start()  # idle until a request admits a job
+        self._exec_thread = threading.Thread(target=self._exec_loop,
+                                             name=f"exec-{runtime.provider_id}", daemon=True)
+        self._exec_thread.start()  # idle until a request admits a job
 
     def stop(self) -> None:
+        """Stop serving, end the execution thread, and close every file the store holds."""
         super().stop()
         self._wake.set()
+        self._exec_thread.join(timeout=5)
+        with self.runtime._lock:
+            self.runtime.store.close()
 
     def register_with_supervisor(self, template: ResourceSpecTemplate) -> None:
         body = template_to_dict(template)

@@ -1,5 +1,7 @@
 import errno
+import gc
 import math
+import os
 import socket
 import struct
 import threading
@@ -703,6 +705,193 @@ class TestTransfer:
         assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 5)
         run_to_completion(source, "js")
         assert entry.task.digest() == reference_digest(30, 6)
+
+
+def open_files(root):
+    """The files under ``root`` that this process holds open, one entry a descriptor."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing
+            continue
+        if target.startswith(f"{root}{os.sep}"):
+            held.append(target)
+    return sorted(held)
+
+
+def fail_writes(monkeypatch):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cp.os, "write", full)
+
+
+class TestHeldFile:
+    """A node writes a job's records through one descriptor, held from the job's
+    first record until the job stops running here, and never past its node."""
+
+    def test_a_job_holds_one_file_until_it_completes(self, tmp_path):
+        runtime = sim_runtime(tmp_path, cost=Fraction(1))
+        runtime.submit_job("jh", "sort", {"n": 60, "seed": 3}, checkpoint_interval=4)
+        run_to(runtime, "jh", 20)
+        assert open_files(tmp_path) == [str(runtime.store.path_for("jh"))]
+        run_to_completion(runtime, "jh")
+        assert open_files(tmp_path) == []
+
+    def test_a_failed_job_closes_its_file(self, tmp_path):
+        runtime = sim_runtime(tmp_path)
+        runtime.submit_job("jf", "sort", {"n": 30, "seed": 3})
+
+        def broken_step():
+            raise RuntimeError("step failed")
+
+        runtime.job("jf").task.step = broken_step
+        assert dict(runtime.run_iteration("jf"))[nd.MSG_RESULT_RETURN]["failed"]
+        assert runtime.job("jf").status == nd.ST_FAILED
+        assert open_files(tmp_path) == []
+
+    def test_a_moved_job_closes_its_file_at_its_park(self, tmp_path):
+        source = sim_runtime(tmp_path / "a", withdraw_at=10)
+        target = sim_runtime(tmp_path / "b")
+        source.send = lambda addr, msg_type, body: target.serve(msg_type, body)
+        source.submit_job("jt", "sort", {"n": 30, "seed": 3})
+        run_to(source, "jt", 10)
+        assert open_files(tmp_path / "a") == []  # parked: closed once the park's record is in
+        source.hand_off("jt", "127.0.0.1:7002")
+        assert open_files(tmp_path / "b") == [str(target.store.path_for("jt"))]
+        run_to_completion(target, "jt")
+        assert open_files(tmp_path) == []
+
+    def test_a_parked_job_that_resumes_opens_its_file_again(self, tmp_path):
+        def cut(addr, msg_type, body):
+            raise ConnectionResetError("wire cut")
+
+        source = sim_runtime(tmp_path, withdraw_at=10, send=cut)
+        source.submit_job("jr", "sort", {"n": 40, "seed": 6}, checkpoint_interval=4)
+        run_to(source, "jr", 10)
+        with pytest.raises(TransferFailed):
+            source.hand_off("jr", "127.0.0.1:7002")
+        assert open_files(tmp_path) == []
+        run_to(source, "jr", 14)  # the next capture, 4 after the park's
+        assert open_files(tmp_path) == [str(source.store.path_for("jr"))]
+        run_to_completion(source, "jr")
+        records = source.store.load("jr")  # the whole file decodes
+        assert [r.seq for r in records] == list(range(len(records)))
+        assert open_files(tmp_path) == []
+
+    def test_a_dropped_job_closes_its_file(self, tmp_path):
+        """Dropped while parked (``a``, at the withdrawal) or while running (``b``)."""
+        runtime = sim_runtime(tmp_path, withdraw_at=5, supervisor="sup",
+                              send=lambda *msg: {"ok": True, "ended": ["a", "b"]})
+        runtime.submit_job("a", "sort", {"n": 12, "seed": 2})
+        runtime.submit_job("b", "sort", {"n": 12, "seed": 3})
+        assert len(open_files(tmp_path)) == 2
+        run_to(runtime, "a", 5, call="step")
+        assert [runtime.job(j).status for j in "ab"] == [nd.ST_TOMBSTONED] * 2
+        assert open_files(tmp_path) == []
+
+    @pytest.mark.parametrize("request_kind", [nd.MSG_JOB_SUBMIT, nd.MSG_CHECKPOINT_TRANSFER],
+                             ids=["submit", "transfer"])
+    def test_a_refused_admission_closes_the_file_it_opened(self, tmp_path, monkeypatch,
+                                                           request_kind):
+        if request_kind == nd.MSG_JOB_SUBMIT:
+            body = {"job_id": "jr", "task_kind": "sort", "params": {"n": 20, "seed": 1}}
+        else:
+            state = workload.init_sort(20, 1, job_id="jr").state
+            body = transfer_payload(cp.encode(cp.capture_full(state, 0)))
+        runtime = sim_runtime(tmp_path)
+        with monkeypatch.context() as patch:
+            fail_writes(patch)
+            with pytest.raises(OSError):
+                runtime.serve(request_kind, body)
+        assert runtime.jobs == {}
+        assert open_files(tmp_path) == []
+        runtime.serve(request_kind, body)  # the retry opens it again, and runs
+        run_to_completion(runtime, "jr")
+        assert runtime.job("jr").task.digest() == reference_digest(20, 1)
+        assert open_files(tmp_path) == []
+
+    def test_a_stopped_daemon_closes_the_file_of_a_running_job(self, tmp_path):
+        runtime = nd.NodeRuntime(provider_id="d2", clock=nd.WallClock(), store_dir=tmp_path)
+        d = nd.NodeDaemon(runtime)
+        d.start()
+        runtime.submit_job("js", "sort", {"n": 50, "seed": 4})  # admitted, never started
+        assert open_files(tmp_path) == [str(runtime.store.path_for("js"))]
+        d.stop()
+        assert runtime.job("js").status == nd.ST_RUNNING
+        assert open_files(tmp_path) == []
+
+    def test_a_collected_store_closes_its_files(self, tmp_path):
+        store = cp.CheckpointStore(tmp_path)
+        store.append(cp.capture_full(workload.init_sort(8, 1, job_id="jg").state, 0))
+        assert len(open_files(tmp_path)) == 1
+        del store
+        gc.collect()
+        assert open_files(tmp_path) == []
+
+    def test_the_descriptor_count_is_unchanged_around_every_ending(self, tmp_path, monkeypatch):
+        """The process's whole descriptor table, around one job per ending."""
+        before = len(os.listdir("/proc/self/fd"))
+        self.test_a_job_holds_one_file_until_it_completes(tmp_path / "done")
+        self.test_a_failed_job_closes_its_file(tmp_path / "failed")
+        self.test_a_moved_job_closes_its_file_at_its_park(tmp_path / "moved")
+        self.test_a_parked_job_that_resumes_opens_its_file_again(tmp_path / "resumed")
+        self.test_a_dropped_job_closes_its_file(tmp_path / "dropped")
+        for kind in (nd.MSG_JOB_SUBMIT, nd.MSG_CHECKPOINT_TRANSFER):
+            self.test_a_refused_admission_closes_the_file_it_opened(
+                tmp_path / f"refused-{kind}", monkeypatch, kind)
+        self.test_a_stopped_daemon_closes_the_file_of_a_running_job(tmp_path / "stopped")
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_a_job_that_comes_back_appends_after_its_earlier_records(self, tmp_path):
+        """A node keeps a job it moved away as tombstoned, so the job comes back to
+        the node restarted on the same store: its file goes on where it ended."""
+        a = sim_runtime(tmp_path / "a", withdraw_at=10)
+        b = sim_runtime(tmp_path / "b", withdraw_at=20)
+        a.submit_job("jb", "sort", {"n": 40, "seed": 5}, checkpoint_interval=4)
+        run_to(a, "jb", 10)
+        a.send = lambda addr, msg_type, body: b.serve(msg_type, body)
+        a.hand_off("jb", "127.0.0.1:7002")
+        before = a.store.load("jb")
+        run_to(b, "jb", 20)
+        back = sim_runtime(tmp_path / "a")
+        b.send = lambda addr, msg_type, body: back.serve(msg_type, body)
+        b.hand_off("jb", "127.0.0.1:7001")
+        run_to_completion(back, "jb")
+        assert back.job("jb").task.digest() == reference_digest(40, 5)
+        records = back.store.load("jb")  # the whole file decodes
+        assert records[:len(before)] == before
+        later = records[len(before):]
+        assert later[0] == b.job("jb").lineage[0]  # the record the move shipped
+        reference = workload.init_sort(40, 5, job_id="jb")
+        for _ in range(36):  # the last capture came after iteration 36
+            reference.step()
+        assert cp.compose(later[0], later[1:]).fields == reference.state.fields
+        assert open_files(tmp_path) == []
+
+    def test_only_the_first_record_opens_the_file(self, tmp_path, monkeypatch):
+        """After a job's first record, each capture and the park is one write."""
+        opened, writes, os_open, os_write = [], [], os.open, os.write
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).startswith(str(tmp_path)):
+                opened.append(path)
+            return os_open(path, *args, **kwargs)
+
+        def counting_write(fd, data):
+            writes.append(fd)
+            return os_write(fd, data)
+
+        monkeypatch.setattr(cp.os, "open", counting_open)
+        runtime = sim_runtime(tmp_path, withdraw_at=30)
+        runtime.submit_job("jo", "sort", {"n": 40, "seed": 6}, checkpoint_interval=4)
+        monkeypatch.setattr(cp.os, "write", counting_write)
+        run_to(runtime, "jo", 30)  # captures, then the park's full record
+        monkeypatch.undo()
+        assert runtime.job("jo").status == nd.ST_QUIESCED
+        assert opened == [runtime.store.path_for("jo")]
+        assert len(writes) == len(runtime.store.load("jo")) - 1 == 8
 
 
 def transfer_payload(bundle: bytes, settings: bytes = b"{}") -> bytes:

@@ -70,10 +70,6 @@ class TestPrng:
     def test_matches_independent_implementation(self, seed):
         assert workload.splitmix64(seed, 20) == oracle_splitmix64(seed, 20)
 
-    def test_fnv_matches_independent_implementation(self):
-        for data in (b"", b"a", b"hello world", bytes(range(256))):
-            assert workload.fnv1a64(data) == oracle_fnv1a64(data)
-
 
 class TestInitSort:
     def test_total_iterations_is_n(self):
@@ -157,6 +153,19 @@ class TestDigest:
             task.step()
         packed = b"".join(struct.pack(">q", v) for v in expected_array)
         assert task.digest() == oracle_fnv1a64(packed)
+
+    @given(values=st.lists(st.one_of(
+        INT64, st.integers(min_value=-(2**24), max_value=2**25),
+        st.sampled_from([-(2**63), -(2**24), -1, 0, 1, 2**24 - 1, 2**24, 2**32, 2**63 - 1])),
+        max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_digest_is_fnv1a64_of_the_big_endian_int64_bytes(self, values):
+        """Each element's hash steps, the short path for [0, 2**24) included, give
+        the byte-by-byte hash of the whole array."""
+        fields = {workload.FIELD_ITER: len(values), workload.FIELD_ARRAY: values,
+                  workload.FIELD_DONE: 1}
+        task = workload.SortTask(cp.TaskState("d", fields))
+        assert task.digest() == oracle_fnv1a64(struct.pack(f">{len(values)}q", *values))
 
 
 class TestProperties:
