@@ -1,11 +1,13 @@
 """Job control: the supervisory agent and the local tuning rule.
 
 The supervisory agent deploys jobs through the broker, acts on a node's
-result or report only while the job runs on that node, and turns each report,
-once, into a decision: continue, reschedule to the best-ranked provider, or
-renegotiate the SLA. A migration carries the job's checkpointed state to the
-new provider. Each decision goes to its ``emit`` as a timeline row ``{"t",
-"event": "decision", "job_id", "provider", "report_kind", "decision", "detail"}``.
+result or report only while the job runs on that node, and turns each
+throughput violation, once, into a decision: reschedule to a strictly better
+provider, or renegotiate the SLA. A provider's withdrawal moves each job
+running there to its best-ranked target, or fails it (``on_withdrawal``). A
+migration carries the job's checkpointed state to the new provider. Each
+decision goes to its ``emit`` as a timeline row ``{"t", "event": "decision",
+"job_id", "provider", "report_kind", "decision", "detail"}``.
 Local tuning (``tune_decision``) is a node's first answer to a confirmed violation,
 before any report leaves it: a job that checkpointing less often could speed up to
 its floor gets a doubled interval, and a miss that persists is confirmed anew.
@@ -29,7 +31,6 @@ from .broker import (
 from .monitor import (
     MonitorSample,
     PerformanceReport,
-    ReportKind,
     ServiceLevelAgreement,
 )
 
@@ -89,10 +90,8 @@ class JobEntry:
 
 
 class DecisionAction(enum.Enum):
-    CONTINUE = "continue"
     RESCHEDULE = "reschedule"
     RENEGOTIATE_SLA = "renegotiate_sla"
-    FAIL = "fail"
 
 
 @dataclass(frozen=True)
@@ -210,22 +209,11 @@ class SupervisoryAgent:
         return [(pid, pscore) for pid, pscore in ranked if pid not in skip]
 
     def decide(self, report: PerformanceReport) -> Decision:
-        """Pure decision function of (report, state, broker snapshot)."""
+        """Pure decision function of (violation report, state, broker snapshot):
+        move only if somewhere strictly better exists, else relax the floor."""
         entry = self.jobs[report.job_id]
-        if report.kind is ReportKind.NONE:
-            return Decision(DecisionAction.CONTINUE, reason="no problem detected")
-
-        targets = self.targets(entry)
-        if report.kind is ReportKind.RESOURCE_WITHDRAWN:
-            if targets:
-                return Decision(DecisionAction.RESCHEDULE, target=targets[0][0],
-                                reason=f"provider {report.provider_id} withdrew")
-            return Decision(DecisionAction.FAIL,
-                            reason="no alternative provider after withdrawal")
-
-        # throughput violation: move only if somewhere strictly better exists
         current_score = score(self.broker.get(entry.current_provider), entry.jrl)
-        for pid, pscore in targets:
+        for pid, pscore in self.targets(entry):
             if pscore > current_score:
                 return Decision(DecisionAction.RESCHEDULE, target=pid,
                                 reason="strictly better provider available")
@@ -234,8 +222,8 @@ class SupervisoryAgent:
                         reason="no better provider; relaxing throughput floor")
 
     def on_report(self, report: PerformanceReport) -> Decision | None:
-        """Decide and apply a report the first time it comes: migrate, record the
-        new SLA, or fail the job. A refused or repeated report gets no decision."""
+        """Decide and apply a report the first time it comes: migrate, or record
+        the new SLA. A refused or repeated report gets no decision."""
         entry = self._acts_on(report.job_id, report.provider_id, report.kind.value)
         if entry is None or report in entry.reports:
             return None
@@ -244,16 +232,38 @@ class SupervisoryAgent:
         self._record(report.job_id, report.kind.value, decision.action.value,
                      decision.reason + (f" target={decision.target}" if decision.target else ""))
         if decision.action is DecisionAction.RESCHEDULE:
-            try:
-                self.migrate(report.job_id, decision.target)
-            except TransferFailed as exc:
-                self._record(report.job_id, "migrate", "transfer_failed", str(exc))
-        elif decision.action is DecisionAction.RENEGOTIATE_SLA:
+            self._move(report.job_id, decision.target)
+        else:
             self.transport.update_sla(entry.current_provider, report.job_id, decision.new_sla)
             entry.sla = decision.new_sla
-        elif decision.action is DecisionAction.FAIL:
-            entry.status = JobStatus.FAILED
         return decision
+
+    def on_withdrawal(self, provider_id: str) -> list[str]:
+        """Mark the provider unavailable, then move each job running on it, in
+        sorted order, to the head of its ``targets``, or fail it if there is none.
+        Returns the jobs it failed."""
+        self.broker.set_available(provider_id, False)  # UnknownProvider if it is not registered
+        failed = []
+        for job_id in self.jobs_on(provider_id):
+            targets = self.targets(self.jobs[job_id])
+            if targets:
+                target = targets[0][0]
+                self._record(job_id, "resource_withdrawn", "reschedule",
+                             f"provider {provider_id} withdrew target={target}")
+                self._move(job_id, target)
+            else:
+                self._record(job_id, "resource_withdrawn", "fail",
+                             "no alternative provider after withdrawal")
+                self.jobs[job_id].status = JobStatus.FAILED
+                failed.append(job_id)
+        return failed
+
+    def _move(self, job_id: str, target: str) -> None:
+        """``migrate``, with a ``transfer_failed`` row if the transfer fails."""
+        try:
+            self.migrate(job_id, target)
+        except TransferFailed as exc:
+            self._record(job_id, "migrate", "transfer_failed", str(exc))
 
     # -- migration ----------------------------------------------------------
 

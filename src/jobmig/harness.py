@@ -35,14 +35,13 @@ from .broker import (
     template_from_dict,
 )
 from .control import (
-    DecisionAction,
     JobStatus,
     MigrationRecord,
     SubmitTimeout,
     SupervisoryAgent,
     TransferFailed,
 )
-from .monitor import MonitorHub, PerformanceReport, ReportKind, ServiceLevelAgreement
+from .monitor import MonitorHub, PerformanceReport, ServiceLevelAgreement
 from .node import (
     MSG_ACK,
     MSG_CHECKPOINT_TRANSFER,
@@ -288,12 +287,12 @@ class ScenarioOutcome:
 class Environment:
     """One mode's providers under one broker, monitor hub and supervisory
     agent. Subclasses add ``run_job`` (a deployed job to its result); in both
-    modes each node message reaches the hub and the supervisor through ``route``."""
+    modes each node message reaches the supervisor through ``route``."""
 
     def __init__(self, broker: ResourceBroker, transport, clock, sla: ServiceLevelAgreement,
                  checkpoint_interval: int | None, decision_log: str | Path | None):
         self.broker = broker
-        self.hub = MonitorHub(broker)
+        self.hub = MonitorHub()
         self.transport = transport
         self.step_log = Timeline(decision_log)  # the run's timeline, under the benchmark's name
         self.supervisory = SupervisoryAgent(broker, transport, clock=clock,
@@ -327,28 +326,21 @@ class Environment:
 
     def route(self, msg_type: int, body: dict) -> dict:
         """Act on one node message under the lock, before its sender goes on: a registration
-        goes to the broker, a withdrawal becomes a report for every job the supervisor runs
-        on that provider, reports go through the hub to it, and a result goes to it. The
-        answer's ``ended`` names the jobs the supervisor failed on the message."""
-        if msg_type != MSG_REGISTER_PROVIDER:  # template_from_dict checks a registration
-            check_message(msg_type, body)
+        goes to the broker, and a withdrawal, a report (through the hub) or a result to the
+        supervisor. The answer's ``ended`` names the jobs the supervisor failed on a
+        withdrawal."""
+        report = None if msg_type == MSG_REGISTER_PROVIDER \
+            else check_message(msg_type, body)  # template_from_dict checks a registration
         with self.changed:
-            reports, ended = [], []
+            ended = []
             if msg_type == MSG_REGISTER_PROVIDER:
                 self.broker.register_provider(template_from_dict(body))
             elif msg_type == MSG_WITHDRAW_NOTICE:
-                pid = body["provider_id"]
-                reports = self.hub.note_withdrawal(pid, body["at_ms"],
-                                                   self.supervisory.jobs_on(pid))
+                ended = self.supervisory.on_withdrawal(body["provider_id"])
             elif msg_type == MSG_MONITOR_REPORT:
-                reports = [PerformanceReport.from_dict(body)]
+                self.supervisory.on_report(self.hub.submit(report))
             else:
                 self.supervisory.complete(body)
-            for report in reports:
-                for fwd in self.hub.submit(report):
-                    decision = self.supervisory.on_report(fwd)
-                    if decision and decision.action is DecisionAction.FAIL:
-                        ended.append(fwd.job_id)
             self.changed.notify_all()
         return {"ok": True, "ended": ended}
 
@@ -472,19 +464,21 @@ class SimEnvironment(Environment):
 NUMBERS = (int, float, Fraction)  # the types of a time or an exec_ms; a bool is none of them
 
 
-def check_message(msg_type: int, body: dict) -> None:
+def check_message(msg_type: int, body: dict) -> PerformanceReport | None:
     """Raise MalformedPayload unless the node message has what ``route`` and
-    ``SupervisoryAgent.complete`` read from it, and UnsupportedMessage for another type."""
+    ``SupervisoryAgent.complete`` read from it, and UnsupportedMessage for another type.
+    A MONITOR_REPORT's body is returned parsed, any other message's as None."""
+    report = None
     if msg_type == MSG_MONITOR_REPORT:
-        try:
+        try:  # a withdrawal travels as a WITHDRAW_NOTICE: ReportKind knows no such kind
             report = PerformanceReport.from_dict(body)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedPayload(f"bad report: {exc!r}") from exc
-        if report.kind is not ReportKind.THROUGHPUT_VIOLATION:  # a withdrawal is a WITHDRAW_NOTICE
-            raise MalformedPayload(f"a node reports no {report.kind.value!r}")
         times = [report.emitted_at] + [e.timestamp_ms for e in report.evidence]
-        if any(type(t) not in NUMBERS for t in times):
-            raise MalformedPayload("a report's emitted_at and evidence times must be numbers")
+        if any(type(t) not in NUMBERS for t in times) \
+                or any(type(e.iterations_done) is not int for e in report.evidence):
+            raise MalformedPayload("a report's emitted_at and evidence times must be numbers, "
+                                   "its evidence iterations_done integers")
     elif msg_type == MSG_WITHDRAW_NOTICE:
         if type(require(body, "at_ms")[0]) not in NUMBERS:
             raise MalformedPayload("a withdrawal's at_ms must be a number")
@@ -500,6 +494,7 @@ def check_message(msg_type: int, body: dict) -> None:
         raise MalformedPayload("a provider_id must be a string")
     if msg_type != MSG_WITHDRAW_NOTICE and type(require(body, "job_id")[0]) is not str:
         raise MalformedPayload("a job_id must be a string")
+    return report
 
 
 class SupervisoryListener(FrameServer):

@@ -52,7 +52,6 @@ from .broker import ResourceSpecTemplate, template_to_dict
 from .monitor import (
     LocalAnalyzer,
     MonitorSample,
-    ReportKind,
     ServiceLevelAgreement,
     UnknownJob,
 )
@@ -567,7 +566,7 @@ class NodeRuntime:
                     s = MonitorSample(self.provider_id, job_id, now, iterations,
                                       entry.capture_ms)
                     report = self.analyzer.observe(s, entry.sla)
-                    if report.kind is not ReportKind.NONE:
+                    if report is not None:
                         interval = tune_decision(report.window, entry.sla,
                                                  entry.checkpoint_interval)
                         if interval == entry.checkpoint_interval:

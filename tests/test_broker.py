@@ -15,7 +15,8 @@ from jobmig.broker import (
     load_providers,
     match_job,
 )
-from jobmig.monitor import MonitorHub, ServiceLevelAgreement
+from jobmig.control import SupervisoryAgent
+from jobmig.monitor import ServiceLevelAgreement
 
 SLA = ServiceLevelAgreement(min_throughput=1.0)
 GOOD_ENTRY = {"provider_id": "x", "address": "127.0.0.1:7009", "cpu_mhz": 3000, "memory_mb": 512}
@@ -75,8 +76,7 @@ class TestRegistry:
         broker = ResourceBroker()
         broker.register_provider(server1())
         broker.register_provider(server2())
-        hub = MonitorHub(broker)
-        hub.note_withdrawal("server1", 0, [])
+        SupervisoryAgent(broker, transport=None).on_withdrawal("server1")
         rst = broker.build_rst()
         assert rst.get("server1").available is False
         assert rst.get("server2").available is True

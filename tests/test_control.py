@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from jobmig.broker import JobRequirementList, NoMatch, ResourceBroker, ResourceSpecTemplate
+from jobmig.broker import (
+    JobRequirementList,
+    NoMatch,
+    ResourceBroker,
+    ResourceSpecTemplate,
+    UnknownProvider,
+)
 from jobmig.control import (
     ControlError,
     DecisionAction,
@@ -14,14 +20,7 @@ from jobmig.control import (
     TransferFailed,
     tune_decision,
 )
-from jobmig.monitor import (
-    MonitorHub,
-    MonitorSample,
-    PerformanceReport,
-    ReportKind,
-    ServiceLevelAgreement,
-    WithdrawalEvent,
-)
+from jobmig.monitor import MonitorSample, PerformanceReport, ReportKind, ServiceLevelAgreement
 from jobmig import harness
 
 from conftest import reference_digest, run_to
@@ -74,14 +73,15 @@ def result(provider, job="job-1", exec_ms=100):
             "exec_ms": exec_ms}
 
 
-def withdrawal(provider="server1", job="job-1"):
-    return PerformanceReport(kind=ReportKind.RESOURCE_WITHDRAWN, provider_id=provider,
-                             job_id=job, evidence=(WithdrawalEvent(provider, 1),), emitted_at=1)
-
-
-def violation(provider="server1", job="job-1"):
+def violation(provider="server1", job="job-1", emitted_at=2):
     return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id=provider,
-                             job_id=job, emitted_at=2)
+                             job_id=job, emitted_at=emitted_at)
+
+
+def decisions(rows, kind="resource_withdrawn"):
+    """The ``kind`` decision rows: job, provider, decision and detail."""
+    return [(r["job_id"], r["provider"], r["decision"], r["detail"])
+            for r in rows if r["report_kind"] == kind]
 
 
 class TestDeploy:
@@ -113,34 +113,115 @@ class TestDeploy:
             deploy(agent)
 
 
-class TestOnReport:
-    def test_none_report_continues(self):
-        agent, _ = make_agent()
-        deploy(agent)
-        report = PerformanceReport(kind=ReportKind.NONE, provider_id="server2", job_id="job-1")
-        assert agent.on_report(report).action is DecisionAction.CONTINUE
+class TestOnWithdrawal:
+    def agent_with_rows(self, transport=None):
+        agent, transport = make_agent(transport)
+        rows = []
+        agent.emit = rows.append
+        return agent, transport, rows
 
     def test_withdrawal_reschedules_to_surviving_candidate(self):
-        agent, transport = make_agent()
+        agent, transport, rows = self.agent_with_rows()
         deploy(agent, start_on="server1")
-        MonitorHub(agent.broker).note_withdrawal("server1", 1, agent.jobs_on("server1"))
-        decision = agent.on_report(withdrawal())
-        assert decision.action is DecisionAction.RESCHEDULE
-        assert decision.target == "server2"
+        assert agent.on_withdrawal("server1") == []
+        assert decisions(rows) == [("job-1", "server1", "reschedule",
+                                    "provider server1 withdrew target=server2")]
         assert transport.migrations == [("server1", "job-1", "server2")]
         entry = agent.jobs["job-1"]
         assert entry.current_provider == "server2"
         assert "server1" in entry.excluded
 
     def test_withdrawal_with_no_alternative_fails_job(self):
-        agent, _ = make_agent()
+        agent, transport, rows = self.agent_with_rows()
         deploy(agent, start_on="server1")
-        hub = MonitorHub(agent.broker)
-        hub.note_withdrawal("server2", 0, agent.jobs_on("server2"))
-        hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
-        decision = agent.on_report(withdrawal())
-        assert decision.action is DecisionAction.FAIL
+        assert agent.on_withdrawal("server2") == []
+        assert agent.on_withdrawal("server1") == ["job-1"]
+        assert decisions(rows) == [("job-1", "server1", "fail",
+                                    "no alternative provider after withdrawal")]
         assert agent.jobs["job-1"].status is JobStatus.FAILED
+        assert transport.migrations == []
+
+    def test_provider_registered_after_deploy_is_a_withdrawal_target(self):
+        agent, transport, rows = self.agent_with_rows()
+        deploy(agent, start_on="server1")
+        agent.broker.register_provider(ResourceSpecTemplate(
+            provider_id="server3", address="127.0.0.1:7003", cpu_mhz=2800, memory_mb=512))
+        assert agent.on_withdrawal("server2") == []
+        assert agent.on_withdrawal("server1") == []
+        assert decisions(rows)[-1][2:] == ("reschedule", "provider server1 withdrew target=server3")
+        assert transport.migrations == [("server1", "job-1", "server3")]
+
+    def test_every_running_job_moves_in_sorted_order(self):
+        agent, transport, rows = self.agent_with_rows()
+        for job_id in ("j2", "j1"):
+            deploy(agent, job_id, start_on="server1")
+        assert agent.on_withdrawal("server1") == []
+        assert transport.migrations == [("server1", "j1", "server2"), ("server1", "j2", "server2")]
+        assert decisions(rows) == [
+            (job_id, "server1", "reschedule", "provider server1 withdrew target=server2")
+            for job_id in ("j1", "j2")]
+        assert agent.broker.get("server1").available is False
+        assert agent.jobs_on("server2") == ["j1", "j2"]
+
+    def test_failed_transfer_leaves_the_job_running_on_its_source(self):
+        agent, transport, rows = self.agent_with_rows(RecordingTransport(fail_transfer=True))
+        deploy(agent, start_on="server1")
+        assert agent.on_withdrawal("server1") == []
+        entry = agent.jobs["job-1"]
+        assert (entry.status, entry.current_provider, entry.migrations) == \
+            (JobStatus.RUNNING, "server1", [])
+        assert decisions(rows, "migrate") == [("job-1", "server1", "transfer_failed", "injected")]
+
+    def test_withdrawal_with_no_jobs_still_flips_availability(self):
+        agent, transport, rows = self.agent_with_rows()
+        assert agent.on_withdrawal("server2") == []
+        assert agent.broker.get("server2").available is False
+        assert agent.broker.get("server1").available is True
+        assert rows == [] and transport.migrations == []
+
+    def test_unknown_provider(self):
+        agent, _, rows = self.agent_with_rows()
+        deploy(agent, start_on="server1")
+        with pytest.raises(UnknownProvider):
+            agent.on_withdrawal("ghost")
+        assert agent.jobs_on("server1") == ["job-1"]
+
+    def test_decision_rows_are_stamped_now(self):
+        agent, _, rows = self.agent_with_rows()
+        now = [Fraction(0)]
+        agent.clock = lambda: now[0]
+        deploy(agent, start_on="server1")
+        now[0] = Fraction(7, 3)
+        agent.on_withdrawal("server1")
+        assert [(r["report_kind"], r["t"]) for r in rows[1:]] == \
+            [("resource_withdrawn", Fraction(7, 3)), ("migrate", Fraction(7, 3))]
+
+    def test_violation_then_withdrawal_both_acted_on_in_order(self):
+        agent, transport, rows = self.agent_with_rows()
+        deploy(agent)  # on the best-scored provider: a violation renegotiates
+        agent.on_report(violation(provider="server2"))
+        agent.on_withdrawal("server2")
+        assert [(r["report_kind"], r["decision"]) for r in rows[1:]] == [
+            ("throughput_violation", "renegotiate_sla"), ("resource_withdrawn", "reschedule"),
+            ("migrate", "transfer")]
+        assert transport.migrations == [("server2", "job-1", "server1")]
+
+    def test_replay_yields_identical_decisions(self):
+        def replay():
+            agent, _, rows = self.agent_with_rows()
+            deploy(agent)
+            agent.on_report(violation(provider="server2", emitted_at=1000))
+            agent.on_report(violation(provider="server2", emitted_at=2000))
+            agent.on_withdrawal("server2")
+            return rows
+
+        a, b = replay(), replay()
+        assert a == b
+        assert [r["decision"] for r in a] == \
+            ["submit", "renegotiate_sla", "renegotiate_sla", "reschedule", "transfer"]
+
+
+class TestOnReport:
 
     def test_violation_with_better_provider_reschedules(self):
         agent, transport = make_agent()
@@ -158,18 +239,6 @@ class TestOnReport:
         assert agent.jobs["job-1"].sla.min_throughput == pytest.approx(4.0)
         assert transport.sla_updates == [("server2", "job-1", decision.new_sla)]
 
-    def test_provider_registered_after_deploy_is_a_withdrawal_target(self):
-        agent, transport = make_agent()
-        deploy(agent, start_on="server1")
-        agent.broker.register_provider(ResourceSpecTemplate(
-            provider_id="server3", address="127.0.0.1:7003", cpu_mhz=2800, memory_mb=512))
-        hub = MonitorHub(agent.broker)
-        hub.note_withdrawal("server2", 0, agent.jobs_on("server2"))
-        hub.note_withdrawal("server1", 1, agent.jobs_on("server1"))
-        decision = agent.on_report(withdrawal())
-        assert (decision.action, decision.target) == (DecisionAction.RESCHEDULE, "server3")
-        assert transport.migrations == [("server1", "job-1", "server3")]
-
     def test_report_from_a_provider_the_job_left_is_refused(self):
         agent, transport = make_agent()
         rows = []
@@ -177,13 +246,12 @@ class TestOnReport:
         deploy(agent, start_on="server1")
         agent.migrate("job-1", "server2")
         assert agent.on_report(violation(provider="server1")) is None
-        assert agent.on_report(withdrawal(provider="server1")) is None
         entry = agent.jobs["job-1"]
         assert (entry.status, entry.current_provider, entry.sla) == \
             (JobStatus.RUNNING, "server2", SLA)
         assert transport.sla_updates == [] and len(transport.migrations) == 1
         assert [(r["report_kind"], r["decision"]) for r in rows[2:]] == \
-            [("throughput_violation", "refuse"), ("resource_withdrawn", "refuse")]
+            [("throughput_violation", "refuse")]
         assert all(r["detail"].startswith(f"{r['report_kind']} from server1 ")
                    for r in rows[2:])
 
@@ -211,8 +279,8 @@ class TestOnReport:
     def test_decide_is_deterministic(self):
         agent, _ = make_agent()
         deploy(agent, start_on="server1")
-        MonitorHub(agent.broker).note_withdrawal("server1", 1, agent.jobs_on("server1"))
-        assert agent.decide(withdrawal()) == agent.decide(withdrawal())
+        assert agent.decide(violation()) == agent.decide(violation())
+        assert agent.decide(violation()).target == "server2"
 
 
 class TestMigrate:
@@ -344,8 +412,7 @@ class TestDecisionLog:
         agent, _ = make_agent()
         agent.emit = harness.Timeline(path).emit
         deploy(agent, start_on="server1")
-        MonitorHub(agent.broker).note_withdrawal("server1", 1, agent.jobs_on("server1"))
-        agent.on_report(withdrawal())
+        agent.on_withdrawal("server1")
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert {e["decision"] for e in lines} >= {"submit", "reschedule", "transfer"}
         assert all(set(e) == {"t", "event", "job_id", "provider", "report_kind", "decision",

@@ -414,6 +414,18 @@ class TestSupervisoryListener:
                                           "job_id": "j", "emitted_at": 1,
                                           "evidence": [{"timestamp_ms": [1], "iterations_done": 5}]},
                      id="report-with-a-list-sample-time"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"timestamp_ms": 1, "iterations_done": True}]},
+                     id="report-with-a-bool-iterations-done"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"timestamp_ms": 1, "iterations_done": 5.7}]},
+                     id="report-with-a-float-iterations-done"),
+        pytest.param(MSG_MONITOR_REPORT, {"kind": "throughput_violation", "provider_id": "server1",
+                                          "job_id": "j", "emitted_at": 1,
+                                          "evidence": [{"timestamp_ms": 1, "iterations_done": "12"}]},
+                     id="report-with-a-string-iterations-done"),
         pytest.param(MSG_MONITOR_REPORT, {"kind": "resource_withdrawn", "provider_id": "server1",
                                           "job_id": "j", "emitted_at": 1,
                                           "evidence": [{"withdrawn": "server1", "at_ms": "x"}]},

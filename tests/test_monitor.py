@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobmig.broker import ResourceBroker, ResourceSpecTemplate, UnknownProvider
 from jobmig.monitor import (
     LocalAnalyzer,
     MonitorError,
@@ -13,7 +12,6 @@ from jobmig.monitor import (
     PerformanceReport,
     ReportKind,
     ServiceLevelAgreement,
-    WithdrawalEvent,
 )
 
 SLA = ServiceLevelAgreement(min_throughput=5.0, window_k=3, sample_period_ms=1000)
@@ -24,7 +22,7 @@ def s(ts, iters, provider="p1", job="j1"):
 
 
 def reports(samples, sla=SLA):
-    """What a fresh analyzer reports for each of ``samples`` in turn."""
+    """What a fresh analyzer reports for each of ``samples`` in turn: None for a healthy one."""
     analyzer = LocalAnalyzer("p1")
     return [analyzer.observe(sample, sla) for sample in samples]
 
@@ -38,7 +36,8 @@ def pair_rates(samples):
 def analyze_window(samples, sla):
     """The whole-window analysis the analyzer must agree with: a violation when the
     last window_k pair rates all fall below the floor, with the window_k samples that
-    end those pairs as evidence and the window_k + 1 that make them as its window."""
+    end those pairs as evidence and the window_k + 1 that make them as its window;
+    else None."""
     last, k = samples[-1], sla.window_k
     rates = pair_rates(samples)
     if len(rates) >= k and all(r < sla.min_throughput for r in rates[-k:]):
@@ -46,8 +45,7 @@ def analyze_window(samples, sla):
                                  provider_id=last.provider_id, job_id=last.job_id,
                                  evidence=tuple(samples[-k:]), emitted_at=last.timestamp_ms,
                                  window=tuple(samples[-k - 1:]))
-    return PerformanceReport(kind=ReportKind.NONE, provider_id=last.provider_id,
-                             job_id=last.job_id, emitted_at=last.timestamp_ms)
+    return None
 
 
 class TestSla:
@@ -71,7 +69,7 @@ class TestSla:
 class TestViolationReport:
     def test_healthy_window_reports_none(self):
         window = [s(0, 0), s(1000, 10), s(2000, 20), s(3000, 30)]
-        assert [r.kind for r in reports(window)] == [ReportKind.NONE] * 4
+        assert reports(window) == [None] * 4
 
     def test_hand_computed_violation_window(self):
         # pair throughputs: 4/1s=4.0, 7/2s=3.5, 2/1s=2.0 -- all below the 5.0 floor
@@ -84,22 +82,22 @@ class TestViolationReport:
         assert report.emitted_at == 4000
 
     def test_one_sample_reports_none(self):
-        assert [r.kind for r in reports([s(0, 0)])] == [ReportKind.NONE]
+        assert reports([s(0, 0)]) == [None]
 
     def test_fewer_pairs_than_window_is_none(self):
         window = [s(0, 0), s(1000, 1)]  # one slow pair, window_k=3
-        assert reports(window)[-1].kind is ReportKind.NONE
+        assert reports(window)[-1] is None
 
     def test_recovery_breaks_the_streak(self):
         window = [s(0, 0), s(1000, 1), s(2000, 2), s(3000, 12), s(4000, 13)]
-        assert [r.kind for r in reports(window)] == [ReportKind.NONE] * 5
+        assert reports(window) == [None] * 5
 
     def test_evidence_carries_exactly_window_k_samples(self):
         for k in (1, 2, 4):
             sla = ServiceLevelAgreement(min_throughput=5.0, window_k=k, sample_period_ms=1000)
             window = [s(i * 1000, i) for i in range(8)]  # 1 it/s throughout
-            report = next(r for r in reports(window, sla)
-                          if r.kind is ReportKind.THROUGHPUT_VIOLATION)
+            report = next(r for r in reports(window, sla) if r is not None)
+            assert report.kind is ReportKind.THROUGHPUT_VIOLATION
             assert len(report.evidence) == k
 
 
@@ -115,7 +113,8 @@ class TestDetectionLatency:
         for idx in range(drop_at + window_k + 3):
             iters += 10 if idx < drop_at else 1  # healthy 10 it/s, then 1 it/s
             report = analyzer.observe(s(idx * 1000, iters), sla)
-            if report.kind is ReportKind.THROUGHPUT_VIOLATION:
+            if report is not None:
+                assert report.kind is ReportKind.THROUGHPUT_VIOLATION
                 emitted_index = idx
                 break
         assert emitted_index is not None
@@ -127,8 +126,7 @@ class TestDetectionLatency:
         analyzer.observe(s(1000, 1), SLA)
         analyzer.reset("j1")
         # after the reset the old slow pair must not count toward a violation
-        report = analyzer.observe(s(2000, 2), SLA)
-        assert report.kind is ReportKind.NONE
+        assert analyzer.observe(s(2000, 2), SLA) is None
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(1, 5), floor=st.integers(1, 20),
@@ -147,13 +145,10 @@ class TestDetectionLatency:
             iters += di
             history.append(s(t, iters))
             got = analyzer.observe(history[-1], sla)
-            if len(history) < 2:
-                assert got == PerformanceReport(kind=ReportKind.NONE, provider_id="p1",
-                                                job_id="j1", emitted_at=t)
-            else:
-                assert got == analyze_window(history, sla)
-                assert got.window == analyze_window(history, sla).window
-            if got.kind is ReportKind.THROUGHPUT_VIOLATION:
+            want = analyze_window(history, sla)  # None for a single sample
+            assert got == want
+            if got is not None:
+                assert got.window == want.window
                 history = []
 
     @settings(max_examples=300, deadline=None)
@@ -181,7 +176,8 @@ class TestDetectionLatency:
             got = analyzer.observe(s(t, iters), sla)
             want = reference.observe(s(t, iters), sla)
             assert got == want
-            assert got.window == want.window
+            if got is not None:
+                assert got.window == want.window
 
 
 class TestSlowPair:
@@ -195,7 +191,7 @@ class TestSlowPair:
         analyzer = LocalAnalyzer("p1")
         sla = ServiceLevelAgreement(min_throughput=floor, window_k=1)
         analyzer.observe(a, sla)
-        return analyzer.observe(b, sla).kind is ReportKind.THROUGHPUT_VIOLATION
+        return analyzer.observe(b, sla) is not None
 
     @settings(max_examples=500, deadline=None)
     @given(t0=st.fractions(min_value=0, max_value=10**6, max_denominator=10**7),
@@ -247,89 +243,44 @@ class WholeWindowAnalyzer:
             window = self._windows[sample.job_id] = deque(window or (),
                                                           maxlen=sla.window_k + 1)
         window.append(sample)
-        if len(window) < 2:
-            return PerformanceReport(kind=ReportKind.NONE, provider_id=self.provider_id,
-                                     job_id=sample.job_id, emitted_at=sample.timestamp_ms)
         report = analyze_window(list(window), sla)
-        if report.kind is ReportKind.THROUGHPUT_VIOLATION:
+        if report is not None:
             window.clear()
         return report
 
 
-def forward(hub, reports):
-    return [fwd for report in reports for fwd in hub.submit(report)]
-
-
-def plain_hub():
-    broker = ResourceBroker()
-    broker.register_provider(ResourceSpecTemplate(
-        provider_id="p1", address="a:1", cpu_mhz=2800, memory_mb=512))
-    return MonitorHub(broker)
-
-
 class TestAggregator:
-    """The hub's report stream: what reaches the supervisor. The supervisor acts
-    on each report once (``test_control``)."""
+    """The monitor's report stream: what reaches the supervisor. A healthy sample
+    builds no report, and the hub passes each report on as it came. The supervisor
+    acts on each report once, and on a withdrawal without a report (``test_control``)."""
 
-    def violation(self, emitted_at=1000, job="j1", provider="p1"):
-        return PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id=provider,
-                                 job_id=job, evidence=(s(emitted_at, 1, provider, job),),
-                                 emitted_at=emitted_at)
+    # 10 it/s for three pairs, then 1 it/s: two windows of three slow pairs
+    STREAM = [s(i * 1000, 10 * min(i, 3) + max(i - 3, 0)) for i in range(11)]
 
-    def none_report(self, job="j1"):
-        return PerformanceReport(kind=ReportKind.NONE, provider_id="p1", job_id=job)
+    @staticmethod
+    def forward(samples):
+        analyzer, hub = LocalAnalyzer("p1"), MonitorHub()
+        return [hub.submit(report) for report in (analyzer.observe(x, SLA) for x in samples)
+                if report is not None]
 
-    def withdrawal(self, job="j1", provider="p1", at=2000):
-        return PerformanceReport(kind=ReportKind.RESOURCE_WITHDRAWN, provider_id=provider,
-                                 job_id=job, evidence=(WithdrawalEvent(provider, at),),
-                                 emitted_at=at)
-
-    def test_none_reports_are_not_forwarded(self):
-        forwarded = forward(plain_hub(),
-                            [self.none_report(), self.none_report(), self.violation()])
+    def test_healthy_samples_are_not_forwarded(self):
+        forwarded = self.forward(self.STREAM[:7])
         assert len(forwarded) == 1
         assert forwarded[0].kind is ReportKind.THROUGHPUT_VIOLATION
-
-    def test_violation_then_withdrawal_both_forwarded_in_order(self):
-        forwarded = forward(plain_hub(), [self.violation(), self.withdrawal()])
-        assert [r.kind for r in forwarded] == [ReportKind.THROUGHPUT_VIOLATION,
-                                               ReportKind.RESOURCE_WITHDRAWN]
+        assert forwarded[0].emitted_at == 6000
 
     def test_replay_yields_identical_forwarded_sequence(self):
-        stream = [self.none_report(), self.violation(1000), self.violation(2000),
-                  self.withdrawal()]
-        a = forward(plain_hub(), list(stream))
-        b = forward(plain_hub(), list(stream))
+        a = self.forward(list(self.STREAM))
+        b = self.forward(list(self.STREAM))
         assert a == b
-        assert len(a) == 3
+        assert [r.emitted_at for r in a] == [6000, 10000]
 
 
 class TestMonitorHub:
-    def make_hub(self):
-        broker = ResourceBroker()
-        broker.register_provider(ResourceSpecTemplate(
-            provider_id="server1", address="a:1", cpu_mhz=2800, memory_mb=512))
-        broker.register_provider(ResourceSpecTemplate(
-            provider_id="server2", address="a:2", cpu_mhz=3000, memory_mb=1024))
-        return broker, MonitorHub(broker)
-
-    def test_withdrawal_reports_every_local_job(self):
-        broker, hub = self.make_hub()
-        reports = hub.note_withdrawal("server1", 42, ["j1", "j2"])
-        assert [r.job_id for r in reports] == ["j1", "j2"]
-        assert all(r.evidence == (WithdrawalEvent("server1", 42),) for r in reports)
-        assert all(r.kind is ReportKind.RESOURCE_WITHDRAWN for r in reports)
-        assert broker.get("server1").available is False
-
-    def test_withdrawal_with_no_jobs_still_flips_availability(self):
-        broker, hub = self.make_hub()
-        assert hub.note_withdrawal("server2", 0, []) == []
-        assert broker.get("server2").available is False
-
-    def test_unknown_provider(self):
-        _, hub = self.make_hub()
-        with pytest.raises(UnknownProvider):
-            hub.note_withdrawal("ghost", 0, [])
+    def test_submit_passes_the_report_on(self):
+        report = PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="p",
+                                   job_id="j1", emitted_at=1000)
+        assert MonitorHub().submit(report) is report
 
     def test_report_json_round_trip(self):
         violation = PerformanceReport(kind=ReportKind.THROUGHPUT_VIOLATION, provider_id="p",
