@@ -9,10 +9,11 @@ node's jobs on one thread, in turn (``NodeRuntime.run_once``). Both modes answer
 every request to a node in ``NodeRuntime.serve``, migrate through ``hand_off``
 and step a job with ``step``, from one yield point to the next: the first
 iteration after which a capture is due, the job reaches ``withdraw_at`` or its
-end, or an SLA sample is due. A withdrawal parks the job whose step reached it,
-at that iteration; the supervisor's answer to the notice moves it away, drops it
-or resumes it here. The thread waits for that answer, so no other job on the
-node runs meanwhile; its own hand-off parks it.
+end, or an SLA sample confirms a violation; a healthy sample is taken on the
+way, where it falls due, and the job steps on. A withdrawal parks the job whose
+step reached it, at that iteration; the supervisor's answer to the notice moves
+it away, drops it or resumes it here. The thread waits for that answer, so no
+other job on the node runs meanwhile; its own hand-off parks it.
 
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
@@ -375,7 +376,7 @@ class JobExecution:
     since_checkpoint: int = 0
     lineage: list[ckpt.CheckpointRecord] = field(default_factory=list)
     capture_ms: Any = 0  # time spent capturing on this node, on its clock: 0 on a virtual one
-    run_ns: int = 0  # real time spent stepping and checkpointing on this node
+    run_ns: int = 0  # real time of its stretches, with their samples on the way, and captures
     next_sample_ms: Any = None
     first_iteration: int = field(default=0, init=False)  # its iteration when admitted here
     steps_from: int = field(default=0, init=False)  # the first iteration of its next steps row
@@ -536,10 +537,10 @@ class NodeRuntime:
     # -- the execution loop ----------------------------------------------------
 
     def run_iteration(self, job_id: str) -> list[tuple[int, dict]]:
-        """Run a job from one yield point to the next; returns outbound messages.
-        The last iteration takes, in order, its capture, withdrawal, sample, and
-        completion or park: a withdrawal parks the job with a final capture, ahead of
-        its hand-off. A job that raises fails here, and a withdrawal it announced is still sent."""
+        """Run a job from one yield point to the next (``_run_stretch``); returns outbound
+        messages. The last iteration takes, in order, its capture, withdrawal, sample, and
+        completion or park: a withdrawal parks the job with a final capture, ahead of its
+        hand-off. A job that raises fails here, and a withdrawal it announced is still sent."""
         entry = self.job(job_id)
         msgs: list[tuple[int, dict]] = []
         with self._lock:
@@ -550,7 +551,7 @@ class NodeRuntime:
                     return [self._complete(entry)]
 
                 t0 = time.perf_counter_ns()
-                self._run_stretch(entry)
+                confirmed = self._run_stretch(entry, msgs)
                 iterations = entry.task.iterations_done
                 if not entry.task.done and entry.since_checkpoint >= entry.checkpoint_interval:
                     self._capture(entry)
@@ -560,22 +561,9 @@ class NodeRuntime:
                     and iterations >= self.withdraw_at else []
                 msgs.extend(withdrawal)
 
-                if entry.sla is not None and not entry.task.done \
+                if not confirmed and entry.sla is not None and not entry.task.done \
                         and self.clock.reached(entry.next_sample_ms):
-                    now = self.clock.now_ms()
-                    s = MonitorSample(self.provider_id, job_id, now, iterations,
-                                      entry.capture_ms)
-                    report = self.analyzer.observe(s, entry.sla)
-                    if report is not None:
-                        interval = tune_decision(report.window, entry.sla,
-                                                 entry.checkpoint_interval)
-                        if interval == entry.checkpoint_interval:
-                            msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
-                        else:  # tuned: the report waits for a fresh window to confirm it
-                            self.record("tune", job_id,
-                                        **{"from": entry.checkpoint_interval, "to": interval})
-                            entry.checkpoint_interval = interval
-                    entry.next_sample_ms = now + entry.sla.sample_period_ms
+                    self._sample(entry, msgs)
 
                 if entry.task.done:
                     msgs.append(self._complete(entry))
@@ -589,31 +577,60 @@ class NodeRuntime:
                     "job_id": job_id, "provider_id": self.provider_id,
                     "failed": True, "error": type(exc).__name__})]
 
-    def _run_stretch(self, entry: JobExecution) -> None:
-        """Step the job to its next yield point. In sim the modeled step cost tells
-        which step reaches the sample deadline, and the clock advances once for all
-        the steps; in wall the clock is read after each step."""
+    def _run_stretch(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> bool:
+        """Step the job to its next yield point, taking each sample due before it on the
+        way (``_sample``, into ``msgs``); whether one confirmed a violation, which ends the
+        stretch there. In sim the modeled step cost tells which step reaches each sample
+        deadline, and the clock advances once for each run of steps between two samples;
+        in wall the clock is read after each step."""
         task = entry.task
         first = task.iterations_done
         n = min(task.total_iterations - first,
                 max(1, entry.checkpoint_interval - entry.since_checkpoint))
         if self.withdraw_at is not None and not self.withdrawal:
             n = min(n, max(1, self.withdraw_at - first))
-        step, clock = task.step, self.clock
-        if self.step_cost_ms is None:
-            for _ in range(n):
+        step, clock, cost, sampled = task.step, self.clock, self.step_cost_ms, entry.sla is not None
+        confirmed = False  # the last step's sample waits for run_iteration, after its capture
+        if cost is None:
+            for left in reversed(range(n)):
                 step()
-                if entry.sla is not None and clock.reached(entry.next_sample_ms):
+                confirmed = left > 0 and sampled and clock.reached(entry.next_sample_ms) \
+                    and self._sample(entry, msgs)
+                if confirmed:
                     break
         else:
-            if entry.sla is not None:
-                n = clock.steps_to(entry.next_sample_ms, self.step_cost_ms, n)
-            try:
-                for _ in range(n):
-                    step()
-            finally:  # the steps taken, if one raised
-                clock.advance(self.step_cost_ms * (task.iterations_done - first))
+            left = n
+            while left and not confirmed:
+                k = clock.steps_to(entry.next_sample_ms, cost, left) if sampled else left
+                done = task.iterations_done
+                try:
+                    for _ in range(k):
+                        step()
+                finally:  # the steps taken, if one raised
+                    clock.advance(cost * (task.iterations_done - done))
+                left -= k
+                confirmed = left > 0 and self._sample(entry, msgs)
         entry.since_checkpoint += task.iterations_done - first
+        return confirmed
+
+    def _sample(self, entry: JobExecution, msgs: list[tuple[int, dict]]) -> bool:
+        """Take the job's due SLA sample and set its next deadline; whether it confirmed
+        a violation. A confirmed one either tunes the job's checkpoint interval, with a
+        ``tune`` row, or goes into ``msgs`` as a MONITOR_REPORT."""
+        now = self.clock.now_ms()
+        s = MonitorSample(self.provider_id, entry.job_id, now, entry.task.iterations_done,
+                          entry.capture_ms)
+        report = self.analyzer.observe(s, entry.sla)
+        if report is not None:
+            interval = tune_decision(report.window, entry.sla, entry.checkpoint_interval)
+            if interval == entry.checkpoint_interval:
+                msgs.append((MSG_MONITOR_REPORT, report.to_dict()))
+            else:  # tuned: the report waits for a fresh window to confirm it
+                self.record("tune", entry.job_id,
+                            **{"from": entry.checkpoint_interval, "to": interval})
+                entry.checkpoint_interval = interval
+        entry.next_sample_ms = now + entry.sla.sample_period_ms
+        return report is not None
 
     def start(self, job_id: str) -> None:
         """The job takes turns in ``run_once`` from now on."""

@@ -48,7 +48,8 @@ def reference_digest(n: int, seed: int) -> int:
 def run_to(node, job_id: str, iteration: int, call: str = "run_iteration") -> None:
     """Run a job on ``node`` through its ``call`` method (``run_iteration`` or
     ``step``) until it has done ``iteration`` iterations or stops running. A call
-    runs to the job's next yield point, so one must fall on ``iteration``."""
+    runs to the job's next yield point: a capture, ``withdraw_at``, the job's end or
+    a confirmed violation, not a healthy sample. So one must fall on ``iteration``."""
     entry = node.job(job_id)
     while entry.status == ST_RUNNING and entry.task.iterations_done < iteration:
         getattr(node, call)(job_id)

@@ -9,8 +9,9 @@ from jobmig import checkpoint as cp
 from jobmig import harness
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
 from jobmig.control import DecisionAction, JobStatus, SubmitTimeout, SupervisoryAgent
-from jobmig.monitor import PerformanceReport, ReportKind, ServiceLevelAgreement
+from jobmig.monitor import LocalAnalyzer, PerformanceReport, ReportKind, ServiceLevelAgreement
 from jobmig.node import (
+    DEFAULT_CHECKPOINT_INTERVAL,
     MSG_ERROR,
     MSG_MONITOR_REPORT,
     MSG_NAMES,
@@ -179,6 +180,69 @@ class TestScenario2Sim:
         assert adopted == source.store.load("adopt")[-1]
         assert (following.kind, following.base_seq, following.seq) \
             == (cp.KIND_INCREMENTAL, adopted.seq, adopted.seq + 1)
+
+
+def cost_model_samples(provider, t, deadline, cost, first, end, total):
+    """The samples a job meets stepping from ``first`` to ``end`` one iteration at a time
+    at ``cost`` virtual ms a step, from ``t`` with its next sample due at ``deadline``: one
+    at each step that reaches it, but none at the job's last. Returns them and the time."""
+    period = harness.DEFAULT_SIM_SLA.sample_period_ms
+    samples = []
+    for i in range(first + 1, end + 1):
+        t += cost
+        if i < total and t >= deadline:
+            samples.append((provider, i, t))
+            deadline = t + period
+    return samples, t
+
+
+class TestSamplePoints:
+    """A sim job is sampled where the cost model says, wherever its node's stretches end."""
+
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        samples, observe = [], LocalAnalyzer.observe
+
+        def watched(analyzer, s, sla):
+            samples.append((s.provider_id, s.iterations_done, s.timestamp_ms))
+            return observe(analyzer, s, sla)
+
+        monkeypatch.setattr(LocalAnalyzer, "observe", watched)
+        return samples
+
+    def test_scenario1_samples_fall_where_the_cost_model_puts_them(self, tmp_path, observed):
+        config = harness.calibrate_from_table1()
+        harness.run_scenario1(5000, 42, checkpoint_interval=1024, workdir=tmp_path)
+        expected, _ = cost_model_samples("server1", 0, 1000, config.per_iteration_cost_ms,
+                                         0, 5000, 5000)
+        assert len(expected) == 555
+        assert observed == expected
+
+    def test_scenario2_samples_fall_where_the_cost_model_puts_them(self, tmp_path, observed):
+        config = harness.calibrate_from_table1()
+        harness.run_scenario2(1500, 42, migrate_at=764, workdir=tmp_path,
+                              include_scenario1=False)
+        cost = config.per_iteration_cost_ms
+        source, moved_ms = cost_model_samples("server1", 0, 1000, cost, 0, 764, 1500)
+        # admitted at the move, due a period later; the transfer's overhead is charged after
+        target, _ = cost_model_samples("server2", moved_ms + config.overhead_ms(1500),
+                                       moved_ms + 1000, cost / config.speed_of("server2"),
+                                       764, 1500, 1500)
+        assert observed == source + target
+
+    def test_an_sla_miss_moves_the_job_at_its_confirming_sample(self, tmp_path, observed):
+        # server1 runs ~8.9 it/s, below a 9.5 floor; the fourth sample, at 36, confirms it
+        config = harness.calibrate_from_table1()
+        sla = ServiceLevelAgreement(min_throughput=9.5, window_k=3, sample_period_ms=1000)
+        env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path,
+                                     sla=sla)
+        env.deploy_sort("miss", 1500, 42, start_on="server1")
+        assert env.run_job("miss")["digest"] == reference_digest(1500, 42)
+        (move,) = env.supervisory.jobs["miss"].migrations
+        assert (move.from_provider, move.iterations_before) == ("server1", 36)
+        assert 36 % DEFAULT_CHECKPOINT_INTERVAL  # not where a capture falls
+        assert move.time_on_source_ms == Fraction("4031.06808")
+        assert observed[3] == ("server1", 36, Fraction("4031.06808"))
 
 
 class TestTimeline:

@@ -350,18 +350,59 @@ class TestYieldPoints:
         assert (entry.status, entry.task.iterations_done) == (nd.ST_QUIESCED, 5)
 
     @pytest.mark.parametrize("period,ends", [(250, [3, 6, 9]), (200, [2, 4, 6])])
-    def test_a_stretch_stops_where_a_sample_is_due(self, tmp_path, period, ends):
+    def test_a_stretch_takes_each_healthy_sample_where_it_is_due_and_runs_on(
+            self, tmp_path, period, ends):
         # 100 virtual ms a step: a 250 ms period falls between steps, a 200 ms one on a step
         runtime = sim_runtime(tmp_path, cost=Fraction(100))
         sla = ServiceLevelAgreement(min_throughput=0.001, window_k=3, sample_period_ms=period)
-        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=64)
+        capture_at = ends[-1] + 1
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla,
+                           checkpoint_interval=capture_at)
         samples = []
         observe = runtime.analyzer.observe
         runtime.analyzer.observe = lambda s, sla: samples.append(s) or observe(s, sla)
-        for _ in ends:
-            runtime.run_iteration("j")
+        assert runtime.run_iteration("j") == []  # one stretch, from capture to capture
         assert [s.iterations_done for s in samples] == ends
         assert [s.timestamp_ms for s in samples] == [100 * i for i in ends]
+        entry = runtime.job("j")
+        assert (entry.task.iterations_done, entry.since_checkpoint) == (capture_at, 0)
+        assert runtime.clock.now_ms() == 100 * capture_at
+        assert [r.seq for r in runtime.store.load("j")] == [0, 1]
+
+    def test_a_confirmed_violation_ends_the_stretch_at_its_sample(self, tmp_path):
+        # 10 it/s against a floor of 1000: the fourth sample, at 12, confirms 3 slow pairs
+        runtime = sim_runtime(tmp_path, cost=Fraction(100))
+        sla = ServiceLevelAgreement(min_throughput=1000, window_k=3, sample_period_ms=250)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=64)
+        msgs = runtime.run_iteration("j")
+        assert [m for m, _ in msgs] == [nd.MSG_MONITOR_REPORT]
+        assert [e["iterations_done"] for e in msgs[0][1]["evidence"]] == [6, 9, 12]
+        entry = runtime.job("j")
+        assert (entry.task.iterations_done, entry.since_checkpoint) == (12, 12)
+        assert runtime.clock.now_ms() == 1200
+        assert entry.next_sample_ms == 1200 + 250
+        msgs = runtime.run_iteration("j")  # confirmed anew over a fresh window
+        assert [e["iterations_done"] for e in msgs[0][1]["evidence"]] == [18, 21, 24]
+        assert runtime.job("j").task.iterations_done == 24
+
+    @pytest.mark.parametrize("mode", ["sim", "wall"])
+    def test_a_sample_due_at_a_capture_is_taken_after_it(self, tmp_path, mode):
+        # 100 ms a step, each capture's append charged 50 ms, a sample due every 200 ms
+        # and a capture every 4 steps: the sample due at 4 carries that capture's time
+        clock = nd.VirtualClock() if mode == "sim" else TickClock()
+        runtime = nd.NodeRuntime("p", clock, tmp_path / "p",
+                                 step_cost_ms=Fraction(100) if mode == "sim" else None)
+        append, observe = runtime.store.append, runtime.analyzer.observe
+        runtime.store.append = lambda record: clock.advance(50) or append(record)
+        samples = []
+        runtime.analyzer.observe = lambda s, sla: samples.append(
+            (s.iterations_done, s.timestamp_ms, s.capture_ms)) or observe(s, sla)
+        sla = ServiceLevelAgreement(min_throughput=0.001, window_k=3, sample_period_ms=200)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=4)
+        if mode == "wall":
+            clock.ticking(runtime.job("j").task, 100)
+        run_to(runtime, "j", 4)
+        assert samples == [(2, 250, 50), (4, 500, 100)]
 
     def test_a_stretch_stops_where_the_job_is_done(self, tmp_path):
         runtime = sim_runtime(tmp_path, cost=Fraction(3))
@@ -371,15 +412,47 @@ class TestYieldPoints:
         assert msgs[0][1]["exec_ms"] == runtime.clock.now_ms() == 30
         assert runtime.job("j").status == nd.ST_DONE
 
-    def test_a_wall_stretch_stops_where_a_sample_is_due(self, tmp_path):
+    def test_a_wall_stretch_takes_each_healthy_sample_where_it_is_due_and_runs_on(self, tmp_path):
         clock = TickClock()
         runtime = nd.NodeRuntime("w", clock, tmp_path / "w")
         sla = ServiceLevelAgreement(min_throughput=0.001, window_k=3, sample_period_ms=25)
-        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=64)
-        clock.ticking(runtime.job("j").task, 10)
-        runtime.run_iteration("j")  # the clock reads 30 after the third step
-        assert runtime.job("j").task.iterations_done == 3
-        assert runtime.job("j").next_sample_ms == 30 + 25
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=10)
+        entry = runtime.job("j")
+        clock.ticking(entry.task, 10)
+        samples = []
+        observe = runtime.analyzer.observe
+        runtime.analyzer.observe = lambda s, sla: samples.append(
+            (s.iterations_done, s.timestamp_ms, entry.next_sample_ms)) or observe(s, sla)
+        assert runtime.run_iteration("j") == []  # the clock reads 30 after the third step
+        assert samples == [(3, 30, 25), (6, 60, 30 + 25), (9, 90, 60 + 25)]
+        assert (entry.task.iterations_done, entry.since_checkpoint) == (10, 0)  # the capture
+        assert entry.next_sample_ms == 90 + 25
+
+    @pytest.mark.parametrize("store_ms,floor,at,sent,tuned", [
+        (0, 150, 12, [nd.MSG_MONITOR_REPORT], []), (20, 80, 10, [], [(8, 16)])])
+    def test_a_wall_violation_ends_the_stretch_at_its_sample(self, tmp_path, store_ms, floor,
+                                                             at, sent, tuned):
+        # 10 ms a step, a sample due every 55 ms and a capture every 8 steps; one slow pair
+        # confirms. With free captures the pair from 6 to 12 runs at 100 it/s, below 150:
+        # reported. With each capture's append charged 20 ms the pair from 6 to 10 runs at
+        # 4 in 60 ms, below 80, but at 100 it/s less its capture: tuned, not reported.
+        clock, rows, samples = TickClock(), [], []
+        runtime = nd.NodeRuntime("w", clock, tmp_path / "w", emit=rows.append)
+        append, observe = runtime.store.append, runtime.analyzer.observe
+        runtime.store.append = lambda record: clock.advance(store_ms) or append(record)
+        runtime.analyzer.observe = lambda s, sla: samples.append(s) or observe(s, sla)
+        sla = ServiceLevelAgreement(min_throughput=floor, window_k=1, sample_period_ms=55)
+        runtime.submit_job("j", "sort", {"n": 50, "seed": 1}, sla=sla, checkpoint_interval=8)
+        entry = runtime.job("j")
+        clock.ticking(entry.task, 10)
+        msgs = []
+        while not msgs and not rows:  # a running job's one row is a tune
+            msgs = runtime.run_iteration("j")
+        assert [m for m, _ in msgs] == sent
+        assert [(r["from"], r["to"]) for r in rows if r["event"] == "tune"] == tuned
+        assert [s.iterations_done for s in samples] == [6, at]
+        assert (entry.task.iterations_done, entry.since_checkpoint) == (at, at - 8)
+        assert entry.next_sample_ms == clock.t + 55
 
     def test_a_wall_job_holds_while_another_job_withdraws(self, tmp_path):
         notices = []
@@ -463,6 +536,9 @@ class TickClock(nd.WallClock):
 
     def now_ms(self):
         return self.t
+
+    def advance(self, ms):
+        self.t += ms
 
     def ticking(self, task, ms):
         step = task.step
@@ -1027,12 +1103,11 @@ class TestDaemon:
         assert body["digest"] == reference_digest(60, 9)
 
     def test_migrated_job_keeps_its_settings(self, daemon, tmp_path, listener):
-        source = sim_runtime(tmp_path / "src")
+        source = sim_runtime(tmp_path / "src", withdraw_at=20)  # parked at 20, past 16's capture
         daemon.runtime.supervisor = listener.address
         source.submit_job("ks", "sort", {"n": 60, "seed": 9}, sla=DEFAULT_TEST_SLA,
                           checkpoint_interval=8)
-        for _ in range(20):
-            source.run_iteration("ks")
+        run_to(source, "ks", 20)
         info, ack = source.hand_off("ks", daemon.address)  # sent with the default, nd.call
         assert info["iterations_before"] == ack["resumed_at_iteration"] == 20
         assert source.job("ks").status == nd.ST_TOMBSTONED
