@@ -50,21 +50,20 @@ from .node import (
     MSG_MONITOR_REPORT,
     MSG_NAMES,
     MSG_REGISTER_PROVIDER,
-    MSG_RESULT_RETURN,
     MSG_SLA_UPDATE,
     MSG_WITHDRAW_NOTICE,
     FrameServer,
     MalformedPayload,
     NodeError,
     NodeRuntime,
+    SUPERVISOR,
     RequestRefused,
-    UnsupportedMessage,
     VirtualClock,
     WallClock,
     call,
+    check_body,
     json_payload,
     parse_json,
-    require,
 )
 
 
@@ -278,8 +277,6 @@ class Timeline:
 class ScenarioOutcome:
     row: ScenarioRow
     digest: int
-    iterations: int
-    migration: MigrationRecord | None = None
     step_log: Timeline | None = None
     detail: dict = field(default_factory=dict)
 
@@ -327,10 +324,15 @@ class Environment:
     def route(self, msg_type: int, body: dict) -> dict:
         """Act on one node message under the lock, before its sender goes on: a registration
         goes to the broker, and a withdrawal, a report (through the hub) or a result to the
-        supervisor. The answer's ``ended`` names the jobs the supervisor failed on a
-        withdrawal."""
-        report = None if msg_type == MSG_REGISTER_PROVIDER \
-            else check_message(msg_type, body)  # template_from_dict checks a registration
+        supervisor, once ``check_body`` has passed it. The answer's ``ended`` names the jobs
+        the supervisor failed on a withdrawal."""
+        if msg_type != MSG_REGISTER_PROVIDER:  # template_from_dict checks a registration
+            check_body(msg_type, body, SUPERVISOR)
+        if msg_type == MSG_MONITOR_REPORT:
+            try:  # a withdrawal travels as a WITHDRAW_NOTICE: ReportKind knows no such kind
+                report = PerformanceReport.from_dict(body)
+            except ValueError as exc:
+                raise MalformedPayload(f"bad report: {exc}") from exc
         with self.changed:
             ended = []
             if msg_type == MSG_REGISTER_PROVIDER:
@@ -459,42 +461,6 @@ class SimEnvironment(Environment):
         if self.clock.now_ms() != accounted:
             raise HarnessError("virtual clock diverged from the job's accounted time")
         return result
-
-
-NUMBERS = (int, float, Fraction)  # the types of a time or an exec_ms; a bool is none of them
-
-
-def check_message(msg_type: int, body: dict) -> PerformanceReport | None:
-    """Raise MalformedPayload unless the node message has what ``route`` and
-    ``SupervisoryAgent.complete`` read from it, and UnsupportedMessage for another type.
-    A MONITOR_REPORT's body is returned parsed, any other message's as None."""
-    report = None
-    if msg_type == MSG_MONITOR_REPORT:
-        try:  # a withdrawal travels as a WITHDRAW_NOTICE: ReportKind knows no such kind
-            report = PerformanceReport.from_dict(body)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedPayload(f"bad report: {exc!r}") from exc
-        times = [report.emitted_at] + [e.timestamp_ms for e in report.evidence]
-        if any(type(t) not in NUMBERS for t in times) \
-                or any(type(e.iterations_done) is not int for e in report.evidence):
-            raise MalformedPayload("a report's emitted_at and evidence times must be numbers, "
-                                   "its evidence iterations_done integers")
-    elif msg_type == MSG_WITHDRAW_NOTICE:
-        if type(require(body, "at_ms")[0]) not in NUMBERS:
-            raise MalformedPayload("a withdrawal's at_ms must be a number")
-    elif msg_type != MSG_RESULT_RETURN:
-        raise UnsupportedMessage(f"the supervisor takes no {MSG_NAMES.get(msg_type, msg_type)}")
-    elif not body.get("failed"):
-        digest, iterations, exec_ms = require(body, "digest", "iterations_done", "exec_ms")
-        if type(digest) is not int or type(iterations) is not int \
-                or type(exec_ms) not in NUMBERS:
-            raise MalformedPayload("a result's digest and iterations_done must be integers, "
-                                   "its exec_ms a number")
-    if type(require(body, "provider_id")[0]) is not str:
-        raise MalformedPayload("a provider_id must be a string")
-    if msg_type != MSG_WITHDRAW_NOTICE and type(require(body, "job_id")[0]) is not str:
-        raise MalformedPayload("a job_id must be a string")
-    return report
 
 
 class SupervisoryListener(FrameServer):
@@ -653,8 +619,7 @@ def run_scenario1(n: int, seed: int, provider: str = SOURCE_PROVIDER, mode: str 
                        decision_log=decision_log)
     result = _run(env, job_id or f"sort-{n}-{seed}", n, seed, provider)
     return ScenarioOutcome(row=ScenarioRow(n=n, scenario1_total_ms=result["exec_ms"]),
-                           digest=result["digest"], iterations=result["iterations_done"],
-                           step_log=env.step_log)
+                           digest=result["digest"], step_log=env.step_log)
 
 
 def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
@@ -692,9 +657,8 @@ def run_scenario2(n: int, seed: int, source: str = SOURCE_PROVIDER,
                       time_source_ms=record.time_on_source_ms,
                       time_target_ms=record.time_on_target_ms,
                       overhead_ms=record.overhead_ms)
-    outcome = ScenarioOutcome(row=row, digest=result["digest"],
-                              iterations=result["iterations_done"], migration=record,
-                              step_log=env.step_log, detail=detail)
+    outcome = ScenarioOutcome(row=row, digest=result["digest"], step_log=env.step_log,
+                              detail=detail)
     if include_scenario1:
         ref = run_scenario1(n, seed, provider=source, mode=mode, providers=providers, sla=sla,
                             checkpoint_interval=checkpoint_interval,

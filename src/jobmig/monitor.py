@@ -50,9 +50,9 @@ class ServiceLevelAgreement:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ServiceLevelAgreement":
-        return cls(min_throughput=float(obj["min_throughput"]),
-                   window_k=int(obj.get("window_k", 3)),
-                   sample_period_ms=int(obj.get("sample_period_ms", 1000)))
+        """The SLA of an ``sla`` object whose fields have their types (``node.MESSAGES``)."""
+        return cls(min_throughput=obj["min_throughput"], window_k=obj.get("window_k", 3),
+                   sample_period_ms=obj.get("sample_period_ms", 1000))
 
 
 @dataclass(frozen=True)

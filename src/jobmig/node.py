@@ -18,9 +18,11 @@ other job on the node runs meanwhile; its own hand-off parks it.
 Frame layout: 4-byte big-endian length, 1-byte message type, payload; the
 length covers the type byte plus the payload. Control payloads are JSON.
 CHECKPOINT_TRANSFER carries a 4-byte big-endian length, that many bytes of
-the job's settings as JSON (``job_settings``), then a checkpoint record
-bundle. A node's messages to the supervisor are ``(MSG_*, body)`` pairs in
-both modes, with the body the wire carries as JSON.
+the job's settings as JSON, then a checkpoint record bundle. A node's messages
+to the supervisor are ``(MSG_*, body)`` pairs in both modes, with the body the
+wire carries as JSON. ``MESSAGES`` is the one schema of every body: the node
+(``serve``, ``resume_from_bundle``) and the supervisor (``Environment.route``)
+each check a body against it with ``check_body`` before they act on it.
 
 A node's timeline rows go to its ``emit``: ``{"t", "event", "job_id",
 "provider", ...}`` with ``t`` its clock in ms, for ``steps`` (``first``,
@@ -69,18 +71,36 @@ MSG_ACK = 0x08
 MSG_ERROR = 0x09
 MSG_SLA_UPDATE = 0x0A
 
-MSG_NAMES = {
-    MSG_REGISTER_PROVIDER: "REGISTER_PROVIDER",
-    MSG_JOB_SUBMIT: "JOB_SUBMIT",
-    MSG_CHECKPOINT_TRANSFER: "CHECKPOINT_TRANSFER",
-    MSG_MIGRATE_REQUEST: "MIGRATE_REQUEST",
-    MSG_MONITOR_REPORT: "MONITOR_REPORT",
-    MSG_WITHDRAW_NOTICE: "WITHDRAW_NOTICE",
-    MSG_RESULT_RETURN: "RESULT_RETURN",
-    MSG_ACK: "ACK",
-    MSG_ERROR: "ERROR",
-    MSG_SLA_UPDATE: "SLA_UPDATE",
+# each code's name, from its constant: 0x02 is "JOB_SUBMIT"
+MSG_NAMES = {code: name[4:] for name, code in globals().items() if name.startswith("MSG_")}
+
+# -- the message schema: by kind, who takes it and each field's (type, required) --
+# Types are exact: a bool is no int and a str no number. A tuple allows any of its
+# types, a dict is an object with fields of its own, a one-dict list a list of them.
+# A value's range is checked where it is used (the SLA, ``_admit``, ``init_sort``), and
+# a registration by ``template_from_dict``, which also reads the provider file.
+NODE, SUPERVISOR = "node", "supervisor"
+NUMBER = (int, float, Fraction)  # a time or an exec_ms: a Fraction on a virtual clock
+SLA_FIELDS = {"min_throughput": ((int, float), True), "window_k": (int, False),
+              "sample_period_ms": (int, False)}
+SETTINGS = {"sla": (SLA_FIELDS, False), "checkpoint_interval": (int, False)}
+SENDER = {"job_id": (str, True), "provider_id": (str, True)}
+MESSAGES = {
+    MSG_JOB_SUBMIT: (NODE, {"job_id": (str, True), "task_kind": (str, True),
+                            "params": (dict, True), **SETTINGS}),
+    MSG_CHECKPOINT_TRANSFER: (NODE, SETTINGS),  # the settings ahead of the bundle
+    MSG_MIGRATE_REQUEST: (NODE, {"job_id": (str, True), "target_id": (str, True),
+                                 "target_addr": (str, True)}),
+    MSG_SLA_UPDATE: (NODE, {"job_id": (str, True), "sla": (SLA_FIELDS, True)}),
+    MSG_MONITOR_REPORT: (SUPERVISOR, {**SENDER, "kind": (str, True), "emitted_at": (NUMBER, False),
+                                      "evidence": ([{"timestamp_ms": (NUMBER, True),
+                                                     "iterations_done": (int, True)}], False)}),
+    MSG_WITHDRAW_NOTICE: (SUPERVISOR, {"provider_id": (str, True), "at_ms": (NUMBER, True)}),
+    MSG_RESULT_RETURN: (SUPERVISOR, {**SENDER, "digest": (int, True),
+                                     "iterations_done": (int, True), "exec_ms": (NUMBER, True)}),
 }
+FAILED_RESULT = {**SENDER, "failed": (bool, True), "error": (str, True)}  # "failed": true
+PARAMS = {workload.SORT_KIND: {"n": (int, True), "seed": (int, True)}}  # a JOB_SUBMIT's, by task kind
 
 MAX_PAYLOAD = 16 * 1024 * 1024
 
@@ -278,26 +298,45 @@ def parse_json(payload: bytes) -> dict:
     return obj
 
 
-def require(obj: dict, *keys: str) -> list:
-    """The values of ``keys`` in a JSON payload, each of which must be there."""
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise MalformedPayload(f"missing field {missing[0]!r}")
-    return [obj[k] for k in keys]
+def check_body(msg_type: int, body, receiver: str) -> None:
+    """Refuse a message before ``receiver`` acts on it: UnsupportedMessage if ``MESSAGES``
+    sends its kind elsewhere, MalformedPayload unless its body matches the kind's entry.
+    A JOB_SUBMIT's params are checked against its task kind's, if ``PARAMS`` knows it."""
+    name = MSG_NAMES.get(msg_type, hex(msg_type))
+    to, fields = MESSAGES.get(msg_type, (None, None))
+    if to != receiver:
+        raise UnsupportedMessage(f"the {receiver} takes no {name} messages")
+    if msg_type == MSG_RESULT_RETURN and body.get("failed") is True:
+        fields = FAILED_RESULT
+    _check(fields, body, name)
+    if msg_type == MSG_JOB_SUBMIT and body["task_kind"] in PARAMS:
+        _check(PARAMS[body["task_kind"]], body["params"], name + ".params")
 
 
-def job_settings(obj: dict) -> dict:
-    """SLA and checkpoint interval of a job spec, as JobExecution kwargs."""
-    sla = None
-    if obj.get("sla") is not None:
-        try:
-            sla = ServiceLevelAgreement.from_dict(obj["sla"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedPayload(f"bad sla: {exc}") from exc
-    interval = obj.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL)
-    if type(interval) is not int:
-        raise MalformedPayload("checkpoint_interval must be an integer")
-    return {"sla": sla, "checkpoint_interval": interval}
+def _check(schema, value, where: str) -> None:
+    """Raise MalformedPayload unless ``value`` matches ``schema``, a field's type in ``MESSAGES``."""
+    expected = dict if type(schema) is dict else list if type(schema) is list else schema
+    types = expected if type(expected) is tuple else (expected,)
+    if type(value) not in types:
+        raise MalformedPayload(f"{where} must be {' or '.join(t.__name__ for t in types)}, "
+                               f"not {type(value).__name__}")
+    if type(schema) is dict:
+        for name, (field_schema, required) in schema.items():
+            if name in value:
+                _check(field_schema, value[name], f"{where}.{name}")
+            elif required:
+                raise MalformedPayload(f"{where}: missing field {name!r}")
+    elif type(schema) is list:
+        for item in value:
+            _check(schema[0], item, where + "[]")
+
+
+def sla_of(body: dict) -> ServiceLevelAgreement | None:
+    """The SLA of a checked body, None if it has none; one out of range is MalformedPayload."""
+    try:
+        return ServiceLevelAgreement.from_dict(body["sla"]) if "sla" in body else None
+    except ValueError as exc:
+        raise MalformedPayload(f"bad sla: {exc}") from exc
 
 
 # -- clocks -------------------------------------------------------------------
@@ -446,14 +485,17 @@ class NodeRuntime:
         end = 4 + int.from_bytes(data[:4], "big")
         if len(data) < 4 or end > len(data):
             raise MalformedPayload("transfer payload ends before its settings do")
-        settings = job_settings(parse_json(data[4:end]))
+        settings = parse_json(data[4:end])
+        check_body(MSG_CHECKPOINT_TRANSFER, settings, NODE)
+        sla = sla_of(settings)
+        interval = settings.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL)
         records = ckpt.decode_bundle(data[end:])
         if records[0].kind != ckpt.KIND_FULL:
             raise ckpt.LineageBroken("transfer bundle must start with a full record")
         state = ckpt.compose(records[0], records[1:])
         task = workload.SortTask(state)
-        entry = JobExecution(job_id=state.job_id, task=task, seq_next=records[-1].seq + 1,
-                             lineage=records, **settings)
+        entry = JobExecution(job_id=state.job_id, task=task, sla=sla, checkpoint_interval=interval,
+                             seq_next=records[-1].seq + 1, lineage=records)
         entry.images = ckpt.lineage_images(records)
         self._admit(entry)
         restore_ms = (time.perf_counter_ns() - t0) / 1e6
@@ -487,32 +529,27 @@ class NodeRuntime:
 
     def serve(self, msg_type: int, body: dict | bytes) -> dict:
         """Answer one request in either mode: the ACK body, or an exception that refuses
-        it. A CHECKPOINT_TRANSFER body is the payload bytes, any other a JSON object."""
-        if msg_type == MSG_JOB_SUBMIT:
-            job_id, task_kind = require(body, "job_id", "task_kind")
-            return self.submit_job(job_id, task_kind, body.get("params", {}),
-                                   **job_settings(body))
+        it. A CHECKPOINT_TRANSFER body is the payload bytes, any other a JSON object
+        that ``check_body`` checks before the node acts on it."""
         if msg_type == MSG_CHECKPOINT_TRANSFER:
             return self.resume_from_bundle(body)
+        check_body(msg_type, body, NODE)
+        job_id = body["job_id"]
+        if msg_type == MSG_JOB_SUBMIT:
+            return self.submit_job(job_id, body["task_kind"], body["params"], sla_of(body),
+                                   body.get("checkpoint_interval", DEFAULT_CHECKPOINT_INTERVAL))
         if msg_type == MSG_MIGRATE_REQUEST:
-            job_id, target_id, target_addr = require(body, "job_id", "target_id", "target_addr")
-            if target_id == self.provider_id:
+            if body["target_id"] == self.provider_id:
                 raise InvalidJobState("migration target equals the source node")
-            info, ack = self.hand_off(job_id, target_addr)
+            info, ack = self.hand_off(job_id, body["target_addr"])
             return {"ok": True, "job_id": job_id, "restore_ms": ack["restore_ms"], **info}
-        if msg_type == MSG_SLA_UPDATE:
-            (job_id,) = require(body, "job_id")
-            sla = job_settings(body)["sla"]
-            if sla is None:
-                raise MalformedPayload("an SLA update needs an sla")
-            entry = self.job(job_id)
-            with self._gate, self._lock:  # the new SLA judges the job's later samples
-                if entry.next_sample_ms is None:
-                    entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
-                entry.sla = sla
-            return {"ok": True, "job_id": job_id}
-        raise UnsupportedMessage(
-            f"node does not serve {MSG_NAMES.get(msg_type, hex(msg_type))} messages")
+        sla = sla_of(body)  # an SLA_UPDATE's: it judges the job's later samples
+        entry = self.job(job_id)
+        with self._gate, self._lock:
+            if entry.next_sample_ms is None:
+                entry.next_sample_ms = self.clock.now_ms() + sla.sample_period_ms
+            entry.sla = sla
+        return {"ok": True, "job_id": job_id}
 
     # -- checkpoint cadence ----------------------------------------------------
 
@@ -754,8 +791,8 @@ class NodeRuntime:
         outgoing = entry.lineage[0]
         if ckpt.compose(outgoing, []).fields != entry.task.state.fields:
             raise ckpt.CheckpointError(f"composed state diverges from live state for {job_id!r}")
-        settings = json_payload({"sla": entry.sla and entry.sla.to_dict(),
-                                 "checkpoint_interval": entry.checkpoint_interval})
+        sla = {"sla": entry.sla.to_dict()} if entry.sla is not None else {}
+        settings = json_payload({"checkpoint_interval": entry.checkpoint_interval, **sla})
         info = {"iterations_before": entry.task.iterations_done,
                 "time_on_source_ms": self._exec_ms(entry)}
         return struct.pack(">I", len(settings)) + settings + ckpt.encode(outgoing), info

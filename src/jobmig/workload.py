@@ -171,12 +171,8 @@ def init_sort(n: int, seed: int, job_id: str | None = None) -> SortTask:
 
 
 def create_task(job_id: str, task_kind: str, params: dict) -> SortTask:
-    """Instantiate a task from a JOB_SUBMIT payload (`task_kind` + params)."""
+    """Instantiate a task from a JOB_SUBMIT payload (`task_kind` + params), whose
+    params have their kind's fields and types (``node.PARAMS``)."""
     if task_kind != SORT_KIND:
         raise UnknownWorkload(f"unsupported task kind {task_kind!r}")
-    try:
-        n = int(params["n"])
-        seed = int(params["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UnknownWorkload(f"bad sort parameters: {params!r}") from exc
-    return init_sort(n, seed, job_id=job_id)
+    return init_sort(params["n"], params["seed"], job_id=job_id)

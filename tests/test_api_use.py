@@ -1,6 +1,7 @@
-"""Every function, class and method defined in ``src/jobmig`` is named somewhere in
-``src/`` or ``bench/`` besides its own definition: ``src/`` holds no API that only
-tests call. Dunder names and ``main`` (an entry point) are exempt."""
+"""Every function, class, method and module-level constant defined in ``src/jobmig`` is
+named somewhere in ``src/`` or ``bench/`` besides its own definition: ``src/`` holds no
+API that only tests call, and no constant that nothing reads. Dunder names and ``main``
+(an entry point) are exempt."""
 
 import argparse
 import ast
@@ -29,11 +30,19 @@ def definitions(tree: ast.AST, prefix: str = ""):
             yield from definitions(node, prefix)
 
 
+def constants(tree: ast.Module):
+    """The name of each constant a module assigns at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def names_used(tree: ast.AST):
-    """Every identifier the code names: variables, attributes, imports, and strings
+    """Every identifier the code reads: variables, attributes, imports, and strings
     that are a bare identifier (a method the benchmark wraps by name, say)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -44,16 +53,25 @@ def names_used(tree: ast.AST):
             yield node.value
 
 
+def names_used_in_src_or_bench() -> set[str]:
+    return {name for path in USERS for name in names_used(ast.parse(path.read_text()))}
+
+
 def test_every_definition_in_src_has_a_user_in_src_or_bench():
     defined = [d for path in SOURCES for d in definitions(ast.parse(path.read_text()))]
-    used: dict[str, int] = {}
-    for path in USERS:
-        for name in names_used(ast.parse(path.read_text())):
-            used[name] = used.get(name, 0) + 1
+    used = names_used_in_src_or_bench()
     unused = {qualname for qualname, name in defined
               if not (name.startswith("__") and name.endswith("__")) and name != "main"
-              and not used.get(name)}
+              and name not in used}
     assert unused == set(KNOWN_UNUSED)
+
+
+def test_every_module_constant_in_src_is_read_in_src_or_bench():
+    used = names_used_in_src_or_bench()
+    unread = {f"{path.stem}.{name}" for path in SOURCES
+              for name in constants(ast.parse(path.read_text()))
+              if not (name.startswith("__") and name.endswith("__")) and name not in used}
+    assert unread == set()
 
 
 def test_every_node_option_is_one_the_wall_environment_can_pass(tmp_path, monkeypatch):

@@ -83,12 +83,18 @@ class TestCalibration:
         assert (a, b) == (Fraction(8), Fraction(2))
 
 
+def result_iteration(outcome):
+    """The iteration of the one ``result`` row on the outcome's timeline."""
+    [row] = [r for r in outcome.step_log.rows if r["event"] == "result"]
+    return row["iteration"]
+
+
 class TestScenario1Sim:
     def test_total_is_n_times_cost_exactly(self, tmp_path):
         config = harness.calibrate_from_table1()
         outcome = harness.run_scenario1(500, 42, workdir=tmp_path)
         assert outcome.row.scenario1_total_ms == 500 * config.per_iteration_cost_ms
-        assert outcome.iterations == 500
+        assert result_iteration(outcome) == 500
 
     def test_single_iteration_job(self, tmp_path):
         config = harness.calibrate_from_table1()
@@ -131,11 +137,13 @@ class TestScenario2Sim:
     def test_single_ownership_and_no_replayed_work(self, tmp_path):
         outcome = harness.run_scenario2(120, 3, migrate_at=50, workdir=tmp_path)
         log = outcome.step_log
-        job_id = outcome.migration.job_id
+        [moved] = [r for r in log.rows if r["event"] == "transfer"]  # the source retires its copy
+        [decided] = [r for r in log.rows if r.get("decision") == "transfer"]  # on the target now
+        job_id = moved["job_id"]
         log.assert_single_ownership(job_id)
         # exactly the one withdrawal-triggered migration, no spurious reports
-        assert outcome.migration.from_provider == "server1"
-        assert outcome.migration.to_provider == "server2"
+        assert moved["provider"] == "server1"
+        assert decided["provider"] == "server2"
         steps = log.for_job(job_id)
         source_steps = [i for p, i in steps if p == "server1"]
         target_steps = [i for p, i in steps if p == "server2"]
@@ -453,6 +461,12 @@ class TestSupervisoryListener:
                      id="result-with-a-list-provider"),
         pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": ["x"], "failed": True},
                      id="failed-result-with-a-list-provider"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": "server1", "failed": True,
+                                         "error": 5}, id="failed-result-with-an-int-error"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": "server1", "failed": True},
+                     id="failed-result-without-an-error"),
+        pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": "server1", "failed": "yes",
+                                         "error": "E"}, id="result-with-a-string-failed"),
         pytest.param(MSG_RESULT_RETURN, {"job_id": "j", "provider_id": "server1", "digest": 1,
                                          "iterations_done": 60, "exec_ms": "7"},
                      id="result-with-a-string-exec-ms"),
@@ -517,7 +531,7 @@ class TestSupervisoryListener:
 
 
 class TestSimIntake:
-    def test_a_message_check_message_refuses_leaves_a_send_failed_row(self, tmp_path):
+    def test_a_message_the_schema_refuses_leaves_a_send_failed_row(self, tmp_path):
         config = harness.calibrate_from_table1()
         env = harness.SimEnvironment(config, harness.default_providers(config), tmp_path)
         env.deploy_sort("j", 60, 3, start_on="server1")
@@ -532,7 +546,8 @@ class TestSimIntake:
         assert env.run_job("j")["digest"] == reference_digest(60, 3)
         assert [(r["event"], r["job_id"], r["provider"], r["message"], r["error"])
                 for r in env.step_log.rows if r["event"] == "send_failed"] == [
-            ("send_failed", "j", "server1", "MONITOR_REPORT", "bad report: KeyError('provider_id')")]
+            ("send_failed", "j", "server1", "MONITOR_REPORT",
+             "MONITOR_REPORT: missing field 'provider_id'")]
         assert [r["decision"] for r in env.step_log.rows if r["event"] == "decision"] \
             == ["submit", "done"]
 
@@ -845,7 +860,7 @@ class TestWallMode:
     def test_wall_single_iteration_job(self, tmp_path):
         # guard: the result can come back before deploy returns
         outcome = harness.run_scenario1(1, 5, mode="wall", workdir=tmp_path)
-        assert (outcome.digest, outcome.iterations) == (reference_digest(1, 5), 1)
+        assert (outcome.digest, result_iteration(outcome)) == (reference_digest(1, 5), 1)
 
     def test_wall_end_to_end_covers_its_parts(self, tmp_path):
         # the benchmark's wall check job_s >= source + target + overhead, on the program side
@@ -915,7 +930,7 @@ class TestWallMode:
     def test_wall_scenario1_digest(self, tmp_path):
         outcome = harness.run_scenario1(150, 8, mode="wall", workdir=tmp_path)
         assert outcome.digest == reference_digest(150, 8)
-        assert outcome.iterations == 150
+        assert result_iteration(outcome) == 150
 
 
 def timeline_key(row):

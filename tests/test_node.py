@@ -1292,3 +1292,69 @@ class TestDaemon:
                                  store_dir=tmp_path / "x")
         with pytest.raises(nd.BindFailure):
             nd.NodeDaemon(runtime, listen=daemon.address)
+
+
+SUBMIT = {"job_id": "j", "task_kind": "sort", "params": {"n": 10, "seed": 1}}
+# each field a value that int() or float() would take: the schema takes none of them
+COERCIBLE_SLAS = [pytest.param({"min_throughput": "5"}, id="string-floor"),
+                  pytest.param({"min_throughput": True}, id="bool-floor"),
+                  pytest.param({"min_throughput": 5.0, "window_k": 2.7}, id="float-window"),
+                  pytest.param({"min_throughput": 5.0, "sample_period_ms": True},
+                               id="bool-period")]
+
+
+class TestMessageSchema:
+    """A body whose field is missing or of another type is refused as MalformedPayload
+    before the node acts on it: nothing coerces it, and the node is left as it was."""
+
+    @pytest.mark.parametrize("body", [
+        pytest.param({**SUBMIT, "job_id": 7}, id="int-job-id"),
+        pytest.param({**SUBMIT, "params": {"n": "not-a-number", "seed": 1}}, id="word-n"),
+        pytest.param({**SUBMIT, "params": {"n": "10", "seed": 1}}, id="string-n"),
+        pytest.param({**SUBMIT, "params": {"n": True, "seed": 1}}, id="bool-n"),
+        pytest.param({**SUBMIT, "params": {"n": 10, "seed": 1.9}}, id="float-seed"),
+        pytest.param({**SUBMIT, "params": {"n": 10}}, id="no-seed"),
+        pytest.param({**SUBMIT, "sla": {"min_throughput": "5", "window_k": 2.7,
+                                        "sample_period_ms": True},
+                      "params": {"n": "10", "seed": 1.9}}, id="everything-coercible")] + [
+        pytest.param({**SUBMIT, "sla": sla.values[0]}, id=sla.id) for sla in COERCIBLE_SLAS])
+    def test_a_malformed_submit_is_refused(self, tmp_path, body):
+        runtime = sim_runtime(tmp_path)
+        with pytest.raises(nd.MalformedPayload):
+            runtime.serve(nd.MSG_JOB_SUBMIT, body)
+        assert runtime.jobs == {}
+        assert list(tmp_path.rglob("*.ckpt")) == []
+
+    @pytest.mark.parametrize("sla", COERCIBLE_SLAS)
+    def test_a_malformed_sla_in_transfer_settings_is_refused(self, tmp_path, sla):
+        runtime = sim_runtime(tmp_path)
+        settings = nd.json_payload({"sla": sla, "checkpoint_interval": 8})
+        with pytest.raises(nd.MalformedPayload):
+            runtime.serve(nd.MSG_CHECKPOINT_TRANSFER, transfer_payload(BAD_TRAILER_BUNDLE, settings))
+        assert runtime.jobs == {}
+        assert list(tmp_path.rglob("*.ckpt")) == []
+
+    @pytest.mark.parametrize("sla", COERCIBLE_SLAS)
+    def test_a_malformed_sla_update_is_refused(self, tmp_path, sla):
+        runtime = sim_runtime(tmp_path)
+        runtime.serve(nd.MSG_JOB_SUBMIT, {**SUBMIT, "sla": DEFAULT_TEST_SLA.to_dict()})
+        with pytest.raises(nd.MalformedPayload):
+            runtime.serve(nd.MSG_SLA_UPDATE, {"job_id": "j", "sla": sla})
+        assert runtime.job("j").sla == DEFAULT_TEST_SLA
+
+    def test_a_malformed_migrate_request_has_no_side_effects(self, tmp_path):
+        rows = []
+        source = sim_runtime(tmp_path, emit=rows.append,
+                             send=lambda *request: pytest.fail("a payload was sent"))
+        source.submit_job("jm", "sort", {"n": 30, "seed": 6}, checkpoint_interval=5)
+        run_to(source, "jm", 10)
+        entry = source.job("jm")
+        path = source.store.path_for("jm")
+        before = (path.stat().st_size, entry.seq_next, list(rows))
+        with pytest.raises(nd.MalformedPayload):
+            source.serve(nd.MSG_MIGRATE_REQUEST,
+                         {"job_id": "jm", "target_id": "sim2", "target_addr": 5})
+        assert (path.stat().st_size, entry.seq_next, rows) == before
+        assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 10)
+        run_to_completion(source, "jm")
+        assert entry.task.digest() == reference_digest(30, 6)
