@@ -10,7 +10,9 @@ every request to a node in ``NodeRuntime.serve``, migrate through ``hand_off``
 and step a job with ``step``, from one yield point to the next: the first
 iteration after which a capture is due, the job reaches ``withdraw_at`` or its
 end, or an SLA sample confirms a violation; a healthy sample is taken on the
-way, where it falls due, and the job steps on. A withdrawal parks the job whose
+way, where it falls due, and the job steps on. In sim each run of steps between
+two samples is one ``SortTask.step(k)`` call and one clock advance; in wall the
+task steps once per read of the clock. A withdrawal parks the job whose
 step reached it, at that iteration; the supervisor's answer to the notice moves
 it away, drops it or resumes it here. The thread waits for that answer, so no
 other job on the node runs meanwhile; its own hand-off parks it.
@@ -384,14 +386,15 @@ class VirtualClock:
             return 1
         return min(limit, -(-gap // per_step)) if per_step else limit
 
-    def advance(self, delta_ms: int | Fraction) -> None:
+    def advance(self, delta_ms: int | Fraction, times: int = 1) -> None:
+        """Advance by ``times`` x ``delta_ms``, in integers."""
         num, den = delta_ms.numerator, delta_ms.denominator
-        if num < 0:
+        if num < 0 or times < 0:
             raise ValueError("virtual time cannot go backwards")
         if self._den % den:
             lcm = math.lcm(self._den, den)
             self._num, self._den = self._num * (lcm // self._den), lcm
-        self._num += num * (self._den // den)
+        self._num += num * times * (self._den // den)
         self._now = None
 
 
@@ -541,6 +544,10 @@ class NodeRuntime:
         if msg_type == MSG_MIGRATE_REQUEST:
             if body["target_id"] == self.provider_id:
                 raise InvalidJobState("migration target equals the source node")
+            try:  # refused before the park, which would write a record
+                parse_hostport(body["target_addr"])
+            except ValueError as exc:
+                raise MalformedPayload(str(exc)) from None
             info, ack = self.hand_off(job_id, body["target_addr"])
             return {"ok": True, "job_id": job_id, "restore_ms": ack["restore_ms"], **info}
         sla = sla_of(body)  # an SLA_UPDATE's: it judges the job's later samples
@@ -618,8 +625,8 @@ class NodeRuntime:
         """Step the job to its next yield point, taking each sample due before it on the
         way (``_sample``, into ``msgs``); whether one confirmed a violation, which ends the
         stretch there. In sim the modeled step cost tells which step reaches each sample
-        deadline, and the clock advances once for each run of steps between two samples;
-        in wall the clock is read after each step."""
+        deadline, and each run of steps between two samples is one ``step(k)`` call and one
+        advance of the clock; in wall the clock is read after each step."""
         task = entry.task
         first = task.iterations_done
         n = min(task.total_iterations - first,
@@ -641,10 +648,9 @@ class NodeRuntime:
                 k = clock.steps_to(entry.next_sample_ms, cost, left) if sampled else left
                 done = task.iterations_done
                 try:
-                    for _ in range(k):
-                        step()
+                    step(k)
                 finally:  # the steps taken, if one raised
-                    clock.advance(cost * (task.iterations_done - done))
+                    clock.advance(cost, task.iterations_done - done)
                 left -= k
                 confirmed = left > 0 and self._sample(entry, msgs)
         entry.since_checkpoint += task.iterations_done - first

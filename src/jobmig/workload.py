@@ -1,9 +1,10 @@
 """Resumable tasks: step-wise execution with checkpointable state.
 
 The benchmark workload is selection sort over an array of N pseudo-random
-values. Each call to ``step`` performs one outer-loop iteration (place the
-minimum of the unsorted suffix), which is also the checkpoint and migration
-grain: a task may be captured or handed off between any two steps.
+values. One outer-loop iteration (place the minimum of the unsorted suffix)
+is a step, and also the checkpoint and migration grain: a task may be
+captured or handed off between any two steps; ``step(k)`` runs ``k`` of them
+in one call.
 
 A ``SortTask`` finds each minimum through an index of the unsorted suffix
 that it derives from the array on its first step. The index is not part of
@@ -110,37 +111,46 @@ class SortTask:
     def done(self) -> bool:
         return self.state.fields[FIELD_DONE] == 1
 
-    def step(self) -> None:
-        """One outer iteration: move the minimum of the suffix to position iter,
-        and report the two array indices written."""
-        if self.done:
-            raise AlreadyDone(f"job {self.state.job_id!r} already completed")
+    def step(self, k: int = 1) -> None:
+        """``k`` outer iterations in one call. Each moves the minimum of the suffix to
+        position iter and reports the two array indices written. A done task, or a ``k``
+        outside 1 to the iterations left, raises and changes nothing; if an iteration
+        raises, the counter and the done flag count those that finished."""
         fields = self.state.fields
+        if fields[FIELD_DONE]:
+            raise AlreadyDone(f"job {self.state.job_id!r} already completed")
         arr: list[int] = fields[FIELD_ARRAY]
         it: int = fields[FIELD_ITER]
         n = len(arr)
+        end = it + k
+        if k < 1 or end > n:
+            raise ValueError(f"job {self.state.job_id!r}: cannot run {k} of the "
+                             f"{n - it} iterations left")
         index = self._index
         if index is None:
             index = self._index = sorted([-(arr[p] * n + p) for p in range(it, n)])
-        j = -index.pop() % n
-        if j != it:
-            # arr[it] moves to j: its key passes only keys of equal value
-            v = arr[it]
-            key = -(v * n + j)
-            a = bisect_left(index, -(v * n + it))
-            if a and index[a - 1] >= key:
-                del index[a]
-                insort(index, key, hi=a)
-            else:
-                index[a] = key
-            arr[it], arr[j] = arr[j], v
         touched = self.state.touched.setdefault(FIELD_ARRAY, set())
-        touched.add(it)
-        touched.add(j)
-        it += 1
-        fields[FIELD_ITER] = it
-        if it == len(arr):
-            fields[FIELD_DONE] = 1
+        try:
+            while it < end:
+                j = -index.pop() % n
+                if j != it:
+                    # arr[it] moves to j: its key passes only keys of equal value
+                    v = arr[it]
+                    key = -(v * n + j)
+                    a = bisect_left(index, -(v * n + it))
+                    if a and index[a - 1] >= key:
+                        del index[a]
+                        insort(index, key, hi=a)
+                    else:
+                        index[a] = key
+                    arr[it], arr[j] = arr[j], v
+                touched.add(it)
+                touched.add(j)
+                it += 1
+        finally:
+            fields[FIELD_ITER] = it
+            if it == n:
+                fields[FIELD_DONE] = 1
 
     def digest(self) -> int:
         """64-bit hash of the final array; equal for any two correct runs. It is

@@ -45,6 +45,21 @@ def reference_digest(n: int, seed: int) -> int:
     return task.digest()
 
 
+class FailingIndex(list):
+    """A sort task's index whose pop raises once it has popped ``pops`` times: a
+    step pops it once an iteration, so iteration ``pops + 1`` of a run raises."""
+
+    def __init__(self, index: list, pops: int):
+        super().__init__(index)
+        self.pops = pops
+
+    def pop(self):
+        if not self.pops:
+            raise RuntimeError("iteration failed")
+        self.pops -= 1
+        return super().pop()
+
+
 def run_to(node, job_id: str, iteration: int, call: str = "run_iteration") -> None:
     """Run a job on ``node`` through its ``call`` method (``run_iteration`` or
     ``step``) until it has done ``iteration`` iterations or stops running. A call

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jobmig import checkpoint as cp
-from jobmig import harness
+from jobmig import harness, workload
 from jobmig.broker import JobRequirementList, ResourceBroker, ResourceSpecTemplate
 from jobmig.control import DecisionAction, JobStatus, SubmitTimeout, SupervisoryAgent
 from jobmig.monitor import LocalAnalyzer, PerformanceReport, ReportKind, ServiceLevelAgreement
@@ -225,6 +225,17 @@ class TestSamplePoints:
                                          0, 5000, 5000)
         assert len(expected) == 555
         assert observed == expected
+
+    def test_scenario1_runs_each_run_of_steps_in_one_call(self, tmp_path, observed,
+                                                           monkeypatch):
+        """Sim takes one ``step(k)`` call per run of steps between two yield points or
+        samples: at N=5000, interval 1024, 560 calls where single steps take 5000."""
+        calls, step = [], workload.SortTask.step
+        monkeypatch.setattr(workload.SortTask, "step",
+                            lambda task, k=1: calls.append(k) or step(task, k))
+        harness.run_scenario1(5000, 42, checkpoint_interval=1024, workdir=tmp_path)
+        assert len(observed) == 555
+        assert (len(calls), sum(calls)) == (560, 5000)
 
     def test_scenario2_samples_fall_where_the_cost_model_puts_them(self, tmp_path, observed):
         config = harness.calibrate_from_table1()

@@ -19,8 +19,8 @@ from jobmig.control import TransferFailed
 from jobmig.harness import SupervisoryListener
 from jobmig.monitor import ReportKind, ServiceLevelAgreement
 
-from conftest import (DEFAULT_TEST_SLA, images_of, reference_digest, run_to, transfer_bundle,
-                      wait_until)
+from conftest import (DEFAULT_TEST_SLA, FailingIndex, images_of, reference_digest, run_to,
+                      transfer_bundle, wait_until)
 
 
 def read_back(data: bytes) -> tuple[int, bytes]:
@@ -71,6 +71,11 @@ class TestClocks:
             nd.VirtualClock().advance(-1)
         with pytest.raises(ValueError):
             nd.VirtualClock().advance(Fraction(-1, 3))
+        clock = nd.VirtualClock()
+        for delta, times in ((Fraction(-1, 3), 4), (Fraction(1, 3), -1), (-2, 0)):
+            with pytest.raises(ValueError):
+                clock.advance(delta, times)
+        assert clock.now_ms() == 0
 
     @given(st.lists(st.one_of(st.integers(min_value=0, max_value=10**12),
                               st.fractions(min_value=0, max_denominator=10**6)), max_size=60))
@@ -143,6 +148,21 @@ class TestClocks:
         assert clock.steps_to(deadline, cost, limit) == expected
         assert clock.now_ms() == now  # counting moves nothing
 
+    @given(st.lists(ADVANCES, max_size=6), COSTS, st.integers(min_value=0, max_value=50))
+    @settings(max_examples=300, deadline=None)
+    def test_an_advance_by_times_equals_single_advances(self, start, cost, times):
+        """``advance(cost, times)`` moves the clock exactly as ``times`` single advances
+        do, also when the cost's denominator is new to the clock."""
+        clock, brute = nd.VirtualClock(), nd.VirtualClock()
+        for delta in start:
+            clock.advance(delta)
+            brute.advance(delta)
+        clock.advance(cost, times)
+        for _ in range(times):
+            brute.advance(cost)
+        assert clock.now_ms() == brute.now_ms() == sum(start, Fraction(0)) + cost * times
+        assert clock.reached(brute.now_ms()) and brute.reached(clock.now_ms())
+
     def test_wall_deadline_test(self):
         clock = nd.WallClock()
         now = clock.now_ms()
@@ -182,6 +202,26 @@ class TestSimExecution:
         result = dict(msgs)[nd.MSG_RESULT_RETURN]
         assert result["exec_ms"] == 57306
         assert result["iterations_done"] == 500
+
+    @pytest.mark.parametrize("m", [0, 5, 15])
+    def test_a_run_that_raises_midway_is_charged_the_steps_it_took(self, tmp_path, m):
+        """A run of 16 steps in one ``step(16)`` call whose iteration m + 1 raises: the
+        job fails at iteration 16 + m, and the clock is charged m steps."""
+        rows, cost = [], Fraction(57306, 500)
+        runtime = sim_runtime(tmp_path, cost=cost, emit=rows.append)
+        runtime.submit_job("j", "sort", {"n": 60, "seed": 4}, checkpoint_interval=16)
+        run_to(runtime, "j", 16)
+        task, start_ms = runtime.job("j").task, runtime.clock.now_ms()
+        task._index = FailingIndex(task._index, m)
+        calls, step = [], task.step
+        task.step = lambda k=1: calls.append(k) or step(k)
+        msgs = runtime.run_iteration("j")
+        assert calls == [16]
+        assert dict(msgs)[nd.MSG_RESULT_RETURN]["error"] == "RuntimeError"
+        assert (runtime.job("j").status, task.iterations_done) == (nd.ST_FAILED, 16 + m)
+        assert runtime.clock.now_ms() - start_ms == m * cost
+        assert [(r["event"], r.get("end"), r.get("error")) for r in rows[-2:]] == [
+            ("steps", 16 + m, None), ("failed", None, "RuntimeError")]
 
     def test_speed_factor_scales_cost(self, tmp_path):
         runtime = sim_runtime(tmp_path, cost=Fraction(100), speed=Fraction(2))
@@ -498,7 +538,8 @@ class TestTurns:
         assert self.turns_taken(runtime, 4) == list("abcd")
 
     def test_parked_tombstoned_done_and_failed_jobs_take_no_turn(self, tmp_path):
-        runtime = sim_runtime(tmp_path, cost=Fraction(1), withdraw_at=3)
+        rows = []
+        runtime = sim_runtime(tmp_path, cost=Fraction(1), withdraw_at=3, emit=rows.append)
         target = sim_runtime(tmp_path / "t")
         runtime.send = lambda addr, msg_type, body: target.serve(msg_type, body)
         for job_id in "ptdfr":
@@ -508,13 +549,14 @@ class TestTurns:
         runtime.hand_off("t", "127.0.0.1:7002")
         run_to_completion(runtime, "d")
 
-        def broken_step():
+        def broken_step(k=1):
             raise RuntimeError("step failed")
 
         runtime.job("f").task.step = broken_step
         runtime.run_iteration("f")
         assert [runtime.job(j).status for j in "ptdfr"] == [
             nd.ST_QUIESCED, nd.ST_TOMBSTONED, nd.ST_DONE, nd.ST_FAILED, nd.ST_RUNNING]
+        assert [r["error"] for r in rows if r["event"] == "failed"] == ["RuntimeError"]
         assert self.turns_taken(runtime, 3) == list("rrr")
 
     def test_no_runnable_job_is_no_turn(self, tmp_path):
@@ -816,15 +858,17 @@ class TestHeldFile:
         assert open_files(tmp_path) == []
 
     def test_a_failed_job_closes_its_file(self, tmp_path):
-        runtime = sim_runtime(tmp_path)
+        rows = []
+        runtime = sim_runtime(tmp_path, emit=rows.append)
         runtime.submit_job("jf", "sort", {"n": 30, "seed": 3})
 
-        def broken_step():
+        def broken_step(k=1):
             raise RuntimeError("step failed")
 
         runtime.job("jf").task.step = broken_step
-        assert dict(runtime.run_iteration("jf"))[nd.MSG_RESULT_RETURN]["failed"]
+        assert dict(runtime.run_iteration("jf"))[nd.MSG_RESULT_RETURN]["error"] == "RuntimeError"
         assert runtime.job("jf").status == nd.ST_FAILED
+        assert [r["error"] for r in rows if r["event"] == "failed"] == ["RuntimeError"]
         assert open_files(tmp_path) == []
 
     def test_a_moved_job_closes_its_file_at_its_park(self, tmp_path):
@@ -1342,7 +1386,9 @@ class TestMessageSchema:
             runtime.serve(nd.MSG_SLA_UPDATE, {"job_id": "j", "sla": sla})
         assert runtime.job("j").sla == DEFAULT_TEST_SLA
 
-    def test_a_malformed_migrate_request_has_no_side_effects(self, tmp_path):
+    @pytest.mark.parametrize("target_addr", [5, "nohost", ":7002", "127.0.0.1:"])
+    def test_a_malformed_migrate_request_has_no_side_effects(self, tmp_path, target_addr):
+        """Refused before the park, which would write a record and a ``steps`` row."""
         rows = []
         source = sim_runtime(tmp_path, emit=rows.append,
                              send=lambda *request: pytest.fail("a payload was sent"))
@@ -1353,7 +1399,7 @@ class TestMessageSchema:
         before = (path.stat().st_size, entry.seq_next, list(rows))
         with pytest.raises(nd.MalformedPayload):
             source.serve(nd.MSG_MIGRATE_REQUEST,
-                         {"job_id": "jm", "target_id": "sim2", "target_addr": 5})
+                         {"job_id": "jm", "target_id": "sim2", "target_addr": target_addr})
         assert (path.stat().st_size, entry.seq_next, rows) == before
         assert (entry.status, entry.task.iterations_done) == (nd.ST_RUNNING, 10)
         run_to_completion(source, "jm")

@@ -1,3 +1,4 @@
+import copy
 import struct
 from functools import reduce
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from jobmig import checkpoint as cp
 from jobmig import workload
+
+from conftest import FailingIndex, reference_digest
 
 
 M64 = (1 << 64) - 1
@@ -130,6 +133,49 @@ class TestStep:
         task.step()
         with pytest.raises(workload.AlreadyDone):
             task.step()
+
+
+class TestBatchedStep:
+    """``step(k)`` runs k iterations in one call, as k single steps do."""
+
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_runs_of_steps_match_single_steps(self, n, seed, data):
+        ends = sorted(data.draw(st.sets(st.integers(1, n), max_size=20)) | {n})
+        batched, single = workload.init_sort(n, seed), workload.init_sort(n, seed)
+        for first, end in zip([0] + ends, ends):
+            batched.step(end - first)
+            for _ in range(end - first):
+                single.step()
+            assert batched.state.fields == single.state.fields
+            assert batched.state.touched == single.state.touched
+        assert batched.done and batched.digest() == single.digest()
+
+    @pytest.mark.parametrize("k", [0, -1, 8])
+    def test_a_k_outside_the_iterations_left_raises_and_changes_nothing(self, k):
+        task = workload.init_sort(10, 3)
+        task.step(3)
+        before = copy.deepcopy((task.state.fields, task.state.touched))
+        with pytest.raises(ValueError):
+            task.step(k)
+        assert (task.state.fields, task.state.touched) == before
+        task.step(7)
+        assert task.done and task.digest() == reference_digest(10, 3)
+        for more in (1, 7, 0):
+            with pytest.raises(workload.AlreadyDone):
+                task.step(more)
+
+    def test_an_iteration_that_raises_leaves_the_finished_ones_counted(self):
+        task = workload.init_sort(20, 5)
+        task.step(2)  # builds the index
+        task._index = FailingIndex(task._index, 3)
+        with pytest.raises(RuntimeError):
+            task.step(10)
+        reference = workload.init_sort(20, 5)
+        reference.step(5)
+        assert (task.iterations_done, task.done) == (5, False)
+        assert task.state.fields == reference.state.fields
+        assert task.state.touched == reference.state.touched
 
 
 class TestDigest:
